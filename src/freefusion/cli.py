@@ -59,12 +59,22 @@ def _parse_words(text: str) -> list[str]:
     return [parse_word(t) for t in text.split(",") if t]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_output_flags(p):
     p.add_argument("--json", action="store_true", help="print the JSON report")
     p.add_argument("--report", metavar="FILE", help="write the JSON report to FILE")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker threads for per-seed checks; never changes any output byte",
     )
@@ -322,7 +332,12 @@ def _run_invertibles(args):
 def _run_verify_cert(args):
     with open(args.file, encoding="utf-8") as fh:
         doc = json.load(fh)
-    gens = {parse_word(g) for g in doc.get("generators", [])}
+    if not isinstance(doc, dict) or "certificate" not in doc:
+        raise ValueError('a certificate document is an object with a "certificate" key')
+    generators = doc.get("generators", [])
+    if not isinstance(generators, list):
+        raise ValueError('"generators" must be a list of words')
+    gens = {parse_word(g) for g in generators}
     cert = certificate_from_json(doc["certificate"])
     ok, why = verify_certificate_detailed(cert, gens)
     payload = {"file": args.file, "valid": ok}

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .fusion import _simple_terms, mul_many, mul_simple
+from .fusion import cut_depth, mul_many, mul_simple
 from .words import (
     degree,
     format_word,
@@ -43,6 +43,8 @@ class ClosureConfig:
             raise ValueError("report_len must not exceed work_len")
         if self.work_len < 0:
             raise ValueError("work_len must be nonnegative")
+        if self.report_len < 0:
+            raise ValueError("report_len must be nonnegative")
 
 
 # --------------------------------------------------------------------------
@@ -141,23 +143,31 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> Certificate:
+    """Parse a certificate tree; a malformed node raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"certificate node must be an object, not {type(obj).__name__}"
+        )
     kind = obj.get("kind")
-    if kind == "unit":
-        return Unit()
-    if kind == "gen":
-        return Generator(parse_word(obj["word"]))
-    if kind == "prod":
-        return ProductTerm(
-            certificate_from_json(obj["left"]),
-            certificate_from_json(obj["right"]),
-            parse_word(obj["term"]),
-        )
-    if kind == "ad":
-        return AdStep(
-            parse_word(obj["conjugator"]),
-            certificate_from_json(obj["inner"]),
-            parse_word(obj["result"]),
-        )
+    try:
+        if kind == "unit":
+            return Unit()
+        if kind == "gen":
+            return Generator(parse_word(obj["word"]))
+        if kind == "prod":
+            return ProductTerm(
+                certificate_from_json(obj["left"]),
+                certificate_from_json(obj["right"]),
+                parse_word(obj["term"]),
+            )
+        if kind == "ad":
+            return AdStep(
+                parse_word(obj["conjugator"]),
+                certificate_from_json(obj["inner"]),
+                parse_word(obj["result"]),
+            )
+    except KeyError as exc:
+        raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
     raise ValueError(f"unknown certificate node kind: {kind!r}")
 
 
@@ -301,18 +311,34 @@ class Saturator:
 
     Members are processed in discovery order (breadth-first over the
     derivation DAG): processing a member multiplies it, in both orders,
-    with every member processed so far and optionally scans its adjoint
+    with every member processed so far, and optionally scans its adjoint
     conjugations.  Discovery order is itself deterministic, so the trace,
     the member set and every certificate are reproducible.  An optional
     ambient predicate confines added terms; an optional target set allows
     stopping as soon as all targets have been derived (the member set is
     then a sound under-approximation of the fixpoint).
+
+    Only products with a term within work_len are evaluated.  The terms of
+    x * y have lengths |x| + |y| - 2k over the valid cuts k = 0..K
+    (fusion.cut_depth), so such a term exists exactly when the cut
+    kmin = ceil((|x| + |y| - work_len) / 2) is valid, that is when the
+    length-kmin prefix of y is the dual of the length-kmin suffix of x.
+    Processed members are indexed by (length, prefix) and (length, suffix),
+    so the partners passing this test are looked up, not searched for.
+    stats["products"] counts the products evaluated; skipped pairs would
+    have added nothing, so members, order and provenance are those of
+    multiplying every pair.
+
+    With ambient_closed, the ambient is known to be closed under fusion and
+    the ad rule: generators are still checked against ambient_contains,
+    derived terms are not.
     """
 
     def __init__(self, config: ClosureConfig, ambient_contains=None,
-                 ambient_size: int | None = None):
+                 ambient_size: int | None = None, ambient_closed: bool = False):
         self.config = config
         self.contains = ambient_contains
+        self.term_filter = None if ambient_closed else ambient_contains
         self.ambient_size = ambient_size
         self.members: set[str] = set()
         self.order: list[str] = []
@@ -321,6 +347,8 @@ class Saturator:
         self.has_targets = False
         self.stopped_early = False
         self.stats = {"products": 0, "members": 0, "ad_steps": 0}
+        self._by_prefix: dict[tuple[int, str], list[int]] = {}
+        self._by_suffix: dict[tuple[int, str], list[int]] = {}
         self.add("", ("unit",))
 
     def set_targets(self, targets):
@@ -365,12 +393,44 @@ class Saturator:
             return True
         return False
 
-    def _absorb(self, x: str, y: str):
-        self.stats["products"] += 1
+    def _index(self, i: int):
+        """Index the processed member order[i] = o.  For any partner m,
+        kmin = ceil((|m| + |o| - work_len) / 2) <= ceil(|o| / 2) because
+        |m| <= work_len, so only prefixes and suffixes up to that length
+        are keyed."""
+        w = self.order[i]
+        n = len(w)
+        for k in range((n + 1) // 2 + 1):
+            self._by_prefix.setdefault((n, w[:k]), []).append(i)
+            self._by_suffix.setdefault((n, w[n - k :]), []).append(i)
+
+    def _partners(self, m: str) -> list[tuple[int, int]]:
+        """(j, sides) for each indexed order[j] = o with a term within
+        work_len in m * o (sides bit 1) or o * m (bit 2), by increasing j."""
         work_len = self.config.work_len
-        contains = self.contains
-        for t in _simple_terms(x, y):
-            if len(t) <= work_len and (contains is None or contains(t)):
+        lm = len(m)
+        d = involute(m)
+        found: dict[int, int] = {}
+        for n in range(work_len + 1):
+            kmin = max(0, (lm + n - work_len + 1) // 2)
+            # o[:kmin] == involute(m[lm - kmin:]) and
+            # o[n - kmin:] == involute(m[:kmin]), read off d = involute(m).
+            for j in self._by_prefix.get((n, d[:kmin]), ()):
+                found[j] = 1
+            for j in self._by_suffix.get((n, d[lm - kmin :]), ()):
+                found[j] = found.get(j, 0) | 2
+        return sorted(found.items())
+
+    def _absorb(self, x: str, y: str):
+        """Add the terms of x * y within work_len: the cuts kmin..K."""
+        self.stats["products"] += 1
+        lx = len(x)
+        kmin = max(0, (lx + len(y) - self.config.work_len + 1) // 2)
+        members = self.members
+        keep = self.term_filter
+        for k in range(kmin, cut_depth(x, y) + 1):
+            t = x[: lx - k] + y[k:]
+            if t not in members and (keep is None or keep(t)):
                 self.add(t, ("prod", x, y))
 
     def run(self, ad_scan=None):
@@ -385,19 +445,20 @@ class Saturator:
             if self.done():
                 return
             m = self.order[i]
-            for j in range(i + 1):
+            self._index(i)
+            for j, sides in self._partners(m):
                 o = self.order[j]
-                self._absorb(m, o)
-                if o != m:
+                if sides & 1:
+                    self._absorb(m, o)
+                if sides & 2 and j != i:
                     self._absorb(o, m)
                 if self.done():
                     return
             if ad_scan is not None:
+                keep = self.term_filter
                 for y, z in ad_scan(m):
                     self.stats["ad_steps"] += 1
-                    if len(z) <= work_len and (
-                        self.contains is None or self.contains(z)
-                    ):
+                    if len(z) <= work_len and (keep is None or keep(z)):
                         self.add(z, ("ad", y, m))
                 if self.done():
                     return

@@ -9,8 +9,6 @@ Python integers are unbounded, so multiplicities can never wrap around.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .words import format_word, involute, parse_word, shortlex_key
 
 Element = dict[str, int]
@@ -18,19 +16,31 @@ Element = dict[str, int]
 UNIT: Element = {"": 1}
 
 
+def cut_depth(x: str, y: str) -> int:
+    """The deepest valid cut K of x * y: the length of the longest common
+    prefix of reverse(x) and flip(y).
+
+    Cut k is valid when the length-k suffix g of x has involute(g) equal to
+    the length-k prefix of y, that is when y[i] != x[-1 - i] for every
+    i < k.  So the valid cuts are exactly 0..K.
+    """
+    n = min(len(x), len(y))
+    last = len(x) - 1
+    k = 0
+    while k < n and x[last - k] != y[k]:
+        k += 1
+    return k
+
+
 def valid_cuts(x: str, y: str) -> list[int]:
     """All k such that the length-k suffix g of x has involute(g) equal to
     the length-k prefix of y, in increasing order.  k = 0 is always valid."""
-    return [
-        k
-        for k in range(min(len(x), len(y)) + 1)
-        if involute(x[len(x) - k :]) == y[:k]
-    ]
+    return list(range(cut_depth(x, y) + 1))
 
 
-@lru_cache(maxsize=None)
-def _simple_terms(x: str, y: str) -> tuple[str, ...]:
-    return tuple(x[: len(x) - k] + y[k:] for k in valid_cuts(x, y))
+def _simple_terms(x: str, y: str) -> list[str]:
+    lx = len(x)
+    return [x[: lx - k] + y[k:] for k in range(cut_depth(x, y) + 1)]
 
 
 def mul_simple(x: str, y: str) -> Element:

@@ -29,7 +29,7 @@ from .closure import (
     verify_certificate_detailed,
     witness,
 )
-from .fusion import _simple_terms, mul_simple
+from .fusion import mul_simple
 from .words import format_word, involute, parse_word, shortlex_key
 
 # --------------------------------------------------------------------------
@@ -90,6 +90,9 @@ class AmbientView:
     def __init__(self, ambient: Ambient, config: ClosureConfig):
         self.ambient = ambient
         self.config = config
+        # au and pu are closed under fusion and the ad rule (degree is
+        # additive), so terms derived inside them need no membership test.
+        self.closed = ambient.kind != "gen"
         self._members: frozenset[str] | None = None
         if ambient.kind == "gen":
             self._members = generate(ambient.gens, config).members
@@ -134,6 +137,10 @@ class AdConfig:
     def __post_init__(self):
         if self.ad_len > self.closure.work_len:
             raise ValueError("ad_len must not exceed work_len")
+        if self.ad_len < 0:
+            raise ValueError("ad_len must be nonnegative")
+        if self.seed_len < 0:
+            raise ValueError("seed_len must be nonnegative")
 
     def to_json(self) -> dict:
         return {
@@ -149,21 +156,35 @@ class AdConfig:
 # adjoint steps
 
 
-def _scan_conjugations(x: str, conjugators):
-    """Yield (y, z) with y * x * involute(y) equal to the single simple z.
+def _conjugators_by_last(view: AmbientView, ad_len: int) -> dict[str, list[str]]:
+    """The nontrivial ambient simples up to ad_len, split by their last
+    symbol, each list in shortlex order."""
+    by_last: dict[str, list[str]] = {"0": [], "1": []}
+    for y in view.simples(ad_len):
+        if y:
+            by_last[y[-1]].append(y)
+    return by_last
 
-    The triple product collapses to a single simple exactly when both
-    folds of the left-to-right product are single-term, because the
-    semiring has no cancellation.
+
+def _conjugations(x: str, by_last: dict[str, list[str]], max_len: int):
+    """Yield (y, z) with y * x * involute(y) equal to the single simple z,
+    for the conjugators y of by_last with len(z) <= max_len.
+
+    Closed form: for nonempty y the triple product is a single simple
+    exactly when x is nonempty, x[0] != x[-1] and y ends in x[0]; that
+    simple is y + x + involute(y): y * x has cut 1 unless y ends in x[0],
+    and then (y + x) * involute(y) has cut 1 unless x ends in the other
+    symbol.
+    The conjugators ending in x[0] come in shortlex order, so the walk
+    stops at the first one that is too long.
     """
-    for y in conjugators:
-        t1 = _simple_terms(y, x)
-        if len(t1) != 1:
-            continue
-        t2 = _simple_terms(t1[0], involute(y))
-        if len(t2) != 1:
-            continue
-        yield y, t2[0]
+    if not x or x[0] == x[-1]:
+        return
+    room = max_len - len(x)
+    for y in by_last[x[0]]:
+        if 2 * len(y) > room:
+            return
+        yield y, y + x + involute(y)
 
 
 def ad_candidates(
@@ -176,9 +197,8 @@ def ad_candidates(
     automatically: ambient simple sets are dual-closed, so it equals the
     left-oriented scan with conjugator involute(y).
     """
-    view = AmbientView(ambient, config)
-    conjugators = [y for y in view.simples(ad_len) if y]
-    return set(_scan_conjugations(x, conjugators))
+    by_last = _conjugators_by_last(AmbientView(ambient, config), ad_len)
+    return set(_conjugations(x, by_last, len(x) + 2 * ad_len))
 
 
 def ad_closure(
@@ -202,13 +222,14 @@ def ad_closure(
         config.closure,
         ambient_contains=view.contains,
         ambient_size=view.count(work_len),
+        ambient_closed=view.closed,
     )
     for s in sorted(eff, key=shortlex_key):
         sat.add_generator(s)
     if stop_targets is not None:
         sat.set_targets(stop_targets)
-    conjugators = [y for y in view.simples(config.ad_len) if y]
-    sat.run(ad_scan=lambda x: _scan_conjugations(x, conjugators))
+    by_last = _conjugators_by_last(view, config.ad_len)
+    sat.run(ad_scan=lambda x: _conjugations(x, by_last, work_len))
     return sat.result(eff, is_ad=True)
 
 
@@ -316,6 +337,15 @@ def _check_seed(seed, ambient, config, view, targets, cert_samples):
 
 def _run_seed_sweep(check, ambient, config, view, seeds, targets,
                     cert_samples, threads):
+    # An empty sweep would pass without checking anything.
+    if not seeds:
+        raise ValueError(
+            f"no seeds: the ambient has no nontrivial simple of length "
+            f"<= {config.seed_len}"
+        )
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+
     def job(seed):
         return _check_seed(seed, ambient, config, view, targets, cert_samples)
 

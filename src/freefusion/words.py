@@ -17,6 +17,8 @@ def parse_word(text: str) -> str:
 
     The empty string is rejected as ambiguous; the unit must be spelled "e".
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a word must be a string, not {type(text).__name__}")
     if text == "e":
         return ""
     if not text:

@@ -1,6 +1,11 @@
 """Shared test utilities, kept independent of the library's product path."""
 
+from functools import lru_cache
 from itertools import product as iproduct
+
+from freefusion.closure import Saturator, effective_generators
+from freefusion.normality import AmbientView
+from freefusion.words import shortlex_key
 
 
 def flip_reverse(w: str) -> str:
@@ -29,3 +34,98 @@ def words_up_to(n: int) -> list[str]:
 
 def balanced_words_up_to(n: int) -> list[str]:
     return [w for w in words_up_to(n) if w.count("0") * 2 == len(w)]
+
+
+# --------------------------------------------------------------------------
+# reference implementations replaced by closed forms in the library
+
+
+def search_valid_cuts(x: str, y: str) -> list[int]:
+    """The O(n^2) cut search: test every k up to min(|x|, |y|)."""
+    return [
+        k
+        for k in range(min(len(x), len(y)) + 1)
+        if flip_reverse(x[len(x) - k :]) == y[:k]
+    ]
+
+
+def search_terms(x: str, y: str) -> list[str]:
+    """Terms of x * y, one per cut found by search_valid_cuts."""
+    return [x[: len(x) - k] + y[k:] for k in search_valid_cuts(x, y)]
+
+
+def scan_conjugations(x: str, conjugators):
+    """Yield (y, z) with y * x * involute(y) equal to the single simple z,
+    found by pushing each conjugator through both fusion products."""
+    for y in conjugators:
+        t1 = memo_terms(y, x)
+        if len(t1) != 1:
+            continue
+        t2 = memo_terms(t1[0], flip_reverse(y))
+        if len(t2) != 1:
+            continue
+        yield y, t2[0]
+
+
+@lru_cache(maxsize=None)
+def memo_terms(x: str, y: str) -> tuple[str, ...]:
+    """search_terms, memoised as the library's product once was; call
+    memo_terms.cache_clear() when done."""
+    return tuple(search_terms(x, y))
+
+
+class PairwiseSaturator(Saturator):
+    """The saturation loop before indexing: each member is multiplied, in
+    both orders, with every member processed before it and itself, and
+    every term is filtered by length and ambient."""
+
+    def run(self, ad_scan=None):
+        work_len = self.config.work_len
+        i = 0
+        while i < len(self.order):
+            if self.done():
+                return
+            m = self.order[i]
+            for j in range(i + 1):
+                o = self.order[j]
+                self._absorb_all(m, o)
+                if o != m:
+                    self._absorb_all(o, m)
+                if self.done():
+                    return
+            if ad_scan is not None:
+                for y, z in ad_scan(m):
+                    self.stats["ad_steps"] += 1
+                    if len(z) <= work_len and (
+                        self.contains is None or self.contains(z)
+                    ):
+                        self.add(z, ("ad", y, m))
+                if self.done():
+                    return
+            i += 1
+
+    def _absorb_all(self, x: str, y: str):
+        self.stats["products"] += 1
+        for t in memo_terms(x, y):
+            if len(t) <= self.config.work_len and (
+                self.contains is None or self.contains(t)
+            ):
+                self.add(t, ("prod", x, y))
+
+
+def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
+    """ad_closure on the pairwise engine with the conjugation scan; returns
+    the saturator, whose order, provenance and stats the tests compare."""
+    view = AmbientView(ambient, config.closure)
+    sat = PairwiseSaturator(
+        config.closure,
+        ambient_contains=view.contains,
+        ambient_size=view.count(config.closure.work_len),
+    )
+    for s in sorted(effective_generators(seeds, config.closure), key=shortlex_key):
+        sat.add_generator(s)
+    if stop_targets is not None:
+        sat.set_targets(stop_targets)
+    conjugators = [y for y in view.simples(config.ad_len) if y]
+    sat.run(ad_scan=lambda x: scan_conjugations(x, conjugators))
+    return sat

@@ -151,6 +151,47 @@ def test_verify_cert_round_trip(tmp_path, capsys):
     assert out.startswith("invalid")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"certificate": []},
+        {"generators": 5, "certificate": {"kind": "unit"}},
+        {"generators": ["01"]},
+        [],
+        {"certificate": {"kind": "prod", "left": {"kind": "unit"}}},
+        {"certificate": {"kind": "gen", "word": 5}},
+    ],
+    ids=["list-node", "int-generators", "no-certificate", "list-document",
+         "missing-node-keys", "int-word"],
+)
+def test_verify_cert_malformed_document(tmp_path, capsys, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "verify-cert", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-simple", "--seed-len", "0"],
+        ["check-simple", "--seed-len", "-2"],
+        ["check-simple", "--seed-len", "2", "--report-len", "-3"],
+        ["check-simple", "--seed-len", "2", "--ad-len", "-1"],
+        ["check-circle", "--seed-len", "0"],
+        ["check-circle", "--seed-len", "1", "--threads", "0"],
+        ["check-simple", "--seed-len", "2", "--threads", "-1"],
+    ],
+)
+def test_no_vacuous_sweeps(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--work-len", "6")
+    assert code == 2
+    assert "verdict" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_cert_missing_file(capsys, tmp_path):
     assert invoke(capsys, "verify-cert", str(tmp_path / "nope.json"))[0] == 2
 

@@ -47,6 +47,8 @@ def test_generate_rejects_long_generator():
 def test_config_validation():
     with pytest.raises(ValueError):
         ClosureConfig(work_len=4, report_len=6)
+    with pytest.raises(ValueError):
+        ClosureConfig(work_len=4, report_len=-3)
 
 
 def test_member_answers():
@@ -116,6 +118,21 @@ def test_certificate_json_round_trip():
     assert certificate_from_json(obj) == cert
     with pytest.raises(ValueError):
         certificate_from_json({"kind": "nope"})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {"kind": "gen"},
+        {"kind": "gen", "word": 5},
+        {"kind": "prod", "left": {"kind": "unit"}, "term": "e"},
+        {"kind": "ad", "conjugator": "0", "inner": "e", "result": "0"},
+    ],
+)
+def test_certificate_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        certificate_from_json(obj)
 
 
 def test_enumerate_words():

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from freefusion.fusion import (
     UNIT,
+    cut_depth,
     dual,
     element_from_json,
     element_to_json,
@@ -14,7 +15,7 @@ from freefusion.fusion import (
 )
 from freefusion.words import involute
 
-from helpers import brute_force_product, words_up_to
+from helpers import brute_force_product, search_valid_cuts, words_up_to
 
 words = st.text(alphabet="01", max_size=5)
 
@@ -23,6 +24,21 @@ def test_valid_cuts_examples():
     assert valid_cuts("10", "01") == [0]
     assert valid_cuts("01", "01") == [0, 1, 2]
     assert valid_cuts("", "0110") == [0]
+
+
+def test_cut_depth_examples():
+    assert cut_depth("10", "01") == 0
+    assert cut_depth("01", "01") == 2
+    assert cut_depth("0011", "0011") == 4
+    assert cut_depth("", "0110") == 0
+
+
+def test_cut_law_matches_search_exhaustively():
+    # The valid cuts are exactly 0..cut_depth: all words up to length 7.
+    ws = words_up_to(7)
+    for x in ws:
+        for y in ws:
+            assert search_valid_cuts(x, y) == list(range(cut_depth(x, y) + 1)), (x, y)
 
 
 def test_mul_simple_examples():

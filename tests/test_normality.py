@@ -14,7 +14,13 @@ from freefusion.normality import (
 )
 from freefusion.words import involute
 
-from helpers import balanced_words_up_to, words_up_to
+from helpers import (
+    balanced_words_up_to,
+    memo_terms,
+    pairwise_ad_closure,
+    scan_conjugations,
+    words_up_to,
+)
 
 
 def small_cfg(work_len=8, report_len=4, ad_len=4, seed_len=4):
@@ -54,6 +60,72 @@ def test_ambient_views():
 def test_ad_config_validation():
     with pytest.raises(ValueError):
         AdConfig(closure=ClosureConfig(work_len=6, report_len=4), ad_len=8)
+    with pytest.raises(ValueError):
+        AdConfig(ad_len=-1)
+    with pytest.raises(ValueError):
+        AdConfig(seed_len=-1)
+
+
+def test_ad_rule_matches_scan_exhaustively():
+    # y * x * y* is a single simple exactly when x[0] != x[-1] and y ends
+    # in x[0]: all words x up to length 7, conjugators up to length 5.
+    conjugators = [y for y in words_up_to(5) if y]
+    for x in words_up_to(7):
+        got = ad_candidates(x, Ambient.full_au(), 5)
+        assert got == set(scan_conjugations(x, conjugators)), x
+        assert got == {
+            (y, y + x + involute(y))
+            for y in conjugators
+            if x and x[0] != x[-1] and y[-1] == x[0]
+        }, x
+
+
+_PU_ORACLE = AdConfig(
+    closure=ClosureConfig(work_len=10, report_len=4), ad_len=8, seed_len=6
+)
+_AU_ORACLE = AdConfig(
+    closure=ClosureConfig(work_len=8, report_len=4), ad_len=8, seed_len=3
+)
+_GEN_ORACLE = AdConfig(
+    closure=ClosureConfig(work_len=10, report_len=4), ad_len=6, seed_len=4
+)
+
+
+@pytest.mark.parametrize("stop", [False, True], ids=["fixpoint", "targets"])
+@pytest.mark.parametrize(
+    "ambient, cfg",
+    [
+        (Ambient.projective_pu(), _PU_ORACLE),
+        (Ambient.full_au(), _AU_ORACLE),
+        (Ambient.generated({"01", "10"}), _GEN_ORACLE),
+    ],
+    ids=["pu", "au", "gen"],
+)
+def test_indexed_engine_matches_pairwise(ambient, cfg, stop):
+    view = AmbientView(ambient, cfg.closure)
+    targets = balanced_words_up_to(4) if stop else None
+    try:
+        for seed in view.simples(cfg.seed_len)[1:]:
+            old = pairwise_ad_closure({seed}, ambient, cfg, targets)
+            new = ad_closure({seed}, ambient, cfg, stop_targets=targets)
+            assert list(new.provenance) == old.order, seed
+            assert new.provenance == old.provenance, seed
+            assert new.saturated == (not old.stopped_early), seed
+    finally:
+        memo_terms.cache_clear()
+
+
+def test_indexed_engine_evaluates_fewer_products():
+    cfg = AdConfig(
+        closure=ClosureConfig(work_len=10, report_len=6), ad_len=8, seed_len=6
+    )
+    try:
+        old = pairwise_ad_closure({"001110"}, Ambient.projective_pu(), cfg)
+    finally:
+        memo_terms.cache_clear()
+    new = ad_closure({"001110"}, Ambient.projective_pu(), cfg)
+    assert new.stats["members"] == old.stats["members"]
+    assert new.stats["products"] < old.stats["products"]
 
 
 def test_ad_candidates_examples():
@@ -216,6 +288,21 @@ def test_check_circle_small():
     )
     assert report.passed
     assert len(report.seeds) == 6  # 0,1,00,01,10,11
+
+
+def test_empty_seed_sweep_is_rejected():
+    cfg = AdConfig(
+        closure=ClosureConfig(work_len=8, report_len=4), ad_len=4, seed_len=0
+    )
+    with pytest.raises(ValueError, match="no seeds"):
+        check_simplicity(Ambient.projective_pu(), cfg)
+    with pytest.raises(ValueError, match="no seeds"):
+        check_circle_corollary(cfg)
+
+
+def test_threads_must_be_positive():
+    with pytest.raises(ValueError, match="threads"):
+        check_circle_corollary(small_cfg(seed_len=1), threads=0)
 
 
 def test_threads_do_not_change_report():

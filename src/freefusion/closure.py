@@ -318,16 +318,19 @@ class Saturator:
     stopping as soon as all targets have been derived (the member set is
     then a sound under-approximation of the fixpoint).
 
-    Only products with a term within work_len are evaluated.  The terms of
-    x * y have lengths |x| + |y| - 2k over the valid cuts k = 0..K
-    (fusion.cut_depth), so such a term exists exactly when the cut
-    kmin = ceil((|x| + |y| - work_len) / 2) is valid, that is when the
-    length-kmin prefix of y is the dual of the length-kmin suffix of x.
-    Processed members are indexed by (length, prefix) and (length, suffix),
-    so the partners passing this test are looked up, not searched for.
-    stats["products"] counts the products evaluated; skipped pairs would
-    have added nothing, so members, order and provenance are those of
-    multiplying every pair.
+    Only products that can add a member are evaluated.  The terms of x * y
+    are x[:|x| - k] + y[k:] over the valid cuts k = 0..K (fusion.cut_depth),
+    and the cut k is valid when the length-k prefix of y is the dual of the
+    length-k suffix of x.  Processed members are indexed at every split by
+    head and by tail, then by length, so for a new member m and a cut k the
+    partners with that cut are one dict lookup per side, and all their
+    terms within work_len are tested against the member set in bulk.  A
+    pair is evaluated, in the usual order, only when one of its terms was
+    not a member when the step began.  Any other pair would add nothing,
+    and done() can only change after an add, so members, order and
+    provenance are those of multiplying every pair.  stats["products"]
+    counts the products evaluated: those with a term that was not a member
+    when their step began (fewer if the run stops early).
 
     With ambient_closed, the ambient is known to be closed under fusion and
     the ad rule: generators are still checked against ambient_contains,
@@ -347,8 +350,8 @@ class Saturator:
         self.has_targets = False
         self.stopped_early = False
         self.stats = {"products": 0, "members": 0, "ad_steps": 0}
-        self._by_prefix: dict[tuple[int, str], list[int]] = {}
-        self._by_suffix: dict[tuple[int, str], list[int]] = {}
+        self._tails: dict[str, dict[int, dict[str, int]]] = {}
+        self._heads: dict[str, dict[int, dict[str, int]]] = {}
         self.add("", ("unit",))
 
     def set_targets(self, targets):
@@ -393,33 +396,58 @@ class Saturator:
             return True
         return False
 
-    def _index(self, i: int):
-        """Index the processed member order[i] = o.  For any partner m,
-        kmin = ceil((|m| + |o| - work_len) / 2) <= ceil(|o| / 2) because
-        |m| <= work_len, so only prefixes and suffixes up to that length
-        are keyed."""
-        w = self.order[i]
-        n = len(w)
-        for k in range((n + 1) // 2 + 1):
-            self._by_prefix.setdefault((n, w[:k]), []).append(i)
-            self._by_suffix.setdefault((n, w[n - k :]), []).append(i)
+    def _index(self, j: int):
+        """Index the processed member order[j] = o at every split
+        o = head + tail: _tails[head][len(o)][tail] = j and
+        _heads[tail][len(o)][head] = j."""
+        o = self.order[j]
+        if not o:
+            return  # m * e = e * m = m is always a member
+        n = len(o)
+        tails = self._tails
+        heads = self._heads
+        for k in range(n + 1):
+            tails.setdefault(o[:k], {}).setdefault(n, {})[o[k:]] = j
+            heads.setdefault(o[n - k :], {}).setdefault(n, {})[o[: n - k]] = j
 
     def _partners(self, m: str) -> list[tuple[int, int]]:
-        """(j, sides) for each indexed order[j] = o with a term within
-        work_len in m * o (sides bit 1) or o * m (bit 2), by increasing j."""
-        work_len = self.config.work_len
+        """(j, sides) for each indexed order[j] = o such that m * o (sides
+        bit 1) or o * m (bit 2) has a term within work_len that is not yet
+        a member, by increasing j."""
+        members = self.members
         lm = len(m)
         d = involute(m)
-        found: dict[int, int] = {}
-        for n in range(work_len + 1):
-            kmin = max(0, (lm + n - work_len + 1) // 2)
-            # o[:kmin] == involute(m[lm - kmin:]) and
-            # o[n - kmin:] == involute(m[:kmin]), read off d = involute(m).
-            for j in self._by_prefix.get((n, d[:kmin]), ()):
-                found[j] = 1
-            for j in self._by_suffix.get((n, d[lm - kmin :]), ()):
-                found[j] = found.get(j, 0) | 2
-        return sorted(found.items())
+        # Cut k of m * o is valid when o starts with d[:k], and gives the
+        # term m[:lm - k] + o[k:]; cut k of o * m is valid when o ends with
+        # d[lm - k:], and gives o[:n - k] + m[k:].  The term is within
+        # work_len when n <= work_len - lm + 2k.
+        room = self.config.work_len - lm
+        left: set[int] = set()
+        right: set[int] = set()
+        for k in range(lm + 1):
+            by_len = self._tails.get(d[:k])
+            if by_len is None:
+                break  # every deeper cut extends this key
+            prepend = m[: lm - k].__add__
+            cap = room + 2 * k
+            for n, group in by_len.items():
+                if n <= cap and not members.issuperset(map(prepend, group)):
+                    left.update(
+                        j for tail, j in group.items() if prepend(tail) not in members
+                    )
+        for k in range(lm + 1):
+            by_len = self._heads.get(d[lm - k :])
+            if by_len is None:
+                break
+            tail = m[k:]
+            append = itertools.repeat(tail)
+            cap = room + 2 * k
+            for n, group in by_len.items():
+                if n <= cap and not members.issuperset(map(str.__add__, group, append)):
+                    right.update(
+                        j for head, j in group.items() if head + tail not in members
+                    )
+        return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
 
     def _absorb(self, x: str, y: str):
         """Add the terms of x * y within work_len: the cuts kmin..K."""
@@ -571,6 +599,8 @@ def enumerate_words(which: str = "all", max_len: int = 0) -> list[str]:
     """All words (or all balanced words) of length <= max_len, shortlex."""
     if which not in ("all", "balanced"):
         raise ValueError(f"unknown word filter {which!r}")
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     out = []
     for n in range(max_len + 1):
         if which == "balanced" and n % 2:

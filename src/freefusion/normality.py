@@ -345,6 +345,8 @@ def _run_seed_sweep(check, ambient, config, view, seeds, targets,
         )
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if cert_samples < 0:
+        raise ValueError("cert_samples must be nonnegative")
 
     def job(seed):
         return _check_seed(seed, ambient, config, view, targets, cert_samples)
@@ -419,6 +421,8 @@ def find_invertibles(max_len: int) -> list[str]:
     For any nonempty w the empty cut contributes the nonempty term
     w + involute(w), so only the unit qualifies; scanned, not assumed.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     return [
         w
         for w in enumerate_words("all", max_len)

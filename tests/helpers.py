@@ -113,14 +113,59 @@ class PairwiseSaturator(Saturator):
                 self.add(t, ("prod", x, y))
 
 
-def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
-    """ad_closure on the pairwise engine with the conjugation scan; returns
-    the saturator, whose order, provenance and stats the tests compare."""
+class IndexedSaturator(Saturator):
+    """The library's saturation loop on a (length, prefix) and (length,
+    suffix) partner index: every product with a term within work_len is
+    evaluated, whether or not that term is already a member."""
+
+    def __init__(self, *args, **kwargs):
+        self._by_prefix: dict[tuple[int, str], list[int]] = {}
+        self._by_suffix: dict[tuple[int, str], list[int]] = {}
+        super().__init__(*args, **kwargs)
+
+    def _index(self, i: int):
+        # For any partner m, kmin = ceil((|m| + |o| - work_len) / 2) is at
+        # most ceil(|o| / 2), so only keys up to that length are needed.
+        w = self.order[i]
+        n = len(w)
+        for k in range((n + 1) // 2 + 1):
+            self._by_prefix.setdefault((n, w[:k]), []).append(i)
+            self._by_suffix.setdefault((n, w[n - k :]), []).append(i)
+
+    def _partners(self, m: str) -> list[tuple[int, int]]:
+        work_len = self.config.work_len
+        lm = len(m)
+        d = flip_reverse(m)
+        found: dict[int, int] = {}
+        for n in range(work_len + 1):
+            kmin = max(0, (lm + n - work_len + 1) // 2)
+            for j in self._by_prefix.get((n, d[:kmin]), ()):
+                found[j] = 1
+            for j in self._by_suffix.get((n, d[lm - kmin :]), ()):
+                found[j] = found.get(j, 0) | 2
+        return sorted(found.items())
+
+
+def saturate(engine, gens, config, **kwargs):
+    """generate() on the given Saturator class, built with kwargs; returns
+    the saturator."""
+    sat = engine(config, **kwargs)
+    for g in sorted(effective_generators(gens, config), key=shortlex_key):
+        sat.add_generator(g)
+    sat.run()
+    return sat
+
+
+def engine_ad_closure(engine, seeds, ambient, config, stop_targets=None):
+    """ad_closure on the given Saturator class with the conjugation scan;
+    returns the saturator, whose order, provenance and stats the tests
+    compare.  Call memo_terms.cache_clear() when done."""
     view = AmbientView(ambient, config.closure)
-    sat = PairwiseSaturator(
+    sat = engine(
         config.closure,
         ambient_contains=view.contains,
         ambient_size=view.count(config.closure.work_len),
+        ambient_closed=view.closed,
     )
     for s in sorted(effective_generators(seeds, config.closure), key=shortlex_key):
         sat.add_generator(s)
@@ -129,3 +174,8 @@ def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
     conjugators = [y for y in view.simples(config.ad_len) if y]
     sat.run(ad_scan=lambda x: scan_conjugations(x, conjugators))
     return sat
+
+
+def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
+    """engine_ad_closure on PairwiseSaturator."""
+    return engine_ad_closure(PairwiseSaturator, seeds, ambient, config, stop_targets)

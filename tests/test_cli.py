@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import freefusion
 from freefusion.cli import run
 
 
@@ -183,12 +186,26 @@ def test_verify_cert_malformed_document(tmp_path, capsys, doc):
         ["check-circle", "--seed-len", "0"],
         ["check-circle", "--seed-len", "1", "--threads", "0"],
         ["check-simple", "--seed-len", "2", "--threads", "-1"],
+        ["check-simple", "--seed-len", "2", "--cert-samples", "-1"],
+        ["check-circle", "--seed-len", "1", "--cert-samples", "-1"],
     ],
 )
 def test_no_vacuous_sweeps(capsys, argv):
     code, out, err = invoke(capsys, *argv, "--work-len", "6")
     assert code == 2
     assert "verdict" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--max-len", "-1"], ["invertibles", "--max-len", "-2"]],
+    ids=["enumerate", "invertibles"],
+)
+def test_negative_max_len_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -215,9 +232,13 @@ def test_timing_opt_in(capsys):
 
 
 def test_console_entry_point():
+    # The child imports the same freefusion as this process, installed or
+    # not.
+    src = str(Path(freefusion.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "freefusion.cli", "mul", "0", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '{"e":1,"01":1}'

@@ -22,7 +22,13 @@ from freefusion.closure import (
 )
 from freefusion.words import degree, involute, one_runs, zero_runs
 
-from helpers import balanced_words_up_to
+from helpers import (
+    PairwiseSaturator,
+    balanced_words_up_to,
+    memo_terms,
+    saturate,
+    words_up_to,
+)
 
 
 def test_generate_examples():
@@ -141,6 +147,29 @@ def test_enumerate_words():
     assert enumerate_words("all", 1) == ["", "0", "1"]
     with pytest.raises(ValueError):
         enumerate_words("odd", 2)
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_words("all", -1)
+
+
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "no-dual"])
+def test_new_term_engine_matches_pairwise(dual):
+    # Every 1- and 2-generator set of words of length 1-3: the engine that
+    # evaluates only the products with a new term derives the same members
+    # in the same order, by the same steps, as multiplying every pair.  The
+    # pairwise run stops once every word within work_len is a member, which
+    # changes neither order nor provenance: no step can add anything then.
+    cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=dual)
+    pool = [w for w in words_up_to(3) if w]
+    for gens in itertools.chain(
+        itertools.combinations(pool, 1), itertools.combinations(pool, 2)
+    ):
+        try:
+            old = saturate(PairwiseSaturator, gens, cfg, ambient_size=2**7 - 1)
+        finally:
+            memo_terms.cache_clear()
+        new = generate(gens, cfg)
+        assert list(new.provenance) == old.order, gens
+        assert new.provenance == old.provenance, gens
 
 
 def test_monotone_in_work_len():

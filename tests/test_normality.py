@@ -15,7 +15,9 @@ from freefusion.normality import (
 from freefusion.words import involute
 
 from helpers import (
+    IndexedSaturator,
     balanced_words_up_to,
+    engine_ad_closure,
     memo_terms,
     pairwise_ad_closure,
     scan_conjugations,
@@ -124,6 +126,25 @@ def test_indexed_engine_evaluates_fewer_products():
     finally:
         memo_terms.cache_clear()
     new = ad_closure({"001110"}, Ambient.projective_pu(), cfg)
+    assert new.stats["members"] == old.stats["members"]
+    assert new.stats["products"] < old.stats["products"]
+
+
+def test_new_term_engine_evaluates_fewer_products_than_indexed():
+    # Same fixpoint as the (length, prefix) indexed engine, which evaluates
+    # every product with a term within work_len; this engine evaluates only
+    # the products with a term that is not yet a member.
+    cfg = AdConfig(
+        closure=ClosureConfig(work_len=10, report_len=6), ad_len=8, seed_len=6
+    )
+    try:
+        old = engine_ad_closure(
+            IndexedSaturator, {"001110"}, Ambient.projective_pu(), cfg
+        )
+    finally:
+        memo_terms.cache_clear()
+    new = ad_closure({"001110"}, Ambient.projective_pu(), cfg)
+    assert new.members == old.members
     assert new.stats["members"] == old.stats["members"]
     assert new.stats["products"] < old.stats["products"]
 
@@ -240,6 +261,8 @@ def test_property_f_counterexample():
 def test_find_invertibles():
     assert find_invertibles(0) == [""]
     assert find_invertibles(6) == [""]
+    with pytest.raises(ValueError, match="max_len"):
+        find_invertibles(-2)
 
 
 def test_check_simplicity_generated_small():
@@ -303,6 +326,17 @@ def test_empty_seed_sweep_is_rejected():
 def test_threads_must_be_positive():
     with pytest.raises(ValueError, match="threads"):
         check_circle_corollary(small_cfg(seed_len=1), threads=0)
+
+
+def test_cert_samples_must_be_nonnegative():
+    cfg = small_cfg(seed_len=1)
+    with pytest.raises(ValueError, match="cert_samples"):
+        check_circle_corollary(cfg, cert_samples=-1)
+    with pytest.raises(ValueError, match="cert_samples"):
+        check_simplicity(Ambient.projective_pu(), small_cfg(seed_len=2),
+                         cert_samples=-1)
+    report = check_circle_corollary(cfg, cert_samples=0)
+    assert report.seeds and all(r.certificates == [] for r in report.seeds)
 
 
 def test_threads_do_not_change_report():

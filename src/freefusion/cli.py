@@ -4,8 +4,8 @@ One subcommand per calculus artifact: products, duals, degrees, word
 enumeration, plain and ad-saturated closures, the simplicity and circle
 checkers, the invertibles scan, and certificate verification.  Every run
 is reproducible from its invocation; reports carry no timestamps or other
-hidden state unless timing is explicitly requested, and a --threads value
-never changes a single output byte.
+hidden state unless timing is explicitly requested.  Runs are serial:
+--threads is accepted for compatibility and never changes an output byte.
 
 Exit codes: 0 success or pass, 1 check failed, 2 usage error,
 3 inconclusive (bound exhaustion).
@@ -22,12 +22,10 @@ from . import __version__
 from .closure import (
     ClosureConfig,
     certificate_from_json,
-    certificate_to_json,
     enumerate_words,
     generate,
     member,
     verify_certificate_detailed,
-    witness,
 )
 from .fusion import element_to_json, mul_many
 from .normality import (
@@ -37,6 +35,7 @@ from .normality import (
     check_circle_corollary,
     check_simplicity,
     find_invertibles,
+    witness_entry,
 )
 from .words import degree, format_word, involute, parse_word, shortlex_key
 
@@ -76,7 +75,8 @@ def _add_output_flags(p):
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker threads for per-seed checks; never changes any output byte",
+        help="accepted for compatibility; runs are serial and the value "
+        "never changes any output byte",
     )
     p.add_argument(
         "--timing",
@@ -179,24 +179,6 @@ def _membership_lines(w, m):
     return [f"{format_word(w)}: {m.status}{reason}"]
 
 
-def _witness_payload(result, w):
-    cert = witness(result, w)
-    if cert is None:
-        return None
-    ok, why = verify_certificate_detailed(cert, set(result.generators))
-    payload = {
-        "word": format_word(w),
-        "generators": [
-            format_word(g) for g in sorted(result.generators, key=shortlex_key)
-        ],
-        "verified": ok,
-        "certificate": certificate_to_json(cert),
-    }
-    if why is not None:
-        payload["error"] = why
-    return payload
-
-
 def _run_mul(args):
     words = [parse_word(t) for t in args.words]
     product = mul_many([{w: 1} for w in words])
@@ -224,42 +206,30 @@ def _run_enumerate(args):
             "count": len(words), "words": formatted}, formatted, EXIT_OK
 
 
+def _ad_config(args) -> AdConfig:
+    # ad-closure has no --seed-len; it keeps the default, which it never uses.
+    closure = ClosureConfig(work_len=args.work_len, report_len=args.report_len)
+    seed_len = getattr(args, "seed_len", AdConfig.seed_len)
+    return AdConfig(closure=closure, ad_len=args.ad_len, seed_len=seed_len)
+
+
 def _run_closure(args):
-    gens = _parse_words(args.gens)
-    config = ClosureConfig(
-        work_len=args.work_len,
-        report_len=args.report_len,
-        require_dual_closure=not args.no_dual_closure,
-    )
-    result = generate(gens, config)
-    payload = {"closure": _closure_payload(result, args.report_len)}
-    lines = [f"members: {len(result.members)} (saturated: {result.saturated})"]
-    if args.member is not None:
-        w = parse_word(args.member)
-        m = member(result, w)
-        payload["membership"] = {"word": format_word(w), **m.to_json()}
-        lines += _membership_lines(w, m)
-    if args.witness is not None:
-        w = parse_word(args.witness)
-        wp = _witness_payload(result, w)
-        payload["witness"] = wp
-        lines.append(
-            f"witness for {format_word(w)}: "
-            + ("none" if wp is None else json.dumps(wp["certificate"], separators=(",", ":")))
+    """closure and ad-closure: the plain or the ad-saturated closure."""
+    if args.subcommand == "closure":
+        gens = _parse_words(args.gens)
+        config = ClosureConfig(
+            work_len=args.work_len,
+            report_len=args.report_len,
+            require_dual_closure=not args.no_dual_closure,
         )
-    return payload, lines, EXIT_OK
-
-
-def _run_ad_closure(args):
-    seeds = _parse_words(args.seeds)
-    ambient = Ambient.parse(args.ambient)
-    config = AdConfig(
-        closure=ClosureConfig(work_len=args.work_len, report_len=args.report_len),
-        ad_len=args.ad_len,
-    )
-    result = ad_closure(seeds, ambient, config)
-    payload = {"ambient": ambient.describe(),
-               "closure": _closure_payload(result, args.report_len)}
+        result = generate(gens, config)
+        payload = {}
+    else:
+        seeds = _parse_words(args.seeds)
+        ambient = Ambient.parse(args.ambient)
+        result = ad_closure(seeds, ambient, _ad_config(args))
+        payload = {"ambient": ambient.describe()}
+    payload["closure"] = _closure_payload(result, args.report_len)
     lines = [f"members: {len(result.members)} (saturated: {result.saturated})"]
     if args.member is not None:
         w = parse_word(args.member)
@@ -268,7 +238,11 @@ def _run_ad_closure(args):
         lines += _membership_lines(w, m)
     if args.witness is not None:
         w = parse_word(args.witness)
-        wp = _witness_payload(result, w)
+        wp = witness_entry(result, w)
+        if wp is not None:
+            gens = sorted(result.generators, key=shortlex_key)
+            wp = {"word": wp.pop("word"),
+                  "generators": [format_word(g) for g in gens], **wp}
         payload["witness"] = wp
         lines.append(
             f"witness for {format_word(w)}: "
@@ -298,28 +272,17 @@ def _report_lines(report):
     return lines
 
 
-def _run_check_simple(args):
-    ambient = Ambient.parse(args.ambient)
-    config = AdConfig(
-        closure=ClosureConfig(work_len=args.work_len, report_len=args.report_len),
-        ad_len=args.ad_len,
-        seed_len=args.seed_len,
-    )
-    report = check_simplicity(
-        ambient, config, cert_samples=args.cert_samples, threads=args.threads
-    )
-    return report.to_json(), _report_lines(report), _verdict_exit(report.verdict)
-
-
-def _run_check_circle(args):
-    config = AdConfig(
-        closure=ClosureConfig(work_len=args.work_len, report_len=args.report_len),
-        ad_len=args.ad_len,
-        seed_len=args.seed_len,
-    )
-    report = check_circle_corollary(
-        config, cert_samples=args.cert_samples, threads=args.threads
-    )
+def _run_check(args):
+    """check-simple and check-circle: one seed sweep, one report."""
+    if args.subcommand == "check-simple":
+        ambient = Ambient.parse(args.ambient)
+        report = check_simplicity(
+            ambient, _ad_config(args), cert_samples=args.cert_samples
+        )
+    else:
+        report = check_circle_corollary(
+            _ad_config(args), cert_samples=args.cert_samples
+        )
     return report.to_json(), _report_lines(report), _verdict_exit(report.verdict)
 
 
@@ -330,16 +293,21 @@ def _run_invertibles(args):
 
 
 def _run_verify_cert(args):
-    with open(args.file, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "certificate" not in doc:
-        raise ValueError('a certificate document is an object with a "certificate" key')
-    generators = doc.get("generators", [])
-    if not isinstance(generators, list):
-        raise ValueError('"generators" must be a list of words')
-    gens = {parse_word(g) for g in generators}
-    cert = certificate_from_json(doc["certificate"])
-    ok, why = verify_certificate_detailed(cert, gens)
+    # Loading, parsing and replaying all recurse once per tree level; a
+    # document too deep for that is malformed input, not an invalid proof.
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or "certificate" not in doc:
+            raise ValueError('a certificate document is an object with a "certificate" key')
+        generators = doc.get("generators", [])
+        if not isinstance(generators, list):
+            raise ValueError('"generators" must be a list of words')
+        gens = {parse_word(g) for g in generators}
+        cert = certificate_from_json(doc["certificate"])
+        ok, why = verify_certificate_detailed(cert, gens)
+    except RecursionError:
+        raise ValueError("the certificate document is nested too deeply") from None
     payload = {"file": args.file, "valid": ok}
     if why is not None:
         payload["error"] = why
@@ -353,9 +321,9 @@ _HANDLERS = {
     "degree": _run_degree,
     "enumerate": _run_enumerate,
     "closure": _run_closure,
-    "ad-closure": _run_ad_closure,
-    "check-simple": _run_check_simple,
-    "check-circle": _run_check_circle,
+    "ad-closure": _run_closure,
+    "check-simple": _run_check,
+    "check-circle": _run_check,
     "invertibles": _run_invertibles,
     "verify-cert": _run_verify_cert,
 }

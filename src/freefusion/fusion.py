@@ -73,11 +73,6 @@ def mul_many(factors: list[Element]) -> Element:
     return acc
 
 
-def simple(w: str) -> Element:
-    """The Element consisting of the single simple w."""
-    return {w: 1}
-
-
 def dual(a: Element) -> Element:
     """Apply the dual involution to every term, keeping multiplicities."""
     return {involute(w): m for w, m in a.items()}

@@ -12,7 +12,6 @@ projective quotient has no proper normal quantum subgroups.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 
@@ -94,6 +93,7 @@ class AmbientView:
         # additive), so terms derived inside them need no membership test.
         self.closed = ambient.kind != "gen"
         self._members: frozenset[str] | None = None
+        self._conjugators: dict[int, dict[str, list[str]]] = {}
         if ambient.kind == "gen":
             self._members = generate(ambient.gens, config).members
 
@@ -119,6 +119,17 @@ class AmbientView:
         if self.ambient.kind == "pu":
             return sum(comb(2 * n, n) for n in range(max_len // 2 + 1))
         return sum(1 for w in self._members if len(w) <= max_len)
+
+    def conjugators_by_last(self, ad_len: int) -> dict[str, list[str]]:
+        """The nontrivial ambient simples up to ad_len, split by their last
+        symbol, each list in shortlex order; built once per ad_len."""
+        if ad_len not in self._conjugators:
+            by_last: dict[str, list[str]] = {"0": [], "1": []}
+            for y in self.simples(ad_len):
+                if y:
+                    by_last[y[-1]].append(y)
+            self._conjugators[ad_len] = by_last
+        return self._conjugators[ad_len]
 
 
 # --------------------------------------------------------------------------
@@ -156,16 +167,6 @@ class AdConfig:
 # adjoint steps
 
 
-def _conjugators_by_last(view: AmbientView, ad_len: int) -> dict[str, list[str]]:
-    """The nontrivial ambient simples up to ad_len, split by their last
-    symbol, each list in shortlex order."""
-    by_last: dict[str, list[str]] = {"0": [], "1": []}
-    for y in view.simples(ad_len):
-        if y:
-            by_last[y[-1]].append(y)
-    return by_last
-
-
 def _conjugations(x: str, by_last: dict[str, list[str]], max_len: int):
     """Yield (y, z) with y * x * involute(y) equal to the single simple z,
     for the conjugators y of by_last with len(z) <= max_len.
@@ -197,7 +198,7 @@ def ad_candidates(
     automatically: ambient simple sets are dual-closed, so it equals the
     left-oriented scan with conjugator involute(y).
     """
-    by_last = _conjugators_by_last(AmbientView(ambient, config), ad_len)
+    by_last = AmbientView(ambient, config).conjugators_by_last(ad_len)
     return set(_conjugations(x, by_last, len(x) + 2 * ad_len))
 
 
@@ -228,7 +229,7 @@ def ad_closure(
         sat.add_generator(s)
     if stop_targets is not None:
         sat.set_targets(stop_targets)
-    by_last = _conjugators_by_last(view, config.ad_len)
+    by_last = view.conjugators_by_last(config.ad_len)
     sat.run(ad_scan=lambda x: _conjugations(x, by_last, work_len))
     return sat.result(eff, is_ad=True)
 
@@ -281,81 +282,73 @@ class SimplicityReport:
         }
 
 
-def _certificate_sample(result: ClosureResult, present: list[str], n: int) -> list[dict]:
-    """Verified derivation certificates for the n shortlex-largest derived
-    targets; a spot-checkable sample, not a full trace."""
-    sample = []
-    for w in sorted(present, key=shortlex_key, reverse=True)[:n]:
-        cert = witness(result, w)
-        ok, why = verify_certificate_detailed(cert, set(result.generators))
-        entry = {
-            "word": format_word(w),
-            "verified": ok,
-            "certificate": certificate_to_json(cert),
-        }
-        if why is not None:
-            entry["error"] = why
-        sample.append(entry)
-    return sample
+def witness_entry(result: ClosureResult, w: str) -> dict | None:
+    """The JSON entry for a derivation of w: its certificate, replayed
+    against the result's generators; None when w has no derivation."""
+    cert = witness(result, w)
+    if cert is None:
+        return None
+    ok, why = verify_certificate_detailed(cert, set(result.generators))
+    entry = {
+        "word": format_word(w),
+        "verified": ok,
+        "certificate": certificate_to_json(cert),
+    }
+    if why is not None:
+        entry["error"] = why
+    return entry
 
 
-def _check_seed(seed, ambient, config, view, targets, cert_samples):
-    # Targets ruled out by an exact invariant can never appear, so they
-    # must not keep the stop-at-targets saturation running to exhaustion.
-    eff = effective_generators({seed}, config.closure)
-    reachable = [
-        t for t in targets if certified_absence(eff, t, is_ad=True) is None
-    ]
-    cl = ad_closure(
-        {seed}, ambient, config, stop_targets=reachable, _view=view
-    )
-    missing_certified = []
-    missing_within = []
-    present = []
-    for t in targets:
-        m = member(cl, t)
-        if m.present:
-            present.append(t)
-        elif m.certified_absent:
-            missing_certified.append(t)
-        else:
-            missing_within.append(t)
-    if not missing_certified and not missing_within:
-        status = "pass"
-    elif missing_certified:
-        status = "fail"
-    else:
-        status = "inconclusive"
-    return SeedRecord(
-        seed=seed,
-        status=status,
-        missing_certified=missing_certified,
-        missing_within_bound=missing_within,
-        certificates=_certificate_sample(cl, present, cert_samples),
-    )
-
-
-def _run_seed_sweep(check, ambient, config, view, seeds, targets,
-                    cert_samples, threads):
+def _check(name, ambient, config, view, targets, cert_samples):
+    """Check every nontrivial ambient simple up to seed_len as a seed: its
+    ad-closure must contain every target.  Each seed keeps verified
+    certificates for its cert_samples shortlex-largest derived targets,
+    a spot-checkable sample rather than a full trace."""
+    seeds = [s for s in view.simples(config.seed_len) if s]
     # An empty sweep would pass without checking anything.
     if not seeds:
         raise ValueError(
             f"no seeds: the ambient has no nontrivial simple of length "
             f"<= {config.seed_len}"
         )
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     if cert_samples < 0:
         raise ValueError("cert_samples must be nonnegative")
-
-    def job(seed):
-        return _check_seed(seed, ambient, config, view, targets, cert_samples)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(job, seeds))
-    else:
-        records = [job(s) for s in seeds]
+    records = []
+    for seed in seeds:
+        # Targets ruled out by an exact invariant can never appear, so they
+        # must not keep the stop-at-targets saturation running to exhaustion.
+        eff = effective_generators({seed}, config.closure)
+        reachable = [
+            t for t in targets if certified_absence(eff, t, is_ad=True) is None
+        ]
+        cl = ad_closure(
+            {seed}, ambient, config, stop_targets=reachable, _view=view
+        )
+        missing_certified = []
+        missing_within = []
+        present = []
+        for t in targets:
+            m = member(cl, t)
+            if m.present:
+                present.append(t)
+            elif m.certified_absent:
+                missing_certified.append(t)
+            else:
+                missing_within.append(t)
+        if not missing_certified and not missing_within:
+            status = "pass"
+        elif missing_certified:
+            status = "fail"
+        else:
+            status = "inconclusive"
+        sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
+        records.append(SeedRecord(
+            seed=seed,
+            status=status,
+            missing_certified=missing_certified,
+            missing_within_bound=missing_within,
+            certificates=[witness_entry(cl, w) for w in sample],
+        ))
     if any(r.status == "fail" for r in records):
         verdict = "fail"
     elif any(r.status == "inconclusive" for r in records):
@@ -363,7 +356,7 @@ def _run_seed_sweep(check, ambient, config, view, seeds, targets,
     else:
         verdict = "pass"
     return SimplicityReport(
-        check=check,
+        check=name,
         ambient=ambient.describe(),
         config=config,
         seeds=records,
@@ -375,7 +368,6 @@ def check_simplicity(
     ambient: Ambient,
     config: AdConfig = AdConfig(),
     cert_samples: int = 3,
-    threads: int = 1,
 ) -> SimplicityReport:
     """For every nontrivial ambient simple up to seed_len, check that its
     ad-closure contains every ambient simple up to report_len.
@@ -387,16 +379,12 @@ def check_simplicity(
     """
     view = AmbientView(ambient, config.closure)
     targets = view.simples(config.closure.report_len)
-    seeds = [s for s in view.simples(config.seed_len) if s]
-    return _run_seed_sweep(
-        "simplicity", ambient, config, view, seeds, targets, cert_samples, threads
-    )
+    return _check("simplicity", ambient, config, view, targets, cert_samples)
 
 
 def check_circle_corollary(
     config: AdConfig = AdConfig(),
     cert_samples: int = 3,
-    threads: int = 1,
 ) -> SimplicityReport:
     """For every nonempty word up to seed_len, check that its ad-closure in
     the full ambient contains every balanced word up to report_len: any
@@ -404,10 +392,8 @@ def check_circle_corollary(
     ambient = Ambient.full_au()
     view = AmbientView(ambient, config.closure)
     targets = enumerate_words("balanced", config.closure.report_len)
-    seeds = [s for s in view.simples(config.seed_len) if s]
-    return _run_seed_sweep(
-        "circle-corollary", ambient, config, view, seeds, targets,
-        cert_samples, threads,
+    return _check(
+        "circle-corollary", ambient, config, view, targets, cert_samples
     )
 
 

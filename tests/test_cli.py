@@ -163,13 +163,17 @@ def test_verify_cert_round_trip(tmp_path, capsys):
         [],
         {"certificate": {"kind": "prod", "left": {"kind": "unit"}}},
         {"certificate": {"kind": "gen", "word": 5}},
+        # Written as text: json.dumps cannot encode this depth either.
+        '{"certificate": ' + '{"kind": "ad", "inner": ' * 5000
+        + '{"kind": "unit"}' + ', "conjugator": "0", "result": "0"}' * 5000
+        + "}",
     ],
     ids=["list-node", "int-generators", "no-certificate", "list-document",
-         "missing-node-keys", "int-word"],
+         "missing-node-keys", "int-word", "nested-5000-deep"],
 )
 def test_verify_cert_malformed_document(tmp_path, capsys, doc):
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = invoke(capsys, "verify-cert", str(path))
     assert code == 2
     assert out == ""
@@ -231,14 +235,43 @@ def test_timing_opt_in(capsys):
     assert doc["timing"]["seconds"] >= 0
 
 
-def test_console_entry_point():
-    # The child imports the same freefusion as this process, installed or
-    # not.
+def _child_env():
+    # A child process imports the same freefusion as this process,
+    # installed or not.
     src = str(Path(freefusion.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "freefusion.cli", "mul", "0", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '{"e":1,"01":1}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-simple", "--ambient", "pu", "--seed-len", "2"],
+        ["check-circle", "--seed-len", "2"],
+    ],
+    ids=["check-simple", "check-circle"],
+)
+def test_benchmark_trace_hooks_record(tmp_path, argv):
+    # The benchmark's traced pass wraps library functions by module
+    # attribute and exits 3 when one of them records nothing; a sweep must
+    # keep calling each of them through its module global.
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, str(child), "--mode", "sweep", "--trace", "1",
+         "--t0", "0", "--out", str(out), "--report", str(tmp_path / "r.json"),
+         "--sweep-argv", *argv, "--work-len", "6", "--report-len", "2",
+         "--ad-len", "2"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["exit_code"] == 0

@@ -82,6 +82,26 @@ def test_ad_rule_matches_scan_exhaustively():
         }, x
 
 
+def test_conjugator_table_built_once_per_sweep(monkeypatch):
+    view = AmbientView(Ambient.projective_pu(), ClosureConfig())
+    table = view.conjugators_by_last(4)
+    assert table == {"0": ["10", "0110", "1010", "1100"],
+                     "1": ["01", "0011", "0101", "1001"]}
+    assert view.conjugators_by_last(4) is table
+
+    calls = []
+    simples = AmbientView.simples
+
+    def counted(self, max_len):
+        calls.append(max_len)
+        return simples(self, max_len)
+
+    monkeypatch.setattr(AmbientView, "simples", counted)
+    report = check_circle_corollary(small_cfg(seed_len=3))
+    assert len(report.seeds) == 14
+    assert calls == [3, 4]  # the seeds, then one table for all 14 seeds
+
+
 _PU_ORACLE = AdConfig(
     closure=ClosureConfig(work_len=10, report_len=4), ad_len=8, seed_len=6
 )
@@ -323,11 +343,6 @@ def test_empty_seed_sweep_is_rejected():
         check_circle_corollary(cfg)
 
 
-def test_threads_must_be_positive():
-    with pytest.raises(ValueError, match="threads"):
-        check_circle_corollary(small_cfg(seed_len=1), threads=0)
-
-
 def test_cert_samples_must_be_nonnegative():
     cfg = small_cfg(seed_len=1)
     with pytest.raises(ValueError, match="cert_samples"):
@@ -337,12 +352,3 @@ def test_cert_samples_must_be_nonnegative():
                          cert_samples=-1)
     report = check_circle_corollary(cfg, cert_samples=0)
     assert report.seeds and all(r.certificates == [] for r in report.seeds)
-
-
-def test_threads_do_not_change_report():
-    cfg = AdConfig(
-        closure=ClosureConfig(work_len=8, report_len=4), ad_len=4, seed_len=3
-    )
-    one = check_circle_corollary(cfg, threads=1)
-    many = check_circle_corollary(cfg, threads=4)
-    assert one.to_json() == many.to_json()

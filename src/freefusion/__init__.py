@@ -24,7 +24,6 @@ from .fusion import (
     mul_many,
     mul_simple,
     trivial_multiplicity,
-    valid_cuts,
 )
 from .closure import (
     AdStep,
@@ -87,7 +86,6 @@ __all__ = [
     "parse_word",
     "shortlex_key",
     "trivial_multiplicity",
-    "valid_cuts",
     "verify_certificate",
     "witness",
     "zero_runs",

@@ -37,7 +37,7 @@ from .normality import (
     find_invertibles,
     witness_entry,
 )
-from .words import degree, format_word, involute, parse_word, shortlex_key
+from .words import degree, format_word, involute, parse_word, parse_words, shortlex_key
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,10 +52,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _parse_words(text: str) -> list[str]:
-    return [parse_word(t) for t in text.split(",") if t]
 
 
 def _positive_int(text: str) -> int:
@@ -216,7 +212,7 @@ def _ad_config(args) -> AdConfig:
 def _run_closure(args):
     """closure and ad-closure: the plain or the ad-saturated closure."""
     if args.subcommand == "closure":
-        gens = _parse_words(args.gens)
+        gens = parse_words(args.gens)
         config = ClosureConfig(
             work_len=args.work_len,
             report_len=args.report_len,
@@ -225,7 +221,7 @@ def _run_closure(args):
         result = generate(gens, config)
         payload = {}
     else:
-        seeds = _parse_words(args.seeds)
+        seeds = parse_words(args.seeds)
         ambient = Ambient.parse(args.ambient)
         result = ad_closure(seeds, ambient, _ad_config(args))
         payload = {"ambient": ambient.describe()}

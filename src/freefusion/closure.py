@@ -46,6 +46,13 @@ class ClosureConfig:
         if self.report_len < 0:
             raise ValueError("report_len must be nonnegative")
 
+    def to_json(self) -> dict:
+        return {
+            "work_len": self.work_len,
+            "report_len": self.report_len,
+            "require_dual_closure": self.require_dual_closure,
+        }
+
 
 # --------------------------------------------------------------------------
 # certificates
@@ -98,25 +105,6 @@ def certificate_word(cert: Certificate) -> str:
         return cert.term
     if isinstance(cert, AdStep):
         return cert.result
-    raise TypeError(f"not a certificate node: {cert!r}")
-
-
-def certificate_dual(cert: Certificate) -> Certificate:
-    """Derivation of the dual simple, obtained by dualizing every node."""
-    if isinstance(cert, Unit):
-        return cert
-    if isinstance(cert, Generator):
-        return Generator(involute(cert.word))
-    if isinstance(cert, ProductTerm):
-        return ProductTerm(
-            certificate_dual(cert.right),
-            certificate_dual(cert.left),
-            involute(cert.term),
-        )
-    if isinstance(cert, AdStep):
-        return AdStep(
-            cert.conjugator, certificate_dual(cert.inner), involute(cert.result)
-        )
     raise TypeError(f"not a certificate node: {cert!r}")
 
 
@@ -250,10 +238,6 @@ class Membership:
     def present(self) -> bool:
         return self.status == "present"
 
-    @property
-    def certified_absent(self) -> bool:
-        return self.status == "absent-certified"
-
     def to_json(self) -> dict:
         out: dict = {"status": self.status}
         if self.reason is not None:
@@ -292,11 +276,7 @@ class ClosureResult:
             "generators": [
                 format_word(g) for g in sorted(self.generators, key=shortlex_key)
             ],
-            "config": {
-                "work_len": self.config.work_len,
-                "report_len": self.config.report_len,
-                "require_dual_closure": self.config.require_dual_closure,
-            },
+            "config": self.config.to_json(),
             "ad": self.is_ad,
             "saturated": self.saturated,
             "members": [
@@ -314,9 +294,17 @@ class Saturator:
     with every member processed so far, and optionally scans its adjoint
     conjugations.  Discovery order is itself deterministic, so the trace,
     the member set and every certificate are reproducible.  An optional
-    ambient predicate confines added terms; an optional target set allows
-    stopping as soon as all targets have been derived (the member set is
-    then a sound under-approximation of the fixpoint).
+    target set allows stopping as soon as all targets have been derived
+    (the member set is then a sound under-approximation of the fixpoint).
+    An optional ambient (contains, count and closed, as AmbientView has
+    them) must contain the generators and, unless it is closed under
+    fusion and the ad rule, every derived term; saturation stops once the
+    members are all of its count(work_len) simples within the bound.
+
+    Under dual closure each member's dual is added right after it by the
+    dual step: x * y becomes y* * x*, y * m * y* becomes y * m* * y*, and
+    a generator stays a generator.  The duals of x, y and m were added
+    right after them, so the dual step only refers to earlier members.
 
     Only products that can add a member are evaluated.  The terms of x * y
     are x[:|x| - k] + y[k:] over the valid cuts k = 0..K (fusion.cut_depth),
@@ -331,33 +319,23 @@ class Saturator:
     provenance are those of multiplying every pair.  stats["products"]
     counts the products evaluated: those with a term that was not a member
     when their step began (fewer if the run stops early).
-
-    With ambient_closed, the ambient is known to be closed under fusion and
-    the ad rule: generators are still checked against ambient_contains,
-    derived terms are not.
     """
 
-    def __init__(self, config: ClosureConfig, ambient_contains=None,
-                 ambient_size: int | None = None, ambient_closed: bool = False):
+    def __init__(self, config: ClosureConfig, ambient=None, targets=None):
         self.config = config
-        self.contains = ambient_contains
-        self.term_filter = None if ambient_closed else ambient_contains
-        self.ambient_size = ambient_size
+        self.ambient = ambient
+        closed = ambient is None or ambient.closed
+        self.term_filter = None if closed else ambient.contains
+        self.ambient_size = None if ambient is None else ambient.count(config.work_len)
         self.members: set[str] = set()
         self.order: list[str] = []
         self.provenance: dict[str, tuple] = {}
-        self.remaining: set[str] = set()
-        self.has_targets = False
+        self.remaining = None if targets is None else set(targets)
         self.stopped_early = False
         self.stats = {"products": 0, "members": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
         self._heads: dict[str, dict[int, dict[str, int]]] = {}
         self.add("", ("unit",))
-
-    def set_targets(self, targets):
-        """Allow saturation to stop once every target word is a member."""
-        self.has_targets = True
-        self.remaining = {t for t in targets if t not in self.members}
 
     def add(self, w: str, prov: tuple) -> bool:
         if w in self.members:
@@ -366,11 +344,17 @@ class Saturator:
         self.order.append(w)
         self.provenance[w] = prov
         self.stats["members"] += 1
-        self.remaining.discard(w)
+        if self.remaining:
+            self.remaining.discard(w)
         if self.config.require_dual_closure:
             d = involute(w)
             if d not in self.members:
-                self.add(d, ("dual", w))
+                kind = prov[0]
+                if kind == "prod":
+                    prov = ("prod", involute(prov[2]), involute(prov[1]))
+                elif kind == "ad":
+                    prov = ("ad", prov[1], involute(prov[2]))
+                self.add(d, prov)
         return True
 
     def add_generator(self, g: str):
@@ -379,7 +363,7 @@ class Saturator:
                 f"generator {format_word(g)} exceeds work_len "
                 f"{self.config.work_len}"
             )
-        if self.contains is not None and not self.contains(g):
+        if self.ambient is not None and not self.ambient.contains(g):
             raise ValueError(f"{format_word(g)} is not an ambient simple")
         self.add(g, ("gen",))
 
@@ -389,7 +373,7 @@ class Saturator:
             # The member set already equals every ambient simple within the
             # length bound, so no rule can add anything: a genuine fixpoint.
             return True
-        if self.has_targets and not self.remaining:
+        if self.remaining is not None and not self.remaining:
             # All targets derived; remaining work is skipped, so the result
             # is only an under-approximation of the fixpoint.
             self.stopped_early = True
@@ -577,8 +561,6 @@ def witness(result: ClosureResult, w: str) -> Certificate | None:
             cert: Certificate = Unit()
         elif kind == "gen":
             cert = Generator(u)
-        elif kind == "dual":
-            cert = certificate_dual(build(step[1]))
         elif kind == "prod":
             cert = ProductTerm(build(step[1]), build(step[2]), u)
         elif kind == "ad":

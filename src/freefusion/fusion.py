@@ -9,7 +9,7 @@ Python integers are unbounded, so multiplicities can never wrap around.
 
 from __future__ import annotations
 
-from .words import format_word, involute, parse_word, shortlex_key
+from .words import format_word, involute, shortlex_key
 
 Element = dict[str, int]
 
@@ -30,12 +30,6 @@ def cut_depth(x: str, y: str) -> int:
     while k < n and x[last - k] != y[k]:
         k += 1
     return k
-
-
-def valid_cuts(x: str, y: str) -> list[int]:
-    """All k such that the length-k suffix g of x has involute(g) equal to
-    the length-k prefix of y, in increasing order.  k = 0 is always valid."""
-    return list(range(cut_depth(x, y) + 1))
 
 
 def _simple_terms(x: str, y: str) -> list[str]:
@@ -86,12 +80,3 @@ def trivial_multiplicity(a: Element) -> int:
 def element_to_json(a: Element) -> dict[str, int]:
     """JSON form: word strings to multiplicities, keys in shortlex order."""
     return {format_word(w): a[w] for w in sorted(a, key=shortlex_key)}
-
-
-def element_from_json(obj: dict[str, int]) -> Element:
-    out: Element = {}
-    for text, m in obj.items():
-        if not isinstance(m, int) or m <= 0:
-            raise ValueError(f"multiplicity of {text!r} must be a positive integer")
-        out[parse_word(text)] = m
-    return out

@@ -24,12 +24,11 @@ from .closure import (
     effective_generators,
     enumerate_words,
     generate,
-    member,
     verify_certificate_detailed,
     witness,
 )
 from .fusion import mul_simple
-from .words import format_word, involute, parse_word, shortlex_key
+from .words import format_word, involute, parse_words, shortlex_key
 
 # --------------------------------------------------------------------------
 # ambients
@@ -74,10 +73,7 @@ class Ambient:
         if text == "pu":
             return Ambient.projective_pu()
         if text.startswith("gen:"):
-            gens = [parse_word(t) for t in text[4:].split(",") if t]
-            if not gens:
-                raise ValueError("gen: ambient needs at least one generator")
-            return Ambient.generated(gens)
+            return Ambient.generated(parse_words(text[4:]))
         raise ValueError(f"unknown ambient {text!r}; expected au, pu or gen:...")
 
 
@@ -155,9 +151,7 @@ class AdConfig:
 
     def to_json(self) -> dict:
         return {
-            "work_len": self.closure.work_len,
-            "report_len": self.closure.report_len,
-            "require_dual_closure": self.closure.require_dual_closure,
+            **self.closure.to_json(),
             "ad_len": self.ad_len,
             "seed_len": self.seed_len,
         }
@@ -219,16 +213,9 @@ def ad_closure(
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
     eff = effective_generators(seeds, config.closure)
-    sat = Saturator(
-        config.closure,
-        ambient_contains=view.contains,
-        ambient_size=view.count(work_len),
-        ambient_closed=view.closed,
-    )
+    sat = Saturator(config.closure, view, stop_targets)
     for s in sorted(eff, key=shortlex_key):
         sat.add_generator(s)
-    if stop_targets is not None:
-        sat.set_targets(stop_targets)
     by_last = view.conjugators_by_last(config.ad_len)
     sat.run(ad_scan=lambda x: _conjugations(x, by_last, work_len))
     return sat.result(eff, is_ad=True)
@@ -299,11 +286,22 @@ def witness_entry(result: ClosureResult, w: str) -> dict | None:
     return entry
 
 
+def _status(fail: bool, inconclusive: bool) -> str:
+    """A failure outranks an inconclusive result, which outranks a pass."""
+    return "fail" if fail else "inconclusive" if inconclusive else "pass"
+
+
 def _check(name, ambient, config, view, targets, cert_samples):
     """Check every nontrivial ambient simple up to seed_len as a seed: its
     ad-closure must contain every target.  Each seed keeps verified
     certificates for its cert_samples shortlex-largest derived targets,
     a spot-checkable sample rather than a full trace."""
+    # A seed that does not fit within work_len cannot be a generator.
+    if view.count(config.seed_len) > view.count(config.closure.work_len):
+        raise ValueError(
+            f"seed_len {config.seed_len} exceeds work_len "
+            f"{config.closure.work_len}"
+        )
     seeds = [s for s in view.simples(config.seed_len) if s]
     # An empty sweep would pass without checking anything.
     if not seeds:
@@ -315,52 +313,37 @@ def _check(name, ambient, config, view, targets, cert_samples):
         raise ValueError("cert_samples must be nonnegative")
     records = []
     for seed in seeds:
-        # Targets ruled out by an exact invariant can never appear, so they
-        # must not keep the stop-at-targets saturation running to exhaustion.
+        # Certified absence depends only on the seed's generators.  Targets
+        # it rules out can never appear, so they must not keep the
+        # stop-at-targets saturation running to exhaustion.
         eff = effective_generators({seed}, config.closure)
-        reachable = [
-            t for t in targets if certified_absence(eff, t, is_ad=True) is None
-        ]
+        missing_certified = []
+        reachable = []
+        for t in targets:
+            if certified_absence(eff, t, is_ad=True) is None:
+                reachable.append(t)
+            else:
+                missing_certified.append(t)
         cl = ad_closure(
             {seed}, ambient, config, stop_targets=reachable, _view=view
         )
-        missing_certified = []
-        missing_within = []
-        present = []
-        for t in targets:
-            m = member(cl, t)
-            if m.present:
-                present.append(t)
-            elif m.certified_absent:
-                missing_certified.append(t)
-            else:
-                missing_within.append(t)
-        if not missing_certified and not missing_within:
-            status = "pass"
-        elif missing_certified:
-            status = "fail"
-        else:
-            status = "inconclusive"
+        present = [t for t in reachable if t in cl.members]
+        missing_within = [t for t in reachable if t not in cl.members]
         sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
         records.append(SeedRecord(
             seed=seed,
-            status=status,
+            status=_status(bool(missing_certified), bool(missing_within)),
             missing_certified=missing_certified,
             missing_within_bound=missing_within,
             certificates=[witness_entry(cl, w) for w in sample],
         ))
-    if any(r.status == "fail" for r in records):
-        verdict = "fail"
-    elif any(r.status == "inconclusive" for r in records):
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
+    statuses = {r.status for r in records}
     return SimplicityReport(
         check=name,
         ambient=ambient.describe(),
         config=config,
         seeds=records,
-        verdict=verdict,
+        verdict=_status("fail" in statuses, "inconclusive" in statuses),
     )
 
 

@@ -28,6 +28,12 @@ def parse_word(text: str) -> str:
     return text
 
 
+def parse_words(text: str) -> list[str]:
+    """Parse a comma-separated list of words.  Every token must be a word,
+    so an empty list or an empty token is rejected like an empty word."""
+    return [parse_word(t) for t in text.split(",")]
+
+
 def format_word(w: str) -> str:
     """Canonical textual form; the empty word prints as "e"."""
     return w if w else "e"

@@ -97,7 +97,7 @@ class PairwiseSaturator(Saturator):
                 for y, z in ad_scan(m):
                     self.stats["ad_steps"] += 1
                     if len(z) <= work_len and (
-                        self.contains is None or self.contains(z)
+                        self.ambient is None or self.ambient.contains(z)
                     ):
                         self.add(z, ("ad", y, m))
                 if self.done():
@@ -108,7 +108,7 @@ class PairwiseSaturator(Saturator):
         self.stats["products"] += 1
         for t in memo_terms(x, y):
             if len(t) <= self.config.work_len and (
-                self.contains is None or self.contains(t)
+                self.ambient is None or self.ambient.contains(t)
             ):
                 self.add(t, ("prod", x, y))
 
@@ -146,10 +146,10 @@ class IndexedSaturator(Saturator):
         return sorted(found.items())
 
 
-def saturate(engine, gens, config, **kwargs):
-    """generate() on the given Saturator class, built with kwargs; returns
-    the saturator."""
-    sat = engine(config, **kwargs)
+def saturate(engine, gens, config, ambient=None):
+    """generate() on the given Saturator class, built with the ambient;
+    returns the saturator."""
+    sat = engine(config, ambient)
     for g in sorted(effective_generators(gens, config), key=shortlex_key):
         sat.add_generator(g)
     sat.run()
@@ -161,16 +161,9 @@ def engine_ad_closure(engine, seeds, ambient, config, stop_targets=None):
     returns the saturator, whose order, provenance and stats the tests
     compare.  Call memo_terms.cache_clear() when done."""
     view = AmbientView(ambient, config.closure)
-    sat = engine(
-        config.closure,
-        ambient_contains=view.contains,
-        ambient_size=view.count(config.closure.work_len),
-        ambient_closed=view.closed,
-    )
+    sat = engine(config.closure, view, stop_targets)
     for s in sorted(effective_generators(seeds, config.closure), key=shortlex_key):
         sat.add_generator(s)
-    if stop_targets is not None:
-        sat.set_targets(stop_targets)
     conjugators = [y for y in view.simples(config.ad_len) if y]
     sat.run(ad_scan=lambda x: scan_conjugations(x, conjugators))
     return sat

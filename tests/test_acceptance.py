@@ -10,12 +10,12 @@ import json
 import time
 
 from freefusion.closure import ClosureConfig, enumerate_words, generate, member
-from freefusion.fusion import dual, mul, mul_many, mul_simple, trivial_multiplicity, valid_cuts
+from freefusion.fusion import dual, mul, mul_many, mul_simple, trivial_multiplicity
 from freefusion.normality import AdConfig, Ambient, ad_candidates, check_circle_corollary, check_simplicity, find_invertibles
 from freefusion.words import degree, involute
 from freefusion.cli import run as cli_run
 
-from helpers import balanced_words_up_to, brute_force_product, words_up_to
+from helpers import balanced_words_up_to, brute_force_product, search_valid_cuts, words_up_to
 
 
 def _verdict(n, ok, detail=""):
@@ -57,7 +57,7 @@ def test_criterion_3_structural_laws():
         for y in ws:
             p = mul_simple(x, y)
             assert set(p.values()) <= {1}, (x, y)  # multiplicity-free
-            cuts = valid_cuts(x, y)
+            cuts = search_valid_cuts(x, y)
             assert cuts == list(range(len(cuts))), (x, y)  # interval
             lengths = sorted(len(t) for t in p)
             assert lengths == sorted(

@@ -55,6 +55,15 @@ def test_usage_errors(capsys):
     assert invoke(capsys, "nonsense")[0] == 2
     assert invoke(capsys, "closure", "--gens", "01", "--work-len", "4",
                   "--report-len", "6")[0] == 2
+    # An empty token in a word list is an error; the unit is spelled "e".
+    assert invoke(capsys, "closure", "--gens", ",")[0] == 2
+    assert invoke(capsys, "closure", "--gens", "")[0] == 2
+    assert invoke(capsys, "ad-closure", "--seeds", ",", "--member", "01")[0] == 2
+    assert invoke(capsys, "check-simple", "--ambient", "gen:01,,10",
+                  "--seed-len", "2", "--work-len", "6", "--report-len", "2",
+                  "--ad-len", "2")[0] == 2
+    assert invoke(capsys, "closure", "--gens", "e", "--work-len", "2",
+                  "--report-len", "2")[0] == 0
 
 
 def test_closure_member(capsys):
@@ -125,6 +134,40 @@ def test_check_circle(capsys, schema):
     assert doc["result"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "10", "01"],
+        ["dual", "001"],
+        ["degree", "0"],
+        ["enumerate", "--balanced", "--max-len", "2"],
+        ["closure", "--gens", "01", "--work-len", "6", "--member", "0011",
+         "--witness", "0101"],
+        ["ad-closure", "--seeds", "01", "--ambient", "pu", "--work-len", "6",
+         "--ad-len", "2", "--report-len", "2", "--member", "1001",
+         "--witness", "1001"],
+        ["check-simple", "--ambient", "pu", "--seed-len", "2", "--work-len", "6",
+         "--report-len", "2", "--ad-len", "2"],
+        ["check-circle", "--seed-len", "1", "--work-len", "6",
+         "--report-len", "2", "--ad-len", "2"],
+        ["invertibles", "--max-len", "2"],
+        ["verify-cert", "CERT"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_subcommand_json_matches_schema(tmp_path, capsys, schema, argv):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        {"generators": ["01"], "certificate": {"kind": "gen", "word": "01"}}
+    ))
+    argv = [str(cert) if a == "CERT" else a for a in argv]
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    assert doc["invocation"]["subcommand"] == argv[0]
+
+
 def test_invertibles(capsys):
     code, out, _ = invoke(capsys, "invertibles", "--max-len", "4")
     assert code == 0
@@ -192,6 +235,7 @@ def test_verify_cert_malformed_document(tmp_path, capsys, doc):
         ["check-simple", "--seed-len", "2", "--threads", "-1"],
         ["check-simple", "--seed-len", "2", "--cert-samples", "-1"],
         ["check-circle", "--seed-len", "1", "--cert-samples", "-1"],
+        ["check-circle", "--seed-len", "7"],
     ],
 )
 def test_no_vacuous_sweeps(capsys, argv):
@@ -275,3 +319,27 @@ def test_benchmark_trace_hooks_record(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["exit_code"] == 0
+
+
+def test_benchmark_replay_hooks_record(tmp_path):
+    # The replayed verifier must call mul_simple and mul_many through the
+    # closure module's globals, or the traced replay records nothing.
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    ad = {"kind": "ad", "conjugator": "10",
+          "inner": {"kind": "gen", "word": "01"}, "result": "100110"}
+    prod = {"kind": "prod", "left": {"kind": "gen", "word": "10"},
+            "right": ad, "term": "0110"}
+    corrupted = {**ad, "result": "0110"}
+    docs = tmp_path / "docs.json"
+    docs.write_text(json.dumps([
+        {"generators": ["01", "10"], "certificate": cert}
+        for cert in (prod, corrupted)
+    ]))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, str(child), "--mode", "replay", "--trace", "1",
+         "--t0", "0", "--out", str(out), "--docs", str(docs)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["verdicts"] == [True, False]

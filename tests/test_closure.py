@@ -9,7 +9,6 @@ from freefusion.closure import (
     Generator,
     ProductTerm,
     Unit,
-    certificate_dual,
     certificate_from_json,
     certificate_to_json,
     certificate_word,
@@ -20,6 +19,7 @@ from freefusion.closure import (
     verify_certificate_detailed,
     witness,
 )
+from freefusion.normality import AdConfig, Ambient, AmbientView, ad_closure
 from freefusion.words import degree, involute, one_runs, zero_runs
 
 from helpers import (
@@ -109,13 +109,23 @@ def test_verify_ad_step():
     assert not verify_certificate(AdStep("0", Unit(), "01"), {"01"})
 
 
-def test_certificate_dual_verifies():
-    c = generate({"001"}, ClosureConfig(work_len=8, report_len=8))
-    for w in sorted(c.members):
-        cert = witness(c, w)
-        d = certificate_dual(cert)
-        assert certificate_word(d) == involute(w)
-        assert verify_certificate(d, c.generators)
+def test_dual_step_witness_verifies():
+    # Each member's dual is recorded by the dual step, whose certificate
+    # refers to the duals of the members the step used.
+    closures = [
+        generate({"001"}, ClosureConfig(work_len=8, report_len=8)),
+        ad_closure({"0011"}, Ambient.full_au(), AdConfig(
+            closure=ClosureConfig(work_len=9, report_len=4), ad_len=4)),
+        ad_closure({"01"}, Ambient.projective_pu(), AdConfig(
+            closure=ClosureConfig(work_len=10, report_len=4), ad_len=4)),
+    ]
+    steps = {step[0] for c in closures for step in c.provenance.values()}
+    assert {"gen", "prod", "ad"} <= steps
+    for c in closures:
+        for w in sorted(c.members):
+            cert = witness(c, involute(w))
+            assert certificate_word(cert) == involute(w)
+            assert verify_certificate(cert, c.generators), w
 
 
 def test_certificate_json_round_trip():
@@ -159,12 +169,14 @@ def test_new_term_engine_matches_pairwise(dual):
     # pairwise run stops once every word within work_len is a member, which
     # changes neither order nor provenance: no step can add anything then.
     cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=dual)
+    # au is closed and holds all 2**7 - 1 words within work_len.
+    au = AmbientView(Ambient.full_au(), cfg)
     pool = [w for w in words_up_to(3) if w]
     for gens in itertools.chain(
         itertools.combinations(pool, 1), itertools.combinations(pool, 2)
     ):
         try:
-            old = saturate(PairwiseSaturator, gens, cfg, ambient_size=2**7 - 1)
+            old = saturate(PairwiseSaturator, gens, cfg, au)
         finally:
             memo_terms.cache_clear()
         new = generate(gens, cfg)

@@ -2,6 +2,7 @@ import pytest
 
 from freefusion.closure import ClosureConfig, generate, member, verify_certificate, witness
 from freefusion.fusion import mul_many
+from freefusion import normality
 from freefusion.normality import (
     AdConfig,
     Ambient,
@@ -352,3 +353,15 @@ def test_cert_samples_must_be_nonnegative():
                          cert_samples=-1)
     report = check_circle_corollary(cfg, cert_samples=0)
     assert report.seeds and all(r.certificates == [] for r in report.seeds)
+
+
+def test_seed_len_beyond_work_len_is_rejected_before_saturating(monkeypatch):
+    # A pu seed of length 8 cannot be a generator at work_len 6, so the
+    # sweep must stop before it enumerates or saturates any seed.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a seed was saturated")
+
+    monkeypatch.setattr(normality, "ad_closure", unreachable)
+    cfg = small_cfg(work_len=6, report_len=2, ad_len=2, seed_len=8)
+    with pytest.raises(ValueError, match="seed_len 8 exceeds work_len 6"):
+        check_simplicity(Ambient.projective_pu(), cfg)

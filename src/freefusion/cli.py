@@ -365,8 +365,12 @@ def run(argv: list[str]) -> int:
     }
     rendered = json.dumps(document, indent=2) + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:  # a usage error, not a failed check
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if args.json:
         sys.stdout.write(rendered)
     else:

@@ -62,6 +62,8 @@ class ClosureConfig:
 class Unit:
     """Leaf deriving the trivial simple."""
 
+    word = ""
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -76,7 +78,7 @@ class ProductTerm:
 
     left: "Certificate"
     right: "Certificate"
-    term: str
+    word: str
 
 
 @dataclass(frozen=True)
@@ -84,28 +86,15 @@ class AdStep:
     """Internal node: conjugation of a derived simple by an ambient simple.
 
     Valid only when conjugator * inner * involute(conjugator) is a single
-    simple with multiplicity one; that simple is `result`.
+    simple with multiplicity one; that simple is `word`.
     """
 
     conjugator: str
     inner: "Certificate"
-    result: str
+    word: str
 
 
 Certificate = Unit | Generator | ProductTerm | AdStep
-
-
-def certificate_word(cert: Certificate) -> str:
-    """The simple a certificate derives."""
-    if isinstance(cert, Unit):
-        return ""
-    if isinstance(cert, Generator):
-        return cert.word
-    if isinstance(cert, ProductTerm):
-        return cert.term
-    if isinstance(cert, AdStep):
-        return cert.result
-    raise TypeError(f"not a certificate node: {cert!r}")
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -118,14 +107,14 @@ def certificate_to_json(cert: Certificate) -> dict:
             "kind": "prod",
             "left": certificate_to_json(cert.left),
             "right": certificate_to_json(cert.right),
-            "term": format_word(cert.term),
+            "term": format_word(cert.word),
         }
     if isinstance(cert, AdStep):
         return {
             "kind": "ad",
             "conjugator": format_word(cert.conjugator),
             "inner": certificate_to_json(cert.inner),
-            "result": format_word(cert.result),
+            "result": format_word(cert.word),
         }
     raise TypeError(f"not a certificate node: {cert!r}")
 
@@ -179,13 +168,13 @@ def verify_certificate_detailed(
         ok, why = verify_certificate_detailed(cert.right, gens, path + ".right")
         if not ok:
             return ok, why
-        lw = certificate_word(cert.left)
-        rw = certificate_word(cert.right)
-        if mul_simple(lw, rw).get(cert.term, 0) > 0:
+        lw = cert.left.word
+        rw = cert.right.word
+        if mul_simple(lw, rw).get(cert.word, 0) > 0:
             return True, None
         return (
             False,
-            f"{path}: {format_word(cert.term)} does not occur in "
+            f"{path}: {format_word(cert.word)} does not occur in "
             f"{format_word(lw)} * {format_word(rw)}",
         )
     if isinstance(cert, AdStep):
@@ -193,15 +182,15 @@ def verify_certificate_detailed(
         if not ok:
             return ok, why
         y = cert.conjugator
-        x = certificate_word(cert.inner)
+        x = cert.inner.word
         product = mul_many([{y: 1}, {x: 1}, {involute(y): 1}])
-        if product == {cert.result: 1}:
+        if product == {cert.word: 1}:
             return True, None
         return (
             False,
             f"{path}: {format_word(y)} * {format_word(x)} * "
             f"{format_word(involute(y))} is not exactly the single simple "
-            f"{format_word(cert.result)}",
+            f"{format_word(cert.word)}",
         )
     return False, f"{path}: malformed node {cert!r}"
 
@@ -289,17 +278,16 @@ class ClosureResult:
 class Saturator:
     """Worklist fixpoint engine for fusion saturation.
 
-    Members are processed in discovery order (breadth-first over the
-    derivation DAG): processing a member multiplies it, in both orders,
-    with every member processed so far, and optionally scans its adjoint
-    conjugations.  Discovery order is itself deterministic, so the trace,
-    the member set and every certificate are reproducible.  An optional
-    target set allows stopping as soon as all targets have been derived
-    (the member set is then a sound under-approximation of the fixpoint).
-    An optional ambient (contains, count and closed, as AmbientView has
-    them) must contain the generators and, unless it is closed under
-    fusion and the ad rule, every derived term; saturation stops once the
-    members are all of its count(work_len) simples within the bound.
+    The engine starts from the unit, then the given generators (the
+    effective ones: dual-closed under dual closure) in shortlex order;
+    each must fit within work_len.  Members are processed in discovery
+    order (breadth-first over the derivation DAG): processing a member
+    multiplies it, in both orders, with every member processed so far, and
+    optionally scans its adjoint conjugations.  Discovery order is itself
+    deterministic, so the trace, the member set and every certificate are
+    reproducible.  An optional target set allows stopping as soon as all
+    targets have been derived (the member set is then a sound
+    under-approximation of the fixpoint).
 
     Under dual closure each member's dual is added right after it by the
     dual step: x * y becomes y* * x*, y * m * y* becomes y * m* * y*, and
@@ -321,12 +309,9 @@ class Saturator:
     when their step began (fewer if the run stops early).
     """
 
-    def __init__(self, config: ClosureConfig, ambient=None, targets=None):
+    def __init__(self, config: ClosureConfig, generators=(), targets=None):
         self.config = config
-        self.ambient = ambient
-        closed = ambient is None or ambient.closed
-        self.term_filter = None if closed else ambient.contains
-        self.ambient_size = None if ambient is None else ambient.count(config.work_len)
+        self.generators = frozenset(generators)
         self.members: set[str] = set()
         self.order: list[str] = []
         self.provenance: dict[str, tuple] = {}
@@ -336,10 +321,16 @@ class Saturator:
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
         self._heads: dict[str, dict[int, dict[str, int]]] = {}
         self.add("", ("unit",))
+        for g in sorted(self.generators, key=shortlex_key):
+            if len(g) > config.work_len:
+                raise ValueError(
+                    f"generator {format_word(g)} exceeds work_len {config.work_len}"
+                )
+            self.add(g, ("gen",))
 
-    def add(self, w: str, prov: tuple) -> bool:
+    def add(self, w: str, prov: tuple):
         if w in self.members:
-            return False
+            return
         self.members.add(w)
         self.order.append(w)
         self.provenance[w] = prov
@@ -355,27 +346,12 @@ class Saturator:
                 elif kind == "ad":
                     prov = ("ad", prov[1], involute(prov[2]))
                 self.add(d, prov)
-        return True
-
-    def add_generator(self, g: str):
-        if len(g) > self.config.work_len:
-            raise ValueError(
-                f"generator {format_word(g)} exceeds work_len "
-                f"{self.config.work_len}"
-            )
-        if self.ambient is not None and not self.ambient.contains(g):
-            raise ValueError(f"{format_word(g)} is not an ambient simple")
-        self.add(g, ("gen",))
 
     def done(self) -> bool:
-        """True once no further rule application is needed or wanted."""
-        if self.ambient_size is not None and len(self.members) == self.ambient_size:
-            # The member set already equals every ambient simple within the
-            # length bound, so no rule can add anything: a genuine fixpoint.
-            return True
+        """True once every target is derived.  The remaining work is then
+        skipped, so the result is only an under-approximation of the
+        fixpoint."""
         if self.remaining is not None and not self.remaining:
-            # All targets derived; remaining work is skipped, so the result
-            # is only an under-approximation of the fixpoint.
             self.stopped_early = True
             return True
         return False
@@ -439,14 +415,13 @@ class Saturator:
         lx = len(x)
         kmin = max(0, (lx + len(y) - self.config.work_len + 1) // 2)
         members = self.members
-        keep = self.term_filter
         for k in range(kmin, cut_depth(x, y) + 1):
             t = x[: lx - k] + y[k:]
-            if t not in members and (keep is None or keep(t)):
+            if t not in members:
                 self.add(t, ("prod", x, y))
 
     def run(self, ad_scan=None):
-        """Process the worklist to fixpoint, target stop, or ambient-full.
+        """Process the worklist to fixpoint or target stop.
 
         ad_scan, when given, maps a member to (conjugator, result) pairs;
         results are added with an adjoint provenance step.
@@ -467,18 +442,17 @@ class Saturator:
                 if self.done():
                     return
             if ad_scan is not None:
-                keep = self.term_filter
                 for y, z in ad_scan(m):
                     self.stats["ad_steps"] += 1
-                    if len(z) <= work_len and (keep is None or keep(z)):
+                    if len(z) <= work_len:
                         self.add(z, ("ad", y, m))
                 if self.done():
                     return
             i += 1
 
-    def result(self, generators: frozenset[str], is_ad: bool) -> ClosureResult:
+    def result(self, is_ad: bool) -> ClosureResult:
         return ClosureResult(
-            generators=generators,
+            generators=self.generators,
             members=frozenset(self.members),
             config=self.config,
             saturated=not self.stopped_early,
@@ -499,12 +473,9 @@ def effective_generators(gens, config: ClosureConfig) -> frozenset[str]:
 def generate(gens, config: ClosureConfig = ClosureConfig()) -> ClosureResult:
     """Least fixpoint, within the length bound, of fusion generation from
     the given simples (plus the unit, plus duals by default)."""
-    eff = effective_generators(gens, config)
-    sat = Saturator(config)
-    for g in sorted(eff, key=shortlex_key):
-        sat.add_generator(g)
+    sat = Saturator(config, effective_generators(gens, config))
     sat.run()
-    return sat.result(eff, is_ad=False)
+    return sat.result(is_ad=False)
 
 
 # --------------------------------------------------------------------------

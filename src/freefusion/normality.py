@@ -84,10 +84,6 @@ class AmbientView:
 
     def __init__(self, ambient: Ambient, config: ClosureConfig):
         self.ambient = ambient
-        self.config = config
-        # au and pu are closed under fusion and the ad rule (degree is
-        # additive), so terms derived inside them need no membership test.
-        self.closed = ambient.kind != "gen"
         self._members: frozenset[str] | None = None
         self._conjugators: dict[int, dict[str, list[str]]] = {}
         if ambient.kind == "gen":
@@ -142,6 +138,9 @@ class AdConfig:
     seed_len: int = 6
 
     def __post_init__(self):
+        # Under dual closure no ad-closure leaves its ambient (see ad_closure).
+        if not self.closure.require_dual_closure:
+            raise ValueError("ad-closures require dual closure")
         if self.ad_len > self.closure.work_len:
             raise ValueError("ad_len must not exceed work_len")
         if self.ad_len < 0:
@@ -204,7 +203,10 @@ def ad_closure(
     _view: AmbientView | None = None,
 ) -> ClosureResult:
     """Least fixpoint, within bounds, of fusion generation interleaved with
-    adjoint steps, confined to the ambient simple set.
+    adjoint steps, from seeds that must be ambient simples.  No derived
+    term needs an ambient test: the seeds are dual-closed, and every
+    ambient is closed under fusion and the ad rule within work_len (see
+    "Ambient closure" in the README).
 
     With stop_targets, saturation halts as soon as every target word has
     been derived; the member set is then a sound under-approximation and
@@ -213,12 +215,13 @@ def ad_closure(
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
     eff = effective_generators(seeds, config.closure)
-    sat = Saturator(config.closure, view, stop_targets)
     for s in sorted(eff, key=shortlex_key):
-        sat.add_generator(s)
+        if not view.contains(s):
+            raise ValueError(f"{format_word(s)} is not an ambient simple")
+    sat = Saturator(config.closure, eff, stop_targets)
     by_last = view.conjugators_by_last(config.ad_len)
     sat.run(ad_scan=lambda x: _conjugations(x, by_last, work_len))
-    return sat.result(eff, is_ad=True)
+    return sat.result(is_ad=True)
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def _status(fail: bool, inconclusive: bool) -> str:
     return "fail" if fail else "inconclusive" if inconclusive else "pass"
 
 
-def _check(name, ambient, config, view, targets, cert_samples):
+def _check(name, view, config, targets, cert_samples):
     """Check every nontrivial ambient simple up to seed_len as a seed: its
     ad-closure must contain every target.  Each seed keeps verified
     certificates for its cert_samples shortlex-largest derived targets,
@@ -325,7 +328,7 @@ def _check(name, ambient, config, view, targets, cert_samples):
             else:
                 missing_certified.append(t)
         cl = ad_closure(
-            {seed}, ambient, config, stop_targets=reachable, _view=view
+            {seed}, view.ambient, config, stop_targets=reachable, _view=view
         )
         present = [t for t in reachable if t in cl.members]
         missing_within = [t for t in reachable if t not in cl.members]
@@ -340,7 +343,7 @@ def _check(name, ambient, config, view, targets, cert_samples):
     statuses = {r.status for r in records}
     return SimplicityReport(
         check=name,
-        ambient=ambient.describe(),
+        ambient=view.ambient.describe(),
         config=config,
         seeds=records,
         verdict=_status("fail" in statuses, "inconclusive" in statuses),
@@ -362,7 +365,7 @@ def check_simplicity(
     """
     view = AmbientView(ambient, config.closure)
     targets = view.simples(config.closure.report_len)
-    return _check("simplicity", ambient, config, view, targets, cert_samples)
+    return _check("simplicity", view, config, targets, cert_samples)
 
 
 def check_circle_corollary(
@@ -372,12 +375,9 @@ def check_circle_corollary(
     """For every nonempty word up to seed_len, check that its ad-closure in
     the full ambient contains every balanced word up to report_len: any
     nontrivial ad-invariant sub-semiring contains the projective quotient's."""
-    ambient = Ambient.full_au()
-    view = AmbientView(ambient, config.closure)
+    view = AmbientView(Ambient.full_au(), config.closure)
     targets = enumerate_words("balanced", config.closure.report_len)
-    return _check(
-        "circle-corollary", ambient, config, view, targets, cert_samples
-    )
+    return _check("circle-corollary", view, config, targets, cert_samples)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Shared test utilities, kept independent of the library's product path."""
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 
 from freefusion.closure import Saturator, effective_generators
 from freefusion.normality import AmbientView
-from freefusion.words import shortlex_key
 
 
 def flip_reverse(w: str) -> str:
@@ -77,7 +76,17 @@ def memo_terms(x: str, y: str) -> tuple[str, ...]:
 class PairwiseSaturator(Saturator):
     """The saturation loop before indexing: each member is multiplied, in
     both orders, with every member processed before it and itself, and
-    every term is filtered by length and ambient."""
+    every term is filtered by length and by the optional ambient (an
+    AmbientView).  The run stops once the members are all of the ambient's
+    simples within work_len: no step can add anything after that."""
+
+    def __init__(self, config, generators=(), targets=None, ambient=None):
+        self.ambient = ambient
+        self.ambient_size = None if ambient is None else ambient.count(config.work_len)
+        super().__init__(config, generators, targets)
+
+    def done(self) -> bool:
+        return super().done() or len(self.members) == self.ambient_size
 
     def run(self, ad_scan=None):
         work_len = self.config.work_len
@@ -146,29 +155,28 @@ class IndexedSaturator(Saturator):
         return sorted(found.items())
 
 
-def saturate(engine, gens, config, ambient=None):
-    """generate() on the given Saturator class, built with the ambient;
-    returns the saturator."""
-    sat = engine(config, ambient)
-    for g in sorted(effective_generators(gens, config), key=shortlex_key):
-        sat.add_generator(g)
+def saturate(engine, gens, config):
+    """generate() on the given Saturator class (or factory); returns the
+    saturator."""
+    sat = engine(config, effective_generators(gens, config))
     sat.run()
     return sat
 
 
 def engine_ad_closure(engine, seeds, ambient, config, stop_targets=None):
-    """ad_closure on the given Saturator class with the conjugation scan;
-    returns the saturator, whose order, provenance and stats the tests
-    compare.  Call memo_terms.cache_clear() when done."""
+    """ad_closure on the given Saturator class (or factory) with the
+    conjugation scan; returns the saturator, whose order, provenance and
+    stats the tests compare.  Call memo_terms.cache_clear() when done."""
     view = AmbientView(ambient, config.closure)
-    sat = engine(config.closure, view, stop_targets)
-    for s in sorted(effective_generators(seeds, config.closure), key=shortlex_key):
-        sat.add_generator(s)
+    sat = engine(config.closure, effective_generators(seeds, config.closure),
+                 stop_targets)
     conjugators = [y for y in view.simples(config.ad_len) if y]
     sat.run(ad_scan=lambda x: scan_conjugations(x, conjugators))
     return sat
 
 
 def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
-    """engine_ad_closure on PairwiseSaturator."""
-    return engine_ad_closure(PairwiseSaturator, seeds, ambient, config, stop_targets)
+    """engine_ad_closure on PairwiseSaturator, filtered by the ambient."""
+    view = AmbientView(ambient, config.closure)
+    engine = partial(PairwiseSaturator, ambient=view)
+    return engine_ad_closure(engine, seeds, ambient, config, stop_targets)

@@ -1,12 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import freefusion
 from freefusion.cli import run
@@ -273,6 +276,15 @@ def test_report_file_and_thread_determinism(tmp_path, capsys):
     assert r1.read_bytes() == r8.read_bytes()
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_report_exit_two(tmp_path, capsys, target):
+    path = tmp_path / "missing" / "r.json" if target == "missing-dir" else tmp_path
+    code, out, err = invoke(capsys, "dual", "01", "--report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_timing_opt_in(capsys):
     _, out, _ = invoke(capsys, "degree", "01", "--json", "--timing")
     doc = json.loads(out)
@@ -343,3 +355,153 @@ def test_benchmark_replay_hooks_record(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["verdicts"] == [True, False]
+
+
+# --------------------------------------------------------------------------
+# random invocations, run in process: no input may end in a traceback
+
+
+# Each invocation is either well formed, with bounds that fit work_len, or
+# has one defect: a malformed value, a missing required argument or a
+# stray one.  The report paths include a missing directory and a directory.
+_GOOD = {
+    "word": ["e", "0", "1", "01", "10", "0011", "001", "0110"],
+    "words": ["01", "0011", "001", "01,10", "e,0011"],
+    "ambient": ["au", "pu", "gen:01,10", "gen:0011"],
+    "size": [str(n) for n in range(7)],
+    "threads": ["1", "2", "8"],
+    "report": ["REPORT", "MISSING-DIR/r.json", "DIR"],
+    "file": ["CERT"],
+}
+_BAD = {
+    "word": ["", "x", "0e1", "-1", "01,10"],
+    "words": ["", ",", "01,,10", "x"],
+    "ambient": ["gen:", "gen:01,,10", "gen:x", "zz", "01"],
+    "size": ["-1", "-2", "x"],
+    "bound": ["-1", "-2", "x"],
+    "seed": ["0", "-1", "x"],
+    "threads": ["0", "-1", "x"],
+    "report": ["MISSING-DIR/r.json", "DIR"],
+    "file": ["MISSING-DIR/c.json", "DIR"],
+}
+_BOUND_FLAGS = [("--report-len", "bound", True), ("--ad-len", "bound", True)]
+_SWEEP_FLAGS = _BOUND_FLAGS + [("--seed-len", "seed", True),
+                               ("--cert-samples", "size", False)]
+# (flag, kind, required); flag None is a positional, kind None a switch.
+_FLAGS = {
+    "mul": [(None, "word", True), (None, "word", False), (None, "word", False)],
+    "dual": [(None, "word", True)],
+    "degree": [(None, "word", True)],
+    "enumerate": [("--all", None, False), ("--balanced", None, False),
+                  ("--max-len", "size", True)],
+    "closure": [("--gens", "words", True), ("--member", "word", False),
+                ("--witness", "word", False), ("--no-dual-closure", None, False),
+                ("--report-len", "bound", True)],
+    "ad-closure": [("--seeds", "words", True), ("--ambient", "ambient", False),
+                   ("--member", "word", False), ("--witness", "word", False),
+                   *_BOUND_FLAGS],
+    "check-simple": [("--ambient", "ambient", False), *_SWEEP_FLAGS],
+    "check-circle": _SWEEP_FLAGS,
+    "invertibles": [("--max-len", "size", True)],
+    "verify-cert": [(None, "file", True)],
+}
+_OUTPUT_FLAGS = [("--json", None, False), ("--timing", None, False),
+                 ("--threads", "threads", False), ("--report", "report", False)]
+
+
+@st.composite
+def _argvs(draw):
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    # The default work_len of 12 runs acceptance-scale work; keep it small.
+    work_len = draw(st.integers(2, 6))
+    groups = []
+    for flag, kind, required in _FLAGS[sub] + _OUTPUT_FLAGS:
+        if not (required or draw(st.booleans())):
+            continue
+        if kind in ("bound", "seed"):
+            value = str(draw(st.integers(kind == "seed", work_len)))
+        elif kind is not None:
+            value = draw(st.sampled_from(_GOOD[kind]))
+        groups.append((kind, [a for a in (flag, value if kind else None) if a]))
+    if sub in ("closure", "ad-closure", "check-simple", "check-circle"):
+        groups.append(("bound", ["--work-len", str(work_len)]))
+    defect = draw(st.sampled_from(["none", "value", "drop", "stray"]))
+    if defect == "stray":
+        groups.append((None, [draw(st.sampled_from(["--bogus", "extra"]))]))
+    elif defect != "none" and groups:
+        i = draw(st.integers(0, len(groups) - 1))
+        kind, tokens = groups[i]
+        if defect == "drop" and tokens[0] != "--work-len":
+            del groups[i]
+        elif kind is not None:
+            groups[i] = (kind, tokens[:-1] + [draw(st.sampled_from(_BAD[kind]))])
+    return [sub] + [a for _, tokens in draw(st.permutations(groups)) for a in tokens]
+
+
+_SCALARS = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(
+    _GOOD["word"] + _BAD["word"]
+)
+_NODE_KEYS = st.sampled_from(
+    ["kind", "word", "left", "right", "term", "inner", "conjugator", "result"]
+)
+_CERTS = st.recursive(
+    st.just({"kind": "unit"})
+    | st.builds(lambda w: {"kind": "gen", "word": w}, _SCALARS)
+    | st.fixed_dictionaries({"kind": st.sampled_from(["unit", "gen", "prod", "ad", "x"])})
+    | _SCALARS,
+    lambda nodes: st.builds(
+        lambda left, right, term: {"kind": "prod", "left": left, "right": right,
+                                   "term": term},
+        nodes, nodes, _SCALARS,
+    )
+    | st.builds(
+        lambda y, inner, result: {"kind": "ad", "conjugator": y, "inner": inner,
+                                  "result": result},
+        _SCALARS, nodes, _SCALARS,
+    )
+    | st.dictionaries(_NODE_KEYS, nodes, max_size=3)
+    | st.lists(nodes, max_size=2),
+    max_leaves=6,
+)
+_AD = {"kind": "ad", "conjugator": "10", "inner": {"kind": "gen", "word": "01"},
+       "result": "100110"}
+_DOCUMENTS = (
+    st.sampled_from([
+        {"generators": ["01", "10"], "certificate": cert}
+        for cert in ({"kind": "prod", "left": {"kind": "gen", "word": "10"},
+                      "right": _AD, "term": "0110"},
+                     _AD, {**_AD, "result": "0110"}, {"kind": "unit"})
+    ]).map(json.dumps)
+    | st.fixed_dictionaries({}, optional={
+        "generators": st.lists(_SCALARS, max_size=3) | _SCALARS,
+        "certificate": _CERTS,
+    }).map(json.dumps)
+    | _CERTS.map(json.dumps)
+    | st.sampled_from(["", "{", "[1,", "nul", '{"certificate": }'])
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "DIR").mkdir()
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs(), document=_DOCUMENTS)
+@example(argv=["dual", "01", "--report", "MISSING-DIR/r.json"], document="")
+@example(argv=["dual", "01", "--report", "DIR"], document="")
+def test_random_invocations_never_escape(fuzz_dir, argv, document):
+    (fuzz_dir / "CERT").write_text(document, encoding="utf-8")
+    argv = [str(fuzz_dir / a) if a.split("/")[0] in ("CERT", "REPORT", "DIR",
+            "MISSING-DIR") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv

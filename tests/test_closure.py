@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from freefusion.closure import (
     Unit,
     certificate_from_json,
     certificate_to_json,
-    certificate_word,
     enumerate_words,
     generate,
     member,
@@ -77,7 +77,7 @@ def test_witness_examples():
     c = generate({"01", "10"}, ClosureConfig(work_len=12, report_len=6))
     assert isinstance(witness(c, ""), Unit)
     cert = witness(c, "1001")
-    assert certificate_word(cert) == "1001"
+    assert cert.word == "1001"
     assert verify_certificate(cert, c.generators)
     cert = witness(c, "100110")
     assert verify_certificate(cert, c.generators)
@@ -124,7 +124,7 @@ def test_dual_step_witness_verifies():
     for c in closures:
         for w in sorted(c.members):
             cert = witness(c, involute(w))
-            assert certificate_word(cert) == involute(w)
+            assert cert.word == involute(w)
             assert verify_certificate(cert, c.generators), w
 
 
@@ -169,14 +169,15 @@ def test_new_term_engine_matches_pairwise(dual):
     # pairwise run stops once every word within work_len is a member, which
     # changes neither order nor provenance: no step can add anything then.
     cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=dual)
-    # au is closed and holds all 2**7 - 1 words within work_len.
+    # au holds every word, all 2**7 - 1 of them within work_len, so its
+    # filter rejects nothing and only its full stop acts.
     au = AmbientView(Ambient.full_au(), cfg)
     pool = [w for w in words_up_to(3) if w]
     for gens in itertools.chain(
         itertools.combinations(pool, 1), itertools.combinations(pool, 2)
     ):
         try:
-            old = saturate(PairwiseSaturator, gens, cfg, au)
+            old = saturate(partial(PairwiseSaturator, ambient=au), gens, cfg)
         finally:
             memo_terms.cache_clear()
         new = generate(gens, cfg)

@@ -67,6 +67,11 @@ def test_ad_config_validation():
         AdConfig(ad_len=-1)
     with pytest.raises(ValueError):
         AdConfig(seed_len=-1)
+    # Without dual closure an ad-closure can leave its ambient: in
+    # gen:0,01 at work_len 8 the seed 0001 derives 000011.
+    no_dual = ClosureConfig(work_len=8, report_len=4, require_dual_closure=False)
+    with pytest.raises(ValueError, match="dual closure"):
+        AdConfig(closure=no_dual, ad_len=4, seed_len=4)
 
 
 def test_ad_rule_matches_scan_exhaustively():
@@ -121,10 +126,14 @@ _GEN_ORACLE = AdConfig(
         (Ambient.projective_pu(), _PU_ORACLE),
         (Ambient.full_au(), _AU_ORACLE),
         (Ambient.generated({"01", "10"}), _GEN_ORACLE),
+        # Neither au nor pu: 32 of the 2,047 words within work_len 10.
+        (Ambient.generated({"0011"}), _GEN_ORACLE),
     ],
-    ids=["pu", "au", "gen"],
+    ids=["pu", "au", "gen", "gen-0011"],
 )
 def test_indexed_engine_matches_pairwise(ambient, cfg, stop):
+    # The pairwise oracle filters every term by the ambient; the engine
+    # filters none, so the gen ambients check that none leaves it.
     view = AmbientView(ambient, cfg.closure)
     targets = balanced_words_up_to(4) if stop else None
     try:

@@ -364,7 +364,7 @@ def run(argv: list[str]) -> int:
         "timing": {"seconds": round(elapsed, 6)} if args.timing else None,
     }
     rendered = json.dumps(document, indent=2) + "\n"
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(rendered)

@@ -12,7 +12,7 @@ projective quotient has no proper normal quantum subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 from .closure import (
@@ -232,6 +232,7 @@ def ad_closure(
 class SeedRecord:
     seed: str
     status: str  # "pass" | "fail" | "inconclusive"
+    end: str  # "descent" | "targets" | "fixpoint": how its closure ended
     missing_certified: list[str] = field(default_factory=list)
     missing_within_bound: list[str] = field(default_factory=list)
     certificates: list[dict] = field(default_factory=list)
@@ -240,6 +241,7 @@ class SeedRecord:
         return {
             "seed": format_word(self.seed),
             "status": self.status,
+            "end": self.end,
             "missing_certified": [
                 format_word(w) for w in self.missing_certified
             ],
@@ -289,6 +291,9 @@ def witness_entry(result: ClosureResult, w: str) -> dict | None:
     return entry
 
 
+ROOT = "01"  # the seed every descent stops at; see _check
+
+
 def _status(fail: bool, inconclusive: bool) -> str:
     """A failure outranks an inconclusive result, which outranks a pass."""
     return "fail" if fail else "inconclusive" if inconclusive else "pass"
@@ -298,7 +303,12 @@ def _check(name, view, config, targets, cert_samples):
     """Check every nontrivial ambient simple up to seed_len as a seed: its
     ad-closure must contain every target.  Each seed keeps verified
     certificates for its cert_samples shortlex-largest derived targets,
-    a spot-checkable sample rather than a full trace."""
+    a spot-checkable sample rather than a full trace.
+
+    Descent: cut |s|-1 of s * s* is 01 or 10, and a closure deriving 01
+    contains the root closure of 01.  A seed whose targets the root holds,
+    or that a saturated root holds, stops at 01 and grafts the root's steps.
+    """
     # A seed that does not fit within work_len cannot be a generator.
     if view.count(config.seed_len) > view.count(config.closure.work_len):
         raise ValueError(
@@ -314,28 +324,43 @@ def _check(name, view, config, targets, cert_samples):
         )
     if cert_samples < 0:
         raise ValueError("cert_samples must be nonnegative")
-    records = []
-    for seed in seeds:
+
+    def reachable(seed) -> set[str]:
         # Certified absence depends only on the seed's generators.  Targets
         # it rules out can never appear, so they must not keep the
         # stop-at-targets saturation running to exhaustion.
         eff = effective_generators({seed}, config.closure)
-        missing_certified = []
-        reachable = []
-        for t in targets:
-            if certified_absence(eff, t, is_ad=True) is None:
-                reachable.append(t)
-            else:
-                missing_certified.append(t)
-        cl = ad_closure(
-            {seed}, view.ambient, config, stop_targets=reachable, _view=view
+        return {t for t in targets if certified_absence(eff, t, is_ad=True) is None}
+
+    root = None
+    if ROOT in seeds:
+        root = ad_closure(
+            {ROOT}, view.ambient, config, stop_targets=reachable(ROOT), _view=view
         )
-        present = [t for t in reachable if t in cl.members]
-        missing_within = [t for t in reachable if t not in cl.members]
+    records = []
+    for seed in seeds:
+        reach = reachable(seed)
+        descend = seed != ROOT and root is not None and (
+            root.members >= reach or (root.saturated and seed in root.members)
+        )
+        cl = root if seed == ROOT else ad_closure(
+            {seed}, view.ambient, config,
+            stop_targets={ROOT} if descend else reach, _view=view,
+        )
+        # A descent that never derives 01 ran to its fixpoint: exact as is.
+        end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
+        if end == "descent":
+            # Descent steps refer only to descent words: the graft is acyclic.
+            cl = replace(cl, members=root.members | cl.members,
+                         provenance={**root.provenance, **cl.provenance})
+        missing_certified = [t for t in targets if t not in reach]
+        present = [t for t in targets if t in reach and t in cl.members]
+        missing_within = [t for t in targets if t in reach and t not in cl.members]
         sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
         records.append(SeedRecord(
             seed=seed,
             status=_status(bool(missing_certified), bool(missing_within)),
+            end=end,
             missing_certified=missing_certified,
             missing_within_bound=missing_within,
             certificates=[witness_entry(cl, w) for w in sample],

@@ -3,8 +3,16 @@
 from functools import lru_cache, partial
 from itertools import product as iproduct
 
-from freefusion.closure import Saturator, effective_generators
-from freefusion.normality import AmbientView
+from freefusion.closure import Saturator, certified_absence, effective_generators
+from freefusion.normality import (
+    AmbientView,
+    SeedRecord,
+    SimplicityReport,
+    _status,
+    ad_closure,
+    witness_entry,
+)
+from freefusion.words import shortlex_key
 
 
 def flip_reverse(w: str) -> str:
@@ -180,3 +188,41 @@ def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
     view = AmbientView(ambient, config.closure)
     engine = partial(PairwiseSaturator, ambient=view)
     return engine_ad_closure(engine, seeds, ambient, config, stop_targets)
+
+
+def direct_check(name, view, config, targets, cert_samples=3):
+    """The seed sweep before descent: every seed saturates on its own,
+    stopping once it holds every target whose absence is not certified.
+    Returns the SimplicityReport that the library's sweep must match."""
+    records = []
+    for seed in view.simples(config.seed_len)[1:]:
+        eff = effective_generators({seed}, config.closure)
+        missing_certified = []
+        reachable = []
+        for t in targets:
+            if certified_absence(eff, t, is_ad=True) is None:
+                reachable.append(t)
+            else:
+                missing_certified.append(t)
+        cl = ad_closure(
+            {seed}, view.ambient, config, stop_targets=reachable, _view=view
+        )
+        present = [t for t in reachable if t in cl.members]
+        missing_within = [t for t in reachable if t not in cl.members]
+        sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
+        records.append(SeedRecord(
+            seed=seed,
+            status=_status(bool(missing_certified), bool(missing_within)),
+            end="fixpoint" if cl.saturated else "targets",
+            missing_certified=missing_certified,
+            missing_within_bound=missing_within,
+            certificates=[witness_entry(cl, w) for w in sample],
+        ))
+    statuses = {r.status for r in records}
+    return SimplicityReport(
+        check=name,
+        ambient=view.ambient.describe(),
+        config=config,
+        seeds=records,
+        verdict=_status("fail" in statuses, "inconclusive" in statuses),
+    )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import freefusion
+from freefusion import normality
 from freefusion.cli import run
 
 
@@ -276,9 +277,13 @@ def test_report_file_and_thread_determinism(tmp_path, capsys):
     assert r1.read_bytes() == r8.read_bytes()
 
 
-@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "empty"])
 def test_unwritable_report_exit_two(tmp_path, capsys, target):
-    path = tmp_path / "missing" / "r.json" if target == "missing-dir" else tmp_path
+    path = {
+        "missing-dir": tmp_path / "missing" / "r.json",
+        "directory": tmp_path,
+        "empty": "",
+    }[target]
     code, out, err = invoke(capsys, "dual", "01", "--report", str(path))
     assert code == 2
     assert out == ""
@@ -331,6 +336,41 @@ def test_benchmark_trace_hooks_record(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["exit_code"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-simple", "--ambient", "pu", "--seed-len", "6",
+         "--report-len", "6", "--ad-len", "8", "--work-len", "10"],
+        ["check-simple", "--ambient", "gen:01,10", "--seed-len", "4",
+         "--report-len", "4", "--ad-len", "4", "--work-len", "8"],
+        ["check-circle", "--seed-len", "3", "--report-len", "4",
+         "--ad-len", "4", "--work-len", "8"],
+        ["check-simple", "--ambient", "au", "--seed-len", "1",
+         "--report-len", "2", "--ad-len", "2", "--work-len", "6"],
+        ["check-simple", "--ambient", "au", "--seed-len", "2",
+         "--report-len", "0", "--ad-len", "0", "--work-len", "2"],
+    ],
+    ids=["pu", "gen", "circle", "no-root", "root-never-derived"],
+)
+def test_one_ad_closure_call_per_seed(tmp_path, monkeypatch, argv):
+    # The benchmark times each seed as one normality.ad_closure call, and
+    # fails a pass whose call count differs from its seed count.
+    calls = []
+    ad_closure = normality.ad_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return ad_closure(*args, **kwargs)
+
+    monkeypatch.setattr(normality, "ad_closure", counted)
+    report = tmp_path / "r.json"
+    assert run(argv + ["--report", str(report)]) in (0, 1, 3)
+    seeds = json.loads(report.read_text())["result"]["seeds"]
+    assert len(calls) == len(seeds)
+    assert list(seeds[0]) == ["seed", "status", "end", "missing_certified",
+                              "missing_within_bound", "certificates"]
 
 
 def test_benchmark_replay_hooks_record(tmp_path):

@@ -1,6 +1,13 @@
 import pytest
 
-from freefusion.closure import ClosureConfig, generate, member, verify_certificate, witness
+from freefusion.closure import (
+    ClosureConfig,
+    enumerate_words,
+    generate,
+    member,
+    verify_certificate,
+    witness,
+)
 from freefusion.fusion import mul_many
 from freefusion import normality
 from freefusion.normality import (
@@ -18,6 +25,7 @@ from freefusion.words import involute
 from helpers import (
     IndexedSaturator,
     balanced_words_up_to,
+    direct_check,
     engine_ad_closure,
     memo_terms,
     pairwise_ad_closure,
@@ -374,3 +382,122 @@ def test_seed_len_beyond_work_len_is_rejected_before_saturating(monkeypatch):
     cfg = small_cfg(work_len=6, report_len=2, ad_len=2, seed_len=8)
     with pytest.raises(ValueError, match="seed_len 8 exceeds work_len 6"):
         check_simplicity(Ambient.projective_pu(), cfg)
+
+
+# --------------------------------------------------------------------------
+# descent to the root seed 01, against the per-seed sweep it replaced
+
+
+def _assert_matches_direct(report, direct):
+    assert report.verdict == direct.verdict
+    assert [r.seed for r in report.seeds] == [r.seed for r in direct.seeds]
+    for got, want in zip(report.seeds, direct.seeds):
+        assert got.status == want.status, got.seed
+        assert got.missing_certified == want.missing_certified, got.seed
+        assert got.missing_within_bound == want.missing_within_bound, got.seed
+        assert ([c["word"] for c in got.certificates]
+                == [c["word"] for c in want.certificates]), got.seed
+        assert all(c["verified"] for c in got.certificates), got.seed
+
+
+def _sweep_and_direct(ambient, cfg):
+    """The library's sweep and direct_check's, for check_simplicity in
+    ambient, or for check_circle_corollary when ambient is None."""
+    if ambient is None:
+        view = AmbientView(Ambient.full_au(), cfg.closure)
+        targets = enumerate_words("balanced", cfg.closure.report_len)
+        return (check_circle_corollary(cfg),
+                direct_check("circle-corollary", view, cfg, targets))
+    view = AmbientView(ambient, cfg.closure)
+    return (check_simplicity(ambient, cfg),
+            direct_check("simplicity", view, cfg,
+                         view.simples(cfg.closure.report_len)))
+
+
+@pytest.mark.parametrize(
+    "ambient, sweeps",
+    [
+        (Ambient.full_au(), 201),
+        (Ambient.projective_pu(), 151),
+        (Ambient.generated({"01", "10"}), 159),
+        (Ambient.generated({"0011"}), 135),
+        (None, 201),
+    ],
+    ids=["au", "pu", "gen-01-10", "gen-0011", "circle"],
+)
+def test_descent_matches_direct_check(ambient, sweeps):
+    # In au, a seed of nonzero degree reaches targets that the root 01
+    # (degree 0) cannot, so it must not descend even where the root holds
+    # every target of its own.
+    done = 0
+    for work_len in range(9):
+        for seed_len in range(1, 5):
+            for report_len in (0, 2, 4):
+                for ad_len in (0, 2, 4):
+                    if max(report_len, ad_len) > work_len:
+                        continue
+                    cfg = small_cfg(work_len, report_len, ad_len, seed_len)
+                    try:
+                        report, direct = _sweep_and_direct(ambient, cfg)
+                    except ValueError:  # no seeds, or seeds beyond work_len
+                        continue
+                    _assert_matches_direct(report, direct)
+                    done += 1
+    assert done == sweeps
+
+
+@pytest.mark.parametrize(
+    "ambient, work_len, seed_len",
+    [
+        (Ambient.projective_pu(), 12, 6),
+        (Ambient.projective_pu(), 14, 6),
+        (None, 12, 5),
+    ],
+    ids=["criterion-6", "criterion-6-supplement", "criterion-8"],
+)
+def test_descent_matches_direct_check_at_acceptance_bounds(
+    ambient, work_len, seed_len
+):
+    cfg = small_cfg(work_len, report_len=6, ad_len=8, seed_len=seed_len)
+    _assert_matches_direct(*_sweep_and_direct(ambient, cfg))
+
+
+def test_descent_record_ends():
+    # The benchmark's pu-fixpoint sweep: the root runs to its fixpoint, and
+    # 000111 and 111000 lie outside it and miss targets it holds, so they
+    # saturate on their own; every other seed descends.
+    cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
+    report = check_simplicity(Ambient.projective_pu(), cfg)
+    own = {"01", "000111", "111000"}
+    assert {r.seed: r.end for r in report.seeds} == {
+        r.seed: "fixpoint" if r.seed in own else "descent" for r in report.seeds
+    }
+    assert len(report.seeds) == 28
+
+
+@pytest.mark.parametrize(
+    "report_len, stop_10",
+    [(0, {"01"}), (2, {"", "01", "10"})],
+    ids=["descends", "direct"],
+)
+def test_descent_that_never_derives_root_is_exact(
+    monkeypatch, report_len, stop_10
+):
+    # At work_len 2 the closure of 10 is {e, 10}: it never derives 01.
+    # With report_len 0 the root holds every target, so 10 descends and its
+    # closure runs to its fixpoint; with report_len 2 the root misses 10,
+    # and 10 saturates on its own.
+    stops = {}
+    ad_closure = normality.ad_closure
+
+    def recorded(seeds, *args, stop_targets=None, **kwargs):
+        (seed,) = seeds
+        stops[seed] = set(stop_targets)
+        return ad_closure(seeds, *args, stop_targets=stop_targets, **kwargs)
+
+    monkeypatch.setattr(normality, "ad_closure", recorded)
+    cfg = small_cfg(work_len=2, report_len=report_len, ad_len=0, seed_len=2)
+    report, direct = _sweep_and_direct(Ambient.full_au(), cfg)
+    _assert_matches_direct(report, direct)
+    assert stops["10"] == stop_10
+    assert {r.seed: r.end for r in report.seeds}["10"] == "fixpoint"

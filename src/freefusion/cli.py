@@ -357,25 +357,27 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     elapsed = time.monotonic() - start
 
-    document = {
-        "version": __version__,
-        "invocation": _invocation_echo(args),
-        "result": payload,
-        "timing": {"seconds": round(elapsed, 6)} if args.timing else None,
-    }
-    rendered = json.dumps(document, indent=2) + "\n"
-    if args.report is not None:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        except OSError as exc:  # a usage error, not a failed check
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if args.json:
-        sys.stdout.write(rendered)
-    else:
-        for line in lines:
-            print(line)
+    if args.report is not None or args.json:
+        document = {
+            "version": __version__,
+            "invocation": _invocation_echo(args),
+            "result": payload,
+            "timing": {"seconds": round(elapsed, 6)} if args.timing else None,
+        }
+        # Compact separators keep json.dumps on its C encoder; indent does not.
+        rendered = json.dumps(document, separators=(",", ":")) + "\n"
+        if args.report is not None:
+            try:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(rendered)
+            except OSError as exc:  # a usage error, not a failed check
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+        if args.json:
+            sys.stdout.write(rendered)
+            return code
+    for line in lines:
+        print(line)
     return code
 
 

@@ -95,6 +95,7 @@ class AdStep:
 
 
 Certificate = Unit | Generator | ProductTerm | AdStep
+_UNIT = Unit()
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -127,72 +128,67 @@ def certificate_from_json(obj: dict) -> Certificate:
         )
     kind = obj.get("kind")
     try:
-        if kind == "unit":
-            return Unit()
-        if kind == "gen":
-            return Generator(parse_word(obj["word"]))
         if kind == "prod":
             return ProductTerm(
                 certificate_from_json(obj["left"]),
                 certificate_from_json(obj["right"]),
                 parse_word(obj["term"]),
             )
+        if kind == "gen":
+            return Generator(parse_word(obj["word"]))
         if kind == "ad":
             return AdStep(
                 parse_word(obj["conjugator"]),
                 certificate_from_json(obj["inner"]),
                 parse_word(obj["result"]),
             )
+        if kind == "unit":
+            return _UNIT
     except KeyError as exc:
         raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
     raise ValueError(f"unknown certificate node kind: {kind!r}")
 
 
-def verify_certificate_detailed(
-    cert, gens: frozenset[str] | set[str], path: str = "root"
-) -> tuple[bool, str | None]:
+def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
     """Replay a certificate against the fusion rule only.
 
     Returns (True, None) on success, otherwise (False, diagnostic path).
+    The path is built only on failure: a node reports its own failure at
+    "root", and its parent extends that to "root.left" and so on.
     """
-    if isinstance(cert, Unit):
-        return True, None
-    if isinstance(cert, Generator):
-        if cert.word in gens:
-            return True, None
-        return False, f"{path}: {format_word(cert.word)} is not a generator"
-    if isinstance(cert, ProductTerm):
-        ok, why = verify_certificate_detailed(cert.left, gens, path + ".left")
+    kind = type(cert)
+    if kind is ProductTerm:
+        ok, why = verify_certificate_detailed(cert.left, gens)
         if not ok:
-            return ok, why
-        ok, why = verify_certificate_detailed(cert.right, gens, path + ".right")
+            return ok, "root.left" + why[4:]
+        ok, why = verify_certificate_detailed(cert.right, gens)
         if not ok:
-            return ok, why
+            return ok, "root.right" + why[4:]
         lw = cert.left.word
         rw = cert.right.word
-        if mul_simple(lw, rw).get(cert.word, 0) > 0:
+        if cert.word in mul_simple(lw, rw):
             return True, None
-        return (
-            False,
-            f"{path}: {format_word(cert.word)} does not occur in "
-            f"{format_word(lw)} * {format_word(rw)}",
-        )
-    if isinstance(cert, AdStep):
-        ok, why = verify_certificate_detailed(cert.inner, gens, path + ".inner")
+        return False, (f"root: {format_word(cert.word)} does not occur in "
+                       f"{format_word(lw)} * {format_word(rw)}")
+    if kind is Generator:
+        if cert.word in gens:
+            return True, None
+        return False, f"root: {format_word(cert.word)} is not a generator"
+    if kind is AdStep:
+        ok, why = verify_certificate_detailed(cert.inner, gens)
         if not ok:
-            return ok, why
+            return ok, "root.inner" + why[4:]
         y = cert.conjugator
         x = cert.inner.word
         product = mul_many([{y: 1}, {x: 1}, {involute(y): 1}])
         if product == {cert.word: 1}:
             return True, None
-        return (
-            False,
-            f"{path}: {format_word(y)} * {format_word(x)} * "
-            f"{format_word(involute(y))} is not exactly the single simple "
-            f"{format_word(cert.word)}",
-        )
-    return False, f"{path}: malformed node {cert!r}"
+        return False, (f"root: {format_word(y)} * {format_word(x)} * "
+                       f"{format_word(involute(y))} is not exactly the single "
+                       f"simple {format_word(cert.word)}")
+    if kind is Unit:
+        return True, None
+    return False, f"root: malformed node {cert!r}"
 
 
 def verify_certificate(cert, gens) -> bool:
@@ -529,7 +525,7 @@ def witness(result: ClosureResult, w: str) -> Certificate | None:
         step = result.provenance[u]
         kind = step[0]
         if kind == "unit":
-            cert: Certificate = Unit()
+            cert: Certificate = _UNIT
         elif kind == "gen":
             cert = Generator(u)
         elif kind == "prod":

@@ -39,11 +39,9 @@ def _simple_terms(x: str, y: str) -> list[str]:
 
 def mul_simple(x: str, y: str) -> Element:
     """Product of two simples: one term a + b per valid cut x = a g,
-    y = involute(g) b, collected as a multiset."""
-    out: Element = {}
-    for t in _simple_terms(x, y):
-        out[t] = out.get(t, 0) + 1
-    return out
+    y = involute(g) b.  Cut k gives a term of length |x| + |y| - 2k, so
+    the terms are distinct and each has multiplicity one."""
+    return dict.fromkeys(_simple_terms(x, y), 1)
 
 
 def mul(a: Element, b: Element) -> Element:

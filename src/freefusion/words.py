@@ -23,7 +23,7 @@ def parse_word(text: str) -> str:
         return ""
     if not text:
         raise ValueError('empty word token; the unit is written "e"')
-    if set(text) - {"0", "1"}:
+    if text.strip("01"):
         raise ValueError(f"invalid word {text!r}: only '0' and '1' allowed")
     return text
 

@@ -3,7 +3,16 @@
 from functools import lru_cache, partial
 from itertools import product as iproduct
 
-from freefusion.closure import Saturator, certified_absence, effective_generators
+from freefusion.closure import (
+    AdStep,
+    Generator,
+    ProductTerm,
+    Saturator,
+    Unit,
+    certified_absence,
+    effective_generators,
+)
+from freefusion.fusion import mul_many
 from freefusion.normality import (
     AmbientView,
     SeedRecord,
@@ -12,7 +21,7 @@ from freefusion.normality import (
     ad_closure,
     witness_entry,
 )
-from freefusion.words import shortlex_key
+from freefusion.words import format_word, involute, shortlex_key
 
 
 def flip_reverse(w: str) -> str:
@@ -226,3 +235,94 @@ def direct_check(name, view, config, targets, cert_samples=3):
         seeds=records,
         verdict=_status("fail" in statuses, "inconclusive" in statuses),
     )
+
+
+# --------------------------------------------------------------------------
+# the certificate replay before type dispatch and failure-only diagnostics
+
+
+def old_parse_word(text: str) -> str:
+    """parse_word as it validated with a set of symbols per word."""
+    if not isinstance(text, str):
+        raise ValueError(f"a word must be a string, not {type(text).__name__}")
+    if text == "e":
+        return ""
+    if not text:
+        raise ValueError('empty word token; the unit is written "e"')
+    if set(text) - {"0", "1"}:
+        raise ValueError(f"invalid word {text!r}: only '0' and '1' allowed")
+    return text
+
+
+def old_certificate_from_json(obj):
+    """certificate_from_json as it tested the unit first and built a fresh
+    Unit per leaf."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"certificate node must be an object, not {type(obj).__name__}"
+        )
+    kind = obj.get("kind")
+    try:
+        if kind == "unit":
+            return Unit()
+        if kind == "gen":
+            return Generator(old_parse_word(obj["word"]))
+        if kind == "prod":
+            return ProductTerm(
+                old_certificate_from_json(obj["left"]),
+                old_certificate_from_json(obj["right"]),
+                old_parse_word(obj["term"]),
+            )
+        if kind == "ad":
+            return AdStep(
+                old_parse_word(obj["conjugator"]),
+                old_certificate_from_json(obj["inner"]),
+                old_parse_word(obj["result"]),
+            )
+    except KeyError as exc:
+        raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
+    raise ValueError(f"unknown certificate node kind: {kind!r}")
+
+
+def old_verify_certificate_detailed(cert, gens, path="root"):
+    """verify_certificate_detailed as it dispatched by isinstance and built
+    every child's path on the way down.  Products of two simples come from
+    brute_force_product, so the library's mul_simple is checked too."""
+    if isinstance(cert, Unit):
+        return True, None
+    if isinstance(cert, Generator):
+        if cert.word in gens:
+            return True, None
+        return False, f"{path}: {format_word(cert.word)} is not a generator"
+    if isinstance(cert, ProductTerm):
+        ok, why = old_verify_certificate_detailed(cert.left, gens, path + ".left")
+        if not ok:
+            return ok, why
+        ok, why = old_verify_certificate_detailed(cert.right, gens, path + ".right")
+        if not ok:
+            return ok, why
+        lw = cert.left.word
+        rw = cert.right.word
+        if brute_force_product(lw, rw).get(cert.word, 0) > 0:
+            return True, None
+        return (
+            False,
+            f"{path}: {format_word(cert.word)} does not occur in "
+            f"{format_word(lw)} * {format_word(rw)}",
+        )
+    if isinstance(cert, AdStep):
+        ok, why = old_verify_certificate_detailed(cert.inner, gens, path + ".inner")
+        if not ok:
+            return ok, why
+        y = cert.conjugator
+        x = cert.inner.word
+        product = mul_many([{y: 1}, {x: 1}, {involute(y): 1}])
+        if product == {cert.word: 1}:
+            return True, None
+        return (
+            False,
+            f"{path}: {format_word(y)} * {format_word(x)} * "
+            f"{format_word(involute(y))} is not exactly the single simple "
+            f"{format_word(cert.word)}",
+        )
+    return False, f"{path}: malformed node {cert!r}"

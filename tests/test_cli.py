@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import freefusion
-from freefusion import normality
+from freefusion import cli, normality
 from freefusion.cli import run
+from freefusion.words import format_word, involute, parse_word
 
 
 def invoke(capsys, *argv):
@@ -136,6 +137,14 @@ def test_check_circle(capsys, schema):
     doc = json.loads(out)
     jsonschema.validate(doc, schema)
     assert doc["result"]["verdict"] == "pass"
+    # The sweep schema types every certificate node: an unknown kind fails.
+    node = doc["result"]["seeds"][-1]["certificates"][0]["certificate"]
+    while node["kind"] in ("prod", "ad"):
+        node = node.get("inner") or node["right"]
+    node.clear()
+    node.update({"kind": "lemma", "word": "01"})
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
 
 
 @pytest.mark.parametrize(
@@ -170,6 +179,58 @@ def test_every_subcommand_json_matches_schema(tmp_path, capsys, schema, argv):
     doc = json.loads(out)
     jsonschema.validate(doc, schema)
     assert doc["invocation"]["subcommand"] == argv[0]
+
+
+def test_text_mode_never_renders(capsys, monkeypatch):
+    # Without --report or --json the report is neither built nor encoded;
+    # the run prints the same lines and exits with the same code.
+    argv = ["check-circle", "--seed-len", "2", "--report-len", "4",
+            "--ad-len", "4", "--work-len", "8"]
+    expected = invoke(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text-mode run rendered its report")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    monkeypatch.setattr(cli, "_invocation_echo", refuse)
+    assert invoke(capsys, *argv) == expected
+    assert expected[0] == 0 and "verdict: pass" in expected[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-circle", "--seed-len", "5", "--ad-len", "8",
+         "--report-len", "4", "--work-len", "10"],
+        ["check-simple", "--ambient", "pu", "--seed-len", "4", "--ad-len", "4",
+         "--report-len", "4", "--work-len", "8"],
+    ],
+    ids=["au-circle", "pu"],
+)
+def test_sweep_report_round_trip(tmp_path, capsys, argv):
+    # The report file and --json print the same compact JSON, and every
+    # sampled certificate replays through verify-cert from the seed and
+    # its dual.
+    report = tmp_path / "r.json"
+    code = run(argv + ["--report", str(report)])
+    assert capsys.readouterr().out
+    assert invoke(capsys, *argv, "--json")[:2] == (code, report.read_text())
+    data = report.read_bytes()
+    doc = json.loads(data)
+    assert data == (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+    cert = tmp_path / "cert.json"
+    replayed = 0
+    for record in doc["result"]["seeds"]:
+        seed = parse_word(record["seed"])
+        gens = sorted({format_word(seed), format_word(involute(seed))})
+        for entry in record["certificates"]:
+            assert entry["verified"], entry
+            cert.write_text(json.dumps(
+                {"generators": gens, "certificate": entry["certificate"]}
+            ))
+            assert invoke(capsys, "verify-cert", str(cert)) == (0, "valid\n", "")
+            replayed += 1
+    assert replayed >= len(doc["result"]["seeds"])
 
 
 def test_invertibles(capsys):

@@ -1,5 +1,6 @@
 import itertools
-from functools import partial
+import json
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +21,14 @@ from freefusion.closure import (
     witness,
 )
 from freefusion.normality import AdConfig, Ambient, AmbientView, ad_closure
-from freefusion.words import degree, involute, one_runs, zero_runs
+from freefusion.words import degree, involute, one_runs, shortlex_key, zero_runs
 
 from helpers import (
     PairwiseSaturator,
     balanced_words_up_to,
     memo_terms,
+    old_certificate_from_json,
+    old_verify_certificate_detailed,
     saturate,
     words_up_to,
 )
@@ -136,19 +139,84 @@ def test_certificate_json_round_trip():
         certificate_from_json({"kind": "nope"})
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        [],
-        {"kind": "gen"},
-        {"kind": "gen", "word": 5},
-        {"kind": "prod", "left": {"kind": "unit"}, "term": "e"},
-        {"kind": "ad", "conjugator": "0", "inner": "e", "result": "0"},
-    ],
-)
+MALFORMED_NODES = [
+    [],
+    {"kind": "gen"},
+    {"kind": "gen", "word": 5},
+    {"kind": "prod", "left": {"kind": "unit"}, "term": "e"},
+    {"kind": "ad", "conjugator": "0", "inner": "e", "result": "0"},
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_NODES)
 def test_certificate_from_json_rejects_malformed(obj):
     with pytest.raises(ValueError):
         certificate_from_json(obj)
+
+
+def _replay(parse, verify, obj, gens):
+    """(ok, why) of parsing and verifying obj, or the parse error's type
+    and message."""
+    try:
+        cert = parse(obj)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return verify(cert, gens)
+
+
+def _corrupted(obj):
+    """Copies of a certificate JSON tree with one word field of one node
+    replaced, for every node and every field (term, result, gen word,
+    conjugator) in turn: by a longer word, the unit, an empty token and
+    a token that is not a word."""
+    fields = {"gen": ("word",), "prod": ("term",), "ad": ("result", "conjugator")}
+    paths = []
+
+    def walk(node, path):
+        for key in fields.get(node["kind"], ()):
+            paths.append((path, key))
+        for child in ("left", "right", "inner"):
+            if child in node:
+                walk(node[child], path + (child,))
+
+    walk(obj, ())
+    for path, key in paths:
+        word = reduce(dict.__getitem__, path, obj)[key]
+        for bad in ("0" + word.replace("e", ""), "e", "", "0x1"):
+            copy = json.loads(json.dumps(obj))
+            reduce(dict.__getitem__, path, copy)[key] = bad
+            yield copy
+
+
+def test_replay_matches_old_replay():
+    # The parser and verifier, with type dispatch, a shared unit and
+    # diagnostics built only on failure, answer every document, valid,
+    # corrupted or malformed, with the same (ok, why) or the same error as
+    # the code they replaced.
+    closures = [
+        generate({"01", "10"}, ClosureConfig(work_len=8, report_len=8)),
+        generate({"001"}, ClosureConfig(work_len=8, report_len=8)),
+        ad_closure({"0011"}, Ambient.full_au(), AdConfig(
+            closure=ClosureConfig(work_len=9, report_len=4), ad_len=4)),
+        ad_closure({"01"}, Ambient.projective_pu(), AdConfig(
+            closure=ClosureConfig(work_len=10, report_len=4), ad_len=4)),
+    ]
+    cases = [(node, {"01"}) for node in MALFORMED_NODES]
+    for c in closures:
+        gens = set(c.generators)
+        # The shortlex-largest members have the deepest certificates.
+        for w in sorted(c.members, key=shortlex_key)[-8:]:
+            obj = certificate_to_json(witness(c, w))
+            cases.append((obj, gens))
+            cases += [(bad, gens) for bad in _corrupted(obj)]
+    failures = 0
+    for obj, gens in cases:
+        new = _replay(certificate_from_json, verify_certificate_detailed, obj, gens)
+        old = _replay(old_certificate_from_json, old_verify_certificate_detailed,
+                      obj, gens)
+        assert new == old, obj
+        failures += new[0] is not True
+    assert failures > len(cases) // 2
 
 
 def test_enumerate_words():

@@ -244,6 +244,8 @@ def _run_closure(args):
             f"witness for {format_word(w)}: "
             + ("none" if wp is None else json.dumps(wp["certificate"], separators=(",", ":")))
         )
+        if wp is not None and not wp["verified"]:
+            return payload, lines, EXIT_FAIL
     return payload, lines, EXIT_OK
 
 
@@ -352,7 +354,7 @@ def run(argv: list[str]) -> int:
     start = time.monotonic()
     try:
         payload, lines, code = _HANDLERS[args.subcommand](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     elapsed = time.monotonic() - start

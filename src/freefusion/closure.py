@@ -274,48 +274,53 @@ class ClosureResult:
 class Saturator:
     """Worklist fixpoint engine for fusion saturation.
 
-    The engine starts from the unit, then the given generators (the
-    effective ones: dual-closed under dual closure) in shortlex order;
-    each must fit within work_len.  Members are processed in discovery
-    order (breadth-first over the derivation DAG): processing a member
-    multiplies it, in both orders, with every member processed so far, and
-    optionally scans its adjoint conjugations.  Discovery order is itself
-    deterministic, so the trace, the member set and every certificate are
-    reproducible.  An optional target set allows stopping as soon as all
-    targets have been derived (the member set is then a sound
-    under-approximation of the fixpoint).
+    The engine starts from the unit, then the given generators (which it
+    dual-closes under dual closure) in shortlex order; each must fit within
+    work_len.  Members are processed in discovery order (breadth-first over
+    the derivation DAG): processing a member multiplies it, in both orders,
+    with every member processed so far, and optionally scans its adjoint
+    conjugations.  Discovery order is itself deterministic, so the trace,
+    the member set and every certificate are reproducible.  An optional
+    target set allows stopping as soon as all targets have been derived (the
+    member set is then a sound under-approximation of the fixpoint).
 
     Under dual closure each member's dual is added right after it by the
-    dual step: x * y becomes y* * x*, y * m * y* becomes y * m* * y*, and
-    a generator stays a generator.  The duals of x, y and m were added
-    right after them, so the dual step only refers to earlier members.
+    dual step: x * y becomes y* * x*, y * m * y* becomes y * m* * y*, and a
+    generator stays a generator.  The duals of x, y and m were added right
+    after them, so the dual step only refers to earlier members.
 
     Only products that can add a member are evaluated.  The terms of x * y
     are x[:|x| - k] + y[k:] over the valid cuts k = 0..K (fusion.cut_depth),
     and the cut k is valid when the length-k prefix of y is the dual of the
-    length-k suffix of x.  Processed members are indexed at every split by
-    head and by tail, then by length, so for a new member m and a cut k the
-    partners with that cut are one dict lookup per side, and all their
-    terms within work_len are tested against the member set in bulk.  A
+    length-k suffix of x.  Each processed member is indexed at every split
+    by head, then length, then tail, and its dual likewise in a dual index.
+    For a new member m and a cut k, the partners o of m * o are one lookup,
+    and all their terms within work_len are tested against the members in
+    bulk.  The terms of o * m are the duals of those of m* * o*, so the same
+    query on the dual index with m*, tested against the members' duals (the
+    members themselves under dual closure), finds the partners of o * m.  A
     pair is evaluated, in the usual order, only when one of its terms was
-    not a member when the step began.  Any other pair would add nothing,
-    and done() can only change after an add, so members, order and
-    provenance are those of multiplying every pair.  stats["products"]
-    counts the products evaluated: those with a term that was not a member
-    when their step began (fewer if the run stops early).
+    not a member when the step began.  Any other pair would add nothing, and
+    done() can only change after an add, so members, order and provenance
+    are those of multiplying every pair.  stats["products"] counts the
+    products evaluated: those with a term that was not a member when their
+    step began (fewer if the run stops early).
     """
 
     def __init__(self, config: ClosureConfig, generators=(), targets=None):
         self.config = config
-        self.generators = frozenset(generators)
+        dual = config.require_dual_closure
+        gens = set(generators)
+        self.generators = frozenset(gens | {involute(g) for g in gens if dual})
         self.members: set[str] = set()
+        self._duals = self.members if dual else set()  # the members' duals
         self.order: list[str] = []
         self.provenance: dict[str, tuple] = {}
         self.remaining = None if targets is None else set(targets)
         self.stopped_early = False
         self.stats = {"products": 0, "members": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
-        self._heads: dict[str, dict[int, dict[str, int]]] = {}
+        self._dual_tails: dict[str, dict[int, dict[str, int]]] = {}
         self.add("", ("unit",))
         for g in sorted(self.generators, key=shortlex_key):
             if len(g) > config.work_len:
@@ -333,15 +338,16 @@ class Saturator:
         self.stats["members"] += 1
         if self.remaining:
             self.remaining.discard(w)
-        if self.config.require_dual_closure:
-            d = involute(w)
-            if d not in self.members:
-                kind = prov[0]
-                if kind == "prod":
-                    prov = ("prod", involute(prov[2]), involute(prov[1]))
-                elif kind == "ad":
-                    prov = ("ad", prov[1], involute(prov[2]))
-                self.add(d, prov)
+        d = involute(w)
+        if not self.config.require_dual_closure:
+            self._duals.add(d)
+        elif d not in self.members:
+            kind = prov[0]
+            if kind == "prod":
+                prov = ("prod", involute(prov[2]), involute(prov[1]))
+            elif kind == "ad":
+                prov = ("ad", prov[1], involute(prov[2]))
+            self.add(d, prov)
 
     def done(self) -> bool:
         """True once every target is derived.  The remaining work is then
@@ -354,55 +360,44 @@ class Saturator:
 
     def _index(self, j: int):
         """Index the processed member order[j] = o at every split
-        o = head + tail: _tails[head][len(o)][tail] = j and
-        _heads[tail][len(o)][head] = j."""
+        o = head + tail as _tails[head][len(o)][tail] = j, and its dual
+        the same way in _dual_tails."""
         o = self.order[j]
         if not o:
             return  # m * e = e * m = m is always a member
         n = len(o)
-        tails = self._tails
-        heads = self._heads
-        for k in range(n + 1):
-            tails.setdefault(o[:k], {}).setdefault(n, {})[o[k:]] = j
-            heads.setdefault(o[n - k :], {}).setdefault(n, {})[o[: n - k]] = j
+        for index, w in ((self._tails, o), (self._dual_tails, involute(o))):
+            for k in range(n + 1):
+                index.setdefault(w[:k], {}).setdefault(n, {})[w[k:]] = j
 
-    def _partners(self, m: str) -> list[tuple[int, int]]:
-        """(j, sides) for each indexed order[j] = o such that m * o (sides
-        bit 1) or o * m (bit 2) has a term within work_len that is not yet
-        a member, by increasing j."""
-        members = self.members
+    def _side(self, index, m: str, members) -> set[int]:
+        """The j of each o filed in index such that m * o has a term within
+        work_len not in members.  Cut k is valid when o starts with m*[:k];
+        its term m[:|m| - k] + o[k:] is within work_len when
+        |o| <= work_len - |m| + 2k."""
         lm = len(m)
         d = involute(m)
-        # Cut k of m * o is valid when o starts with d[:k], and gives the
-        # term m[:lm - k] + o[k:]; cut k of o * m is valid when o ends with
-        # d[lm - k:], and gives o[:n - k] + m[k:].  The term is within
-        # work_len when n <= work_len - lm + 2k.
         room = self.config.work_len - lm
-        left: set[int] = set()
-        right: set[int] = set()
+        found: set[int] = set()
         for k in range(lm + 1):
-            by_len = self._tails.get(d[:k])
+            by_len = index.get(d[:k])
             if by_len is None:
                 break  # every deeper cut extends this key
             prepend = m[: lm - k].__add__
             cap = room + 2 * k
             for n, group in by_len.items():
                 if n <= cap and not members.issuperset(map(prepend, group)):
-                    left.update(
+                    found.update(
                         j for tail, j in group.items() if prepend(tail) not in members
                     )
-        for k in range(lm + 1):
-            by_len = self._heads.get(d[lm - k :])
-            if by_len is None:
-                break
-            tail = m[k:]
-            append = itertools.repeat(tail)
-            cap = room + 2 * k
-            for n, group in by_len.items():
-                if n <= cap and not members.issuperset(map(str.__add__, group, append)):
-                    right.update(
-                        j for head, j in group.items() if head + tail not in members
-                    )
+        return found
+
+    def _partners(self, m: str) -> list[tuple[int, int]]:
+        """(j, sides) for each indexed order[j] = o such that m * o (sides
+        bit 1) or o * m (bit 2) has a term within work_len that is not yet
+        a member, by increasing j."""
+        left = self._side(self._tails, m, self.members)
+        right = self._side(self._dual_tails, involute(m), self._duals)
         return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
 
     def _absorb(self, x: str, y: str):
@@ -458,18 +453,10 @@ class Saturator:
         )
 
 
-def effective_generators(gens, config: ClosureConfig) -> frozenset[str]:
-    """The generating set actually used: dual-closed unless disabled."""
-    eff = set(gens)
-    if config.require_dual_closure:
-        eff |= {involute(g) for g in gens}
-    return frozenset(eff)
-
-
 def generate(gens, config: ClosureConfig = ClosureConfig()) -> ClosureResult:
     """Least fixpoint, within the length bound, of fusion generation from
     the given simples (plus the unit, plus duals by default)."""
-    sat = Saturator(config, effective_generators(gens, config))
+    sat = Saturator(config, gens)
     sat.run()
     return sat.result(is_ad=False)
 

@@ -21,7 +21,6 @@ from .closure import (
     Saturator,
     certificate_to_json,
     certified_absence,
-    effective_generators,
     enumerate_words,
     generate,
     verify_certificate_detailed,
@@ -204,9 +203,9 @@ def ad_closure(
 ) -> ClosureResult:
     """Least fixpoint, within bounds, of fusion generation interleaved with
     adjoint steps, from seeds that must be ambient simples.  No derived
-    term needs an ambient test: the seeds are dual-closed, and every
-    ambient is closed under fusion and the ad rule within work_len (see
-    "Ambient closure" in the README).
+    term needs an ambient test: the Saturator dual-closes the seeds, and
+    every ambient is closed under fusion and the ad rule within work_len
+    (see "Ambient closure" in the README).
 
     With stop_targets, saturation halts as soon as every target word has
     been derived; the member set is then a sound under-approximation and
@@ -214,11 +213,11 @@ def ad_closure(
     """
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
-    eff = effective_generators(seeds, config.closure)
-    for s in sorted(eff, key=shortlex_key):
+    # Every ambient is dual-closed: a seed is an ambient simple iff its dual is.
+    for s in sorted(seeds, key=shortlex_key):
         if not view.contains(s):
             raise ValueError(f"{format_word(s)} is not an ambient simple")
-    sat = Saturator(config.closure, eff, stop_targets)
+    sat = Saturator(config.closure, seeds, stop_targets)
     by_last = view.conjugators_by_last(config.ad_len)
     sat.run(ad_scan=lambda x: _conjugations(x, by_last, work_len))
     return sat.result(is_ad=True)
@@ -326,11 +325,10 @@ def _check(name, view, config, targets, cert_samples):
         raise ValueError("cert_samples must be nonnegative")
 
     def reachable(seed) -> set[str]:
-        # Certified absence depends only on the seed's generators.  Targets
-        # it rules out can never appear, so they must not keep the
-        # stop-at-targets saturation running to exhaustion.
-        eff = effective_generators({seed}, config.closure)
-        return {t for t in targets if certified_absence(eff, t, is_ad=True) is None}
+        # Certified absence depends only on the seed's degree, which its dual
+        # negates.  Targets it rules out can never appear, so they must not
+        # keep the stop-at-targets saturation running to exhaustion.
+        return {t for t in targets if certified_absence({seed}, t, is_ad=True) is None}
 
     root = None
     if ROOT in seeds:
@@ -357,13 +355,17 @@ def _check(name, view, config, targets, cert_samples):
         present = [t for t in targets if t in reach and t in cl.members]
         missing_within = [t for t in targets if t in reach and t not in cl.members]
         sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
+        certificates = [witness_entry(cl, w) for w in sample]
+        # A sample that does not replay is a failure, never a silent pass.
+        unverified = not all(c["verified"] for c in certificates)
         records.append(SeedRecord(
             seed=seed,
-            status=_status(bool(missing_certified), bool(missing_within)),
+            status=_status(bool(missing_certified) or unverified,
+                           bool(missing_within)),
             end=end,
             missing_certified=missing_certified,
             missing_within_bound=missing_within,
-            certificates=[witness_entry(cl, w) for w in sample],
+            certificates=certificates,
         ))
     statuses = {r.status for r in records}
     return SimplicityReport(
@@ -415,8 +417,6 @@ def find_invertibles(max_len: int) -> list[str]:
     For any nonempty w the empty cut contributes the nonempty term
     w + involute(w), so only the unit qualifies; scanned, not assumed.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
     return [
         w
         for w in enumerate_words("all", max_len)

@@ -10,7 +10,6 @@ from freefusion.closure import (
     Saturator,
     Unit,
     certified_absence,
-    effective_generators,
 )
 from freefusion.fusion import mul_many
 from freefusion.normality import (
@@ -175,7 +174,7 @@ class IndexedSaturator(Saturator):
 def saturate(engine, gens, config):
     """generate() on the given Saturator class (or factory); returns the
     saturator."""
-    sat = engine(config, effective_generators(gens, config))
+    sat = engine(config, gens)
     sat.run()
     return sat
 
@@ -185,8 +184,7 @@ def engine_ad_closure(engine, seeds, ambient, config, stop_targets=None):
     conjugation scan; returns the saturator, whose order, provenance and
     stats the tests compare.  Call memo_terms.cache_clear() when done."""
     view = AmbientView(ambient, config.closure)
-    sat = engine(config.closure, effective_generators(seeds, config.closure),
-                 stop_targets)
+    sat = engine(config.closure, seeds, stop_targets)
     conjugators = [y for y in view.simples(config.ad_len) if y]
     sat.run(ad_scan=lambda x: scan_conjugations(x, conjugators))
     return sat
@@ -205,7 +203,7 @@ def direct_check(name, view, config, targets, cert_samples=3):
     Returns the SimplicityReport that the library's sweep must match."""
     records = []
     for seed in view.simples(config.seed_len)[1:]:
-        eff = effective_generators({seed}, config.closure)
+        eff = {seed, involute(seed)}
         missing_certified = []
         reachable = []
         for t in targets:

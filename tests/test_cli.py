@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -181,6 +183,79 @@ def test_every_subcommand_json_matches_schema(tmp_path, capsys, schema, argv):
     assert doc["invocation"]["subcommand"] == argv[0]
 
 
+def test_schema_defs_are_all_referenced(schema):
+    refs = set(re.findall(r'"\$ref": "([^"]*)"', json.dumps(schema)))
+    assert {f"#/$defs/{name}" for name in schema["$defs"]} <= refs
+
+
+def test_mul_result_is_typed(capsys, schema):
+    doc = json.loads(invoke(capsys, "mul", "10", "01", "--json")[1])
+    jsonschema.validate(doc, schema)
+    doc["result"]["element"]["1001"] = 0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-simple", "--ambient", "pu", "--seed-len", "2", "--work-len",
+         "10", "--report-len", "2", "--ad-len", "4"],
+        ["closure", "--gens", "01", "--work-len", "8", "--witness", "0101"],
+        ["ad-closure", "--seeds", "0011", "--ambient", "pu", "--work-len", "10",
+         "--witness", "0101"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
+    # A certificate that does not replay is a failed check, never a pass.
+    monkeypatch.setattr(normality, "verify_certificate_detailed",
+                        lambda cert, gens: (False, "root: rejected"))
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    result = doc["result"]
+    if "seeds" in result:
+        assert result["verdict"] == "fail"
+        assert {r["status"] for r in result["seeds"]} == {"fail"}
+        entries = [c for r in result["seeds"] for c in r["certificates"]]
+    else:
+        entries = [result["witness"]]
+    assert entries
+    for entry in entries:
+        assert entry["verified"] is False and entry["error"] == "root: rejected"
+    assert invoke(capsys, *argv)[0] == 1
+
+
+# The bench-scale sweeps of perfbench/run.py and criterion 7's sweep.  A
+# change that means to alter report bytes updates these prefixes.
+_CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
+                    "--ad-len", "8"]
+_CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix",
+    [
+        (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
+         "718b6dea32e2"),
+        (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
+         "148c1bca7b21"),
+        (_CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"], 0,
+         "3f847b053c4e"),
+        (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
+          "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
+         "f3efc108ee38"),
+    ],
+    ids=["pu-fixpoint", "pu-targets", "au-circle", "criterion-7"],
+)
+def test_sweep_report_bytes_pinned(tmp_path, argv, code, prefix):
+    report = tmp_path / "r.json"
+    assert run(argv + ["--report", str(report)]) == code
+    assert hashlib.sha256(report.read_bytes()).hexdigest()[:12] == prefix
+
+
 def test_text_mode_never_renders(capsys, monkeypatch):
     # Without --report or --json the report is neither built nor encoded;
     # the run prints the same lines and exits with the same code.
@@ -297,6 +372,7 @@ def test_verify_cert_malformed_document(tmp_path, capsys, doc):
         ["check-simple", "--seed-len", "2", "--ad-len", "-1"],
         ["check-circle", "--seed-len", "0"],
         ["check-circle", "--seed-len", "1", "--threads", "0"],
+        ["check-circle", "--seed-len", "1", "--threads", "x"],
         ["check-simple", "--seed-len", "2", "--threads", "-1"],
         ["check-simple", "--seed-len", "2", "--cert-samples", "-1"],
         ["check-circle", "--seed-len", "1", "--cert-samples", "-1"],
@@ -365,13 +441,19 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_console_entry_point():
+def test_console_entry_point(capsys, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "freefusion.cli", "mul", "0", "1"],
         capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '{"e":1,"01":1}'
+    # In process, main exits with run's code.
+    monkeypatch.setattr(sys, "argv", ["freefusion", "mul", "0", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == proc.stdout
 
 
 @pytest.mark.parametrize(

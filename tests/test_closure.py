@@ -58,6 +58,8 @@ def test_config_validation():
         ClosureConfig(work_len=4, report_len=6)
     with pytest.raises(ValueError):
         ClosureConfig(work_len=4, report_len=-3)
+    with pytest.raises(ValueError, match="work_len must be nonnegative"):
+        ClosureConfig(work_len=-2, report_len=-3)
 
 
 def test_member_answers():
@@ -102,6 +104,8 @@ def test_verify_rejects_tampering():
     ok, why = verify_certificate_detailed(bad, set(c.generators))
     assert not ok and "000000" in why
     assert not verify_certificate(Generator("0011"), c.generators)
+    ok, why = verify_certificate_detailed(object(), set())
+    assert not ok and why.startswith("root: malformed node ")
 
 
 def test_verify_ad_step():
@@ -137,6 +141,8 @@ def test_certificate_json_round_trip():
     assert certificate_from_json(obj) == cert
     with pytest.raises(ValueError):
         certificate_from_json({"kind": "nope"})
+    with pytest.raises(TypeError, match="not a certificate node"):
+        certificate_to_json(object())
 
 
 MALFORMED_NODES = [

@@ -37,7 +37,7 @@ from .normality import (
     find_invertibles,
     witness_entry,
 )
-from .words import degree, format_word, involute, parse_word, parse_words, shortlex_key
+from .words import degree, format_word, involute, parse_word, parse_words
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,16 +82,25 @@ def _add_output_flags(p):
 
 
 def _add_bound_flags(p, seed_len=False, ad_len=False):
-    p.add_argument("--work-len", type=int, default=12,
+    p.add_argument("--work-len", type=int, default=ClosureConfig.work_len,
                    help="maximum word length retained during saturation")
-    p.add_argument("--report-len", type=int, default=6,
+    p.add_argument("--report-len", type=int,
                    help="length up to which answers are reported")
     if ad_len:
-        p.add_argument("--ad-len", type=int, default=8,
-                       help="maximum conjugator length")
+        p.add_argument("--ad-len", type=int, help="maximum conjugator length")
     if seed_len:
-        p.add_argument("--seed-len", type=int, default=6,
+        p.add_argument("--seed-len", type=int,
                        help="maximum seed length for the sweep")
+
+
+def _resolve_bounds(args):
+    """An omitted bound is its config default capped at --work-len, so that
+    a small --work-len alone is a valid invocation; an explicit one is kept."""
+    defaults = {"report_len": ClosureConfig.report_len,
+                "ad_len": AdConfig.ad_len, "seed_len": AdConfig.seed_len}
+    for name, default in defaults.items():
+        if getattr(args, name, default) is None:
+            setattr(args, name, min(default, args.work_len))
 
 
 def build_parser() -> _ArgumentParser:
@@ -162,14 +171,6 @@ def build_parser() -> _ArgumentParser:
 # subcommand implementations: each returns (result payload, text lines, exit)
 
 
-def _closure_payload(result, report_len):
-    data = result.to_json()
-    members = data.pop("members")
-    data["member_count"] = len(members)
-    data["members"] = [w for w in members if w == "e" or len(w) <= report_len]
-    return data
-
-
 def _membership_lines(w, m):
     reason = f" ({m.reason})" if m.reason else ""
     return [f"{format_word(w)}: {m.status}{reason}"]
@@ -225,7 +226,7 @@ def _run_closure(args):
         ambient = Ambient.parse(args.ambient)
         result = ad_closure(seeds, ambient, _ad_config(args))
         payload = {"ambient": ambient.describe()}
-    payload["closure"] = _closure_payload(result, args.report_len)
+    payload["closure"] = result.to_json()
     lines = [f"members: {len(result.members)} (saturated: {result.saturated})"]
     if args.member is not None:
         w = parse_word(args.member)
@@ -236,9 +237,8 @@ def _run_closure(args):
         w = parse_word(args.witness)
         wp = witness_entry(result, w)
         if wp is not None:
-            gens = sorted(result.generators, key=shortlex_key)
             wp = {"word": wp.pop("word"),
-                  "generators": [format_word(g) for g in gens], **wp}
+                  "generators": payload["closure"]["generators"], **wp}
         payload["witness"] = wp
         lines.append(
             f"witness for {format_word(w)}: "
@@ -350,6 +350,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _resolve_bounds(args)
 
     start = time.monotonic()
     try:

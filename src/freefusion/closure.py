@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .fusion import cut_depth, mul_many, mul_simple
+from .fusion import _simple_terms, mul_many, mul_simple
 from .words import (
     degree,
     format_word,
@@ -39,10 +39,10 @@ class ClosureConfig:
     require_dual_closure: bool = True
 
     def __post_init__(self):
-        if self.report_len > self.work_len:
-            raise ValueError("report_len must not exceed work_len")
         if self.work_len < 0:
             raise ValueError("work_len must be nonnegative")
+        if self.report_len > self.work_len:
+            raise ValueError("report_len must not exceed work_len")
         if self.report_len < 0:
             raise ValueError("report_len must be nonnegative")
 
@@ -243,20 +243,25 @@ class ClosureResult:
     """Bounded closure of a generated sub-semiring.
 
     `generators` is the effective generating set (dual-closed when the
-    config asks for it); `members` are all derived simples of length at
-    most work_len; `provenance` records one derivation step per member,
-    from which witness certificates are rebuilt on demand.
+    config asks for it); `provenance` maps each derived simple of length at
+    most work_len to one derivation step, from which witness certificates
+    are rebuilt on demand, and `members` is a read-only view of its keys.
+    to_json counts every member and lists those up to report_len.
     """
 
     generators: frozenset[str]
-    members: frozenset[str]
     config: ClosureConfig
     saturated: bool
     stats: dict[str, int]
+    provenance: dict[str, tuple] = field(repr=False)
     is_ad: bool = False
-    provenance: dict[str, tuple] = field(default_factory=dict, repr=False)
+
+    @property
+    def members(self):
+        return self.provenance.keys()
 
     def to_json(self) -> dict:
+        shown = [w for w in self.provenance if len(w) <= self.config.report_len]
         return {
             "generators": [
                 format_word(g) for g in sorted(self.generators, key=shortlex_key)
@@ -264,10 +269,9 @@ class ClosureResult:
             "config": self.config.to_json(),
             "ad": self.is_ad,
             "saturated": self.saturated,
-            "members": [
-                format_word(w) for w in sorted(self.members, key=shortlex_key)
-            ],
             "stats": dict(sorted(self.stats.items())),
+            "member_count": len(self.provenance),
+            "members": [format_word(w) for w in sorted(shown, key=shortlex_key)],
         }
 
 
@@ -302,9 +306,10 @@ class Saturator:
     pair is evaluated, in the usual order, only when one of its terms was
     not a member when the step began.  Any other pair would add nothing, and
     done() can only change after an add, so members, order and provenance
-    are those of multiplying every pair.  stats["products"] counts the
-    products evaluated: those with a term that was not a member when their
-    step began (fewer if the run stops early).
+    are those of multiplying every pair.  An evaluated pair adds the terms
+    of fusion's product that fit within work_len.  stats["products"] counts
+    the products evaluated: those with a term that was not a member when
+    their step began (fewer if the run stops early).
     """
 
     def __init__(self, config: ClosureConfig, generators=(), targets=None):
@@ -401,14 +406,10 @@ class Saturator:
         return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
 
     def _absorb(self, x: str, y: str):
-        """Add the terms of x * y within work_len: the cuts kmin..K."""
+        """Add the terms of x * y within work_len."""
         self.stats["products"] += 1
-        lx = len(x)
-        kmin = max(0, (lx + len(y) - self.config.work_len + 1) // 2)
-        members = self.members
-        for k in range(kmin, cut_depth(x, y) + 1):
-            t = x[: lx - k] + y[k:]
-            if t not in members:
+        for t in _simple_terms(x, y):
+            if len(t) <= self.config.work_len and t not in self.members:
                 self.add(t, ("prod", x, y))
 
     def run(self, ad_scan=None):
@@ -444,12 +445,11 @@ class Saturator:
     def result(self, is_ad: bool) -> ClosureResult:
         return ClosureResult(
             generators=self.generators,
-            members=frozenset(self.members),
             config=self.config,
             saturated=not self.stopped_early,
             stats=dict(self.stats),
-            is_ad=is_ad,
             provenance=self.provenance,
+            is_ad=is_ad,
         )
 
 

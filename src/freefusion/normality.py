@@ -27,7 +27,7 @@ from .closure import (
     witness,
 )
 from .fusion import mul_simple
-from .words import format_word, involute, parse_words, shortlex_key
+from .words import format_word, involute, is_balanced, parse_words, shortlex_key
 
 # --------------------------------------------------------------------------
 # ambients
@@ -85,14 +85,14 @@ class AmbientView:
         self.ambient = ambient
         self._members: frozenset[str] | None = None
         self._conjugators: dict[int, dict[str, list[str]]] = {}
-        if ambient.kind == "gen":
-            self._members = generate(ambient.gens, config).members
+        if ambient.kind == "gen":  # its own set, so the view holds no derivations
+            self._members = frozenset(generate(ambient.gens, config).members)
 
     def contains(self, w: str) -> bool:
         if self.ambient.kind == "au":
             return True
         if self.ambient.kind == "pu":
-            return w.count("0") * 2 == len(w)
+            return is_balanced(w)
         return w in self._members
 
     def simples(self, max_len: int) -> list[str]:
@@ -349,8 +349,7 @@ def _check(name, view, config, targets, cert_samples):
         end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
         if end == "descent":
             # Descent steps refer only to descent words: the graft is acyclic.
-            cl = replace(cl, members=root.members | cl.members,
-                         provenance={**root.provenance, **cl.provenance})
+            cl = replace(cl, provenance={**root.provenance, **cl.provenance})
         missing_certified = [t for t in targets if t not in reach]
         present = [t for t in targets if t in reach and t in cl.members]
         missing_within = [t for t in targets if t in reach and t not in cl.members]

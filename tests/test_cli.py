@@ -256,6 +256,46 @@ def test_sweep_report_bytes_pinned(tmp_path, argv, code, prefix):
     assert hashlib.sha256(report.read_bytes()).hexdigest()[:12] == prefix
 
 
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["closure", "--gens", "01,10", "--work-len", "8", "--witness", "100110"],
+         "e75d9babc359"),
+        (["closure", "--gens", "001,0110", "--work-len", "12", "--no-dual-closure",
+          "--witness", "0010110"], "cd3ed3ce54f6"),
+        (["ad-closure", "--seeds", "0011", "--ambient", "pu", "--work-len", "10",
+          "--member", "01", "--witness", "0101"], "62971d78836b"),
+    ],
+    ids=["closure", "no-dual-closure", "ad-closure"],
+)
+def test_closure_json_bytes_pinned(capsys, argv, prefix):
+    # The closure payload (member cut and count) and the witness document.
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
+
+
+@pytest.mark.parametrize(
+    "argv,resolved",
+    [
+        (["closure", "--gens", "01", "--work-len", "4"], {"report-len": 4}),
+        (["ad-closure", "--seeds", "01", "--work-len", "6"],
+         {"report-len": 6, "ad-len": 6}),
+        (["check-simple", "--work-len", "4"],
+         {"report-len": 4, "ad-len": 4, "seed-len": 4}),
+        (["check-simple", "--work-len", "8"],
+         {"report-len": 6, "ad-len": 8, "seed-len": 6}),
+    ],
+    ids=["closure", "ad-closure", "check-simple", "check-simple-8"],
+)
+def test_omitted_bounds_fit_work_len(capsys, argv, resolved):
+    # An omitted bound is min(default, work_len), echoed as resolved.
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code in (0, 3)
+    args = json.loads(out)["invocation"]["args"]
+    assert {k: args[k] for k in resolved} == resolved
+
+
 def test_text_mode_never_renders(capsys, monkeypatch):
     # Without --report or --json the report is neither built nor encoded;
     # the run prints the same lines and exits with the same code.

@@ -60,6 +60,8 @@ def test_config_validation():
         ClosureConfig(work_len=4, report_len=-3)
     with pytest.raises(ValueError, match="work_len must be nonnegative"):
         ClosureConfig(work_len=-2, report_len=-3)
+    with pytest.raises(ValueError, match="work_len must be nonnegative"):
+        ClosureConfig(work_len=-1)
 
 
 def test_member_answers():
@@ -307,6 +309,10 @@ def test_determinism_same_serialization():
     a = generate({"0011", "01"}, cfg)
     b = generate({"01", "0011"}, cfg)
     assert a.to_json() == b.to_json()
+    # to_json lists members up to report_len only: compare all of them,
+    # with their derivation steps in discovery order.
+    assert a.members == b.members
+    assert list(a.provenance.items()) == list(b.provenance.items())
 
 
 def test_no_dual_closure_flag():

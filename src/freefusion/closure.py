@@ -10,7 +10,6 @@ within the bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
 
 from .fusion import _simple_terms, mul_many, mul_simple
@@ -26,25 +25,65 @@ from .words import (
 )
 
 # --------------------------------------------------------------------------
-# configuration
+# value types and configuration
 
 
-@dataclass(frozen=True)
-class ClosureConfig:
+class _Value:
+    """==, hash and repr over the fields named in _fields, minus _unshown in repr."""
+
+    __slots__ = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}"
+                          for f in self._fields if f not in self._unshown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Frozen(_Value):
+    """A value that refuses assignment: it is shared as a default argument."""
+
+    def _set(self, *values):
+        # Not __dict__.update: a materialised __dict__ makes every read slower.
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ClosureConfig(_Frozen):
     """Bounds for saturation: words longer than work_len are discarded,
     answers are reported up to report_len."""
 
-    work_len: int = 12
-    report_len: int = 6
-    require_dual_closure: bool = True
+    _fields = ("work_len", "report_len", "require_dual_closure")
+    work_len = 12
+    report_len = 6
+    require_dual_closure = True
 
-    def __post_init__(self):
-        if self.work_len < 0:
+    def __init__(self, work_len: int = work_len, report_len: int = report_len,
+                 require_dual_closure: bool = require_dual_closure):
+        if work_len < 0:
             raise ValueError("work_len must be nonnegative")
-        if self.report_len > self.work_len:
+        if report_len > work_len:
             raise ValueError("report_len must not exceed work_len")
-        if self.report_len < 0:
+        if report_len < 0:
             raise ValueError("report_len must be nonnegative")
+        self._set(work_len, report_len, require_dual_closure)
 
     def to_json(self) -> dict:
         return {
@@ -55,43 +94,50 @@ class ClosureConfig:
 
 
 # --------------------------------------------------------------------------
-# certificates
+# certificates: immutable by contract, not by a guard, which would make
+# each node of a parsed replay about three times as costly to build
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(_Value):
     """Leaf deriving the trivial simple."""
 
+    __slots__ = _fields = ()
     word = ""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Value):
     """Leaf deriving a generator."""
 
-    word: str
+    __slots__ = _fields = ("word",)
+
+    def __init__(self, word: str):
+        self.word = word
 
 
-@dataclass(frozen=True)
-class ProductTerm:
+class ProductTerm(_Value):
     """Internal node: term selected from the product of two derived simples."""
 
-    left: "Certificate"
-    right: "Certificate"
-    word: str
+    __slots__ = _fields = ("left", "right", "word")
+
+    def __init__(self, left: Certificate, right: Certificate, word: str):
+        self.left = left
+        self.right = right
+        self.word = word
 
 
-@dataclass(frozen=True)
-class AdStep:
+class AdStep(_Value):
     """Internal node: conjugation of a derived simple by an ambient simple.
 
     Valid only when conjugator * inner * involute(conjugator) is a single
     simple with multiplicity one; that simple is `word`.
     """
 
-    conjugator: str
-    inner: "Certificate"
-    word: str
+    __slots__ = _fields = ("conjugator", "inner", "word")
+
+    def __init__(self, conjugator: str, inner: Certificate, word: str):
+        self.conjugator = conjugator
+        self.inner = inner
+        self.word = word
 
 
 Certificate = Unit | Generator | ProductTerm | AdStep
@@ -205,8 +251,7 @@ ABSENT_RUN_BOUND = "run-bound"
 ABSENT_DEGREE = "degree"
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(_Frozen):
     """Three-valued membership answer.
 
     status "present": in the computed closure, certificate available.
@@ -216,8 +261,10 @@ class Membership:
     about the infinite closure.
     """
 
-    status: str
-    reason: str | None = None
+    _fields = ("status", "reason")
+
+    def __init__(self, status: str, reason: str | None = None):
+        self._set(status, reason)
 
     @property
     def present(self) -> bool:
@@ -238,8 +285,7 @@ ABSENT_WITHIN_BOUND = Membership("absent-within-bound")
 # saturation
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(_Value):
     """Bounded closure of a generated sub-semiring.
 
     `generators` is the effective generating set (dual-closed when the
@@ -249,12 +295,19 @@ class ClosureResult:
     to_json counts every member and lists those up to report_len.
     """
 
-    generators: frozenset[str]
-    config: ClosureConfig
-    saturated: bool
-    stats: dict[str, int]
-    provenance: dict[str, tuple] = field(repr=False)
-    is_ad: bool = False
+    _fields = ("generators", "config", "saturated", "stats", "provenance", "is_ad")
+    _unshown = ("provenance",)
+    __hash__ = None  # mutable
+
+    def __init__(self, generators: frozenset[str], config: ClosureConfig,
+                 saturated: bool, stats: dict[str, int],
+                 provenance: dict[str, tuple], is_ad: bool = False):
+        self.generators = generators
+        self.config = config
+        self.saturated = saturated
+        self.stats = stats
+        self.provenance = provenance
+        self.is_ad = is_ad
 
     @property
     def members(self):

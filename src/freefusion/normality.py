@@ -12,13 +12,14 @@ projective quotient has no proper normal quantum subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import comb
 
 from .closure import (
     ClosureConfig,
     ClosureResult,
     Saturator,
+    _Frozen,
+    _Value,
     certificate_to_json,
     certified_absence,
     enumerate_words,
@@ -33,8 +34,7 @@ from .words import format_word, involute, is_balanced, parse_words, shortlex_key
 # ambients
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(_Frozen):
     """Which semiring the simples live in.
 
     kind "au": all binary words (the full free unitary semiring).
@@ -42,8 +42,10 @@ class Ambient:
     kind "gen": the bounded closure of a finite generating set.
     """
 
-    kind: str
-    gens: frozenset[str] = frozenset()
+    _fields = ("kind", "gens")
+
+    def __init__(self, kind: str, gens: frozenset[str] = frozenset()):
+        self._set(kind, gens)
 
     @staticmethod
     def full_au() -> "Ambient":
@@ -127,25 +129,27 @@ class AmbientView:
 # configuration
 
 
-@dataclass(frozen=True)
-class AdConfig:
+class AdConfig(_Frozen):
     """Bounds for ad-saturation: conjugators up to ad_len, seed sweeps up
     to seed_len, plus the underlying closure bounds."""
 
-    closure: ClosureConfig = ClosureConfig()
-    ad_len: int = 8
-    seed_len: int = 6
+    _fields = ("closure", "ad_len", "seed_len")
+    closure = ClosureConfig()
+    ad_len = 8
+    seed_len = 6
 
-    def __post_init__(self):
+    def __init__(self, closure: ClosureConfig = closure, ad_len: int = ad_len,
+                 seed_len: int = seed_len):
         # Under dual closure no ad-closure leaves its ambient (see ad_closure).
-        if not self.closure.require_dual_closure:
+        if not closure.require_dual_closure:
             raise ValueError("ad-closures require dual closure")
-        if self.ad_len > self.closure.work_len:
+        if ad_len > closure.work_len:
             raise ValueError("ad_len must not exceed work_len")
-        if self.ad_len < 0:
+        if ad_len < 0:
             raise ValueError("ad_len must be nonnegative")
-        if self.seed_len < 0:
+        if seed_len < 0:
             raise ValueError("seed_len must be nonnegative")
+        self._set(closure, ad_len, seed_len)
 
     def to_json(self) -> dict:
         return {
@@ -227,14 +231,22 @@ def ad_closure(
 # reports
 
 
-@dataclass
-class SeedRecord:
-    seed: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    end: str  # "descent" | "targets" | "fixpoint": how its closure ended
-    missing_certified: list[str] = field(default_factory=list)
-    missing_within_bound: list[str] = field(default_factory=list)
-    certificates: list[dict] = field(default_factory=list)
+class SeedRecord(_Value):
+    _fields = ("seed", "status", "end", "missing_certified",
+               "missing_within_bound", "certificates")
+    __hash__ = None  # mutable
+
+    def __init__(self, seed: str, status: str, end: str,
+                 missing_certified: list[str] | None = None,
+                 missing_within_bound: list[str] | None = None,
+                 certificates: list[dict] | None = None):
+        self.seed = seed
+        self.status = status  # "pass" | "fail" | "inconclusive"
+        self.end = end  # "descent" | "targets" | "fixpoint": how its closure ended
+        self.missing_certified = [] if missing_certified is None else missing_certified
+        self.missing_within_bound = (
+            [] if missing_within_bound is None else missing_within_bound)
+        self.certificates = [] if certificates is None else certificates
 
     def to_json(self) -> dict:
         return {
@@ -251,13 +263,17 @@ class SeedRecord:
         }
 
 
-@dataclass
-class SimplicityReport:
-    check: str  # "simplicity" | "circle-corollary"
-    ambient: str
-    config: AdConfig
-    seeds: list[SeedRecord]
-    verdict: str  # "pass" | "fail" | "inconclusive"
+class SimplicityReport(_Value):
+    _fields = ("check", "ambient", "config", "seeds", "verdict")
+    __hash__ = None  # mutable
+
+    def __init__(self, check: str, ambient: str, config: AdConfig,
+                 seeds: list[SeedRecord], verdict: str):
+        self.check = check  # "simplicity" | "circle-corollary"
+        self.ambient = ambient
+        self.config = config
+        self.seeds = seeds
+        self.verdict = verdict  # "pass" | "fail" | "inconclusive"
 
     @property
     def passed(self) -> bool:
@@ -349,7 +365,8 @@ def _check(name, view, config, targets, cert_samples):
         end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
         if end == "descent":
             # Descent steps refer only to descent words: the graft is acyclic.
-            cl = replace(cl, provenance={**root.provenance, **cl.provenance})
+            cl = ClosureResult(cl.generators, cl.config, cl.saturated, cl.stats,
+                               {**root.provenance, **cl.provenance}, cl.is_ad)
         missing_certified = [t for t in targets if t not in reach]
         present = [t for t in targets if t in reach and t in cl.members]
         missing_within = [t for t in targets if t in reach and t not in cl.members]

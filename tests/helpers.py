@@ -1,5 +1,6 @@
 """Shared test utilities, kept independent of the library's product path."""
 
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product as iproduct
 
@@ -324,3 +325,106 @@ def old_verify_certificate_detailed(cert, gens, path="root"):
             f"{format_word(cert.word)}",
         )
     return False, f"{path}: malformed node {cert!r}"
+
+
+# --------------------------------------------------------------------------
+# the value types as dataclasses, before they became plain classes; only
+# construction, validation, ==, hash and repr are kept, the methods they
+# share with the library's classes are left out
+
+
+@dataclass(frozen=True)
+class OldClosureConfig:
+    work_len: int = 12
+    report_len: int = 6
+    require_dual_closure: bool = True
+
+    def __post_init__(self):
+        if self.work_len < 0:
+            raise ValueError("work_len must be nonnegative")
+        if self.report_len > self.work_len:
+            raise ValueError("report_len must not exceed work_len")
+        if self.report_len < 0:
+            raise ValueError("report_len must be nonnegative")
+
+
+@dataclass(frozen=True)
+class OldUnit:
+    word = ""
+
+
+@dataclass(frozen=True)
+class OldGenerator:
+    word: str
+
+
+@dataclass(frozen=True)
+class OldProductTerm:
+    left: object
+    right: object
+    word: str
+
+
+@dataclass(frozen=True)
+class OldAdStep:
+    conjugator: str
+    inner: object
+    word: str
+
+
+@dataclass(frozen=True)
+class OldMembership:
+    status: str
+    reason: str | None = None
+
+
+@dataclass
+class OldClosureResult:
+    generators: frozenset[str]
+    config: OldClosureConfig
+    saturated: bool
+    stats: dict[str, int]
+    provenance: dict[str, tuple] = field(repr=False)
+    is_ad: bool = False
+
+
+@dataclass(frozen=True)
+class OldAmbient:
+    kind: str
+    gens: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True)
+class OldAdConfig:
+    closure: OldClosureConfig = OldClosureConfig()
+    ad_len: int = 8
+    seed_len: int = 6
+
+    def __post_init__(self):
+        if not self.closure.require_dual_closure:
+            raise ValueError("ad-closures require dual closure")
+        if self.ad_len > self.closure.work_len:
+            raise ValueError("ad_len must not exceed work_len")
+        if self.ad_len < 0:
+            raise ValueError("ad_len must be nonnegative")
+        if self.seed_len < 0:
+            raise ValueError("seed_len must be nonnegative")
+
+
+@dataclass
+class OldSeedRecord:
+    seed: str
+    status: str
+    end: str
+    missing_certified: list[str] = field(default_factory=list)
+    missing_within_bound: list[str] = field(default_factory=list)
+    certificates: list[dict] = field(default_factory=list)
+
+
+@dataclass
+class OldSimplicityReport:
+    check: str
+    ambient: str
+    config: OldAdConfig
+    seeds: list[OldSeedRecord]
+    verdict: str

@@ -197,6 +197,37 @@ def test_mul_result_is_typed(capsys, schema):
 
 
 @pytest.mark.parametrize(
+    "argv, path, bad",
+    [
+        (["closure", "--gens", "01", "--work-len", "6"],
+         ["closure", "member_count"], "3"),
+        (["closure", "--gens", "01", "--work-len", "6", "--member", "10"],
+         ["membership", "status"], "absent"),
+        (["closure", "--gens", "01", "--work-len", "6"], ["ambient"], "au"),
+        (["ad-closure", "--seeds", "01", "--work-len", "6", "--ad-len", "2",
+          "--witness", "10"], ["witness", "generators"], "01"),
+        (["verify-cert", "CERT"], ["valid"], "true"),
+    ],
+    ids=["closure", "membership", "closure-ambient", "ad-closure", "verify-cert"],
+)
+def test_closure_and_verify_cert_results_are_typed(tmp_path, capsys, schema,
+                                                    argv, path, bad):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        {"generators": ["01"], "certificate": {"kind": "gen", "word": "01"}}
+    ))
+    argv = [str(cert) if a == "CERT" else a for a in argv]
+    doc = json.loads(invoke(capsys, *argv, "--json")[1])
+    jsonschema.validate(doc, schema)
+    node = doc["result"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check-simple", "--ambient", "pu", "--seed-len", "2", "--work-len",
@@ -479,6 +510,18 @@ def _child_env():
     src = str(Path(freefusion.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Both cost start-up time on every run; the value types need neither.
+    code = ("import sys; before = set(sys.modules); import freefusion.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "freefusion.normality" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_console_entry_point(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .fusion import _simple_terms, mul_many, mul_simple
+from .fusion import mul_many, mul_simple
 from .words import (
     degree,
     format_word,
@@ -347,7 +347,7 @@ class Saturator:
     after them, so the dual step only refers to earlier members.
 
     Only products that can add a member are evaluated.  The terms of x * y
-    are x[:|x| - k] + y[k:] over the valid cuts k = 0..K (fusion.cut_depth),
+    are x[:|x| - k] + y[k:] over the valid cuts k = 0..K (fusion.mul_simple),
     and the cut k is valid when the length-k prefix of y is the dual of the
     length-k suffix of x.  Each processed member is indexed at every split
     by head, then length, then tail, and its dual likewise in a dual index.
@@ -461,7 +461,7 @@ class Saturator:
     def _absorb(self, x: str, y: str):
         """Add the terms of x * y within work_len."""
         self.stats["products"] += 1
-        for t in _simple_terms(x, y):
+        for t in mul_simple(x, y):
             if len(t) <= self.config.work_len and t not in self.members:
                 self.add(t, ("prod", x, y))
 

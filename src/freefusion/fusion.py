@@ -16,32 +16,26 @@ Element = dict[str, int]
 UNIT: Element = {"": 1}
 
 
-def cut_depth(x: str, y: str) -> int:
-    """The deepest valid cut K of x * y: the length of the longest common
-    prefix of reverse(x) and flip(y).
+def mul_simple(x: str, y: str) -> Element:
+    """Product of two simples: one term a + b per valid cut x = a g,
+    y = involute(g) b.
 
     Cut k is valid when the length-k suffix g of x has involute(g) equal to
     the length-k prefix of y, that is when y[i] != x[-1 - i] for every
-    i < k.  So the valid cuts are exactly 0..K.
+    i < k.  So the valid cuts are exactly 0..K, where K is the length of the
+    longest common prefix of reverse(x) and flip(y), and this loop is where
+    that law is stated.  Cut k gives the term x[:|x| - k] + y[k:], of length
+    |x| + |y| - 2k, so the terms are distinct, each has multiplicity one,
+    and the keys come in cut order 0..K.
     """
-    n = min(len(x), len(y))
-    last = len(x) - 1
+    out = {x + y: 1}
     k = 0
-    while k < n and x[last - k] != y[k]:
+    for a, b in zip(reversed(x), y):
+        if a == b:
+            break
         k += 1
-    return k
-
-
-def _simple_terms(x: str, y: str) -> list[str]:
-    lx = len(x)
-    return [x[: lx - k] + y[k:] for k in range(cut_depth(x, y) + 1)]
-
-
-def mul_simple(x: str, y: str) -> Element:
-    """Product of two simples: one term a + b per valid cut x = a g,
-    y = involute(g) b.  Cut k gives a term of length |x| + |y| - 2k, so
-    the terms are distinct and each has multiplicity one."""
-    return dict.fromkeys(_simple_terms(x, y), 1)
+        out[x[:-k] + y[k:]] = 1
+    return out
 
 
 def mul(a: Element, b: Element) -> Element:
@@ -50,7 +44,7 @@ def mul(a: Element, b: Element) -> Element:
     for x, mx in a.items():
         for y, my in b.items():
             mxy = mx * my
-            for t in _simple_terms(x, y):
+            for t in mul_simple(x, y):
                 out[t] = out.get(t, 0) + mxy
     return out
 

@@ -12,7 +12,6 @@ from freefusion.closure import (
     Unit,
     certified_absence,
 )
-from freefusion.fusion import mul_many
 from freefusion.normality import (
     AmbientView,
     SeedRecord,
@@ -68,6 +67,34 @@ def search_valid_cuts(x: str, y: str) -> list[int]:
 def search_terms(x: str, y: str) -> list[str]:
     """Terms of x * y, one per cut found by search_valid_cuts."""
     return [x[: len(x) - k] + y[k:] for k in search_valid_cuts(x, y)]
+
+
+def cut_depth(x: str, y: str) -> int:
+    """The deepest valid cut K of x * y: the length of the longest common
+    prefix of reverse(x) and flip(y), as fusion computed it in a loop of
+    its own before mul_simple took the cut law over."""
+    n = min(len(x), len(y))
+    last = len(x) - 1
+    k = 0
+    while k < n and x[last - k] != y[k]:
+        k += 1
+    return k
+
+
+def old_simple_terms(x: str, y: str) -> list[str]:
+    """The terms of x * y in cut order 0..K, as the list fusion built from
+    cut_depth and copied into mul_simple's dict."""
+    lx = len(x)
+    return [x[: lx - k] + y[k:] for k in range(cut_depth(x, y) + 1)]
+
+
+def brute_force_conjugate(y: str, x: str) -> dict[str, int]:
+    """y * x * dual(y), expanded term by term with brute_force_product."""
+    out: dict[str, int] = {}
+    for t, m in brute_force_product(y, x).items():
+        for u, n in brute_force_product(t, flip_reverse(y)).items():
+            out[u] = out.get(u, 0) + m * n
+    return out
 
 
 def scan_conjugations(x: str, conjugators):
@@ -285,8 +312,9 @@ def old_certificate_from_json(obj):
 
 def old_verify_certificate_detailed(cert, gens, path="root"):
     """verify_certificate_detailed as it dispatched by isinstance and built
-    every child's path on the way down.  Products of two simples come from
-    brute_force_product, so the library's mul_simple is checked too."""
+    every child's path on the way down.  Every product, the triple product
+    of an ad step too, comes from brute_force_product, so the library's
+    mul_simple and mul_many are checked too."""
     if isinstance(cert, Unit):
         return True, None
     if isinstance(cert, Generator):
@@ -315,8 +343,7 @@ def old_verify_certificate_detailed(cert, gens, path="root"):
             return ok, why
         y = cert.conjugator
         x = cert.inner.word
-        product = mul_many([{y: 1}, {x: 1}, {involute(y): 1}])
-        if product == {cert.word: 1}:
+        if brute_force_conjugate(y, x) == {cert.word: 1}:
             return True, None
         return (
             False,

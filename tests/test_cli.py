@@ -228,6 +228,24 @@ def test_closure_and_verify_cert_results_are_typed(tmp_path, capsys, schema,
 
 
 @pytest.mark.parametrize(
+    "argv, key, bad",
+    [
+        (["dual", "001"], "dual", 11),
+        (["degree", "100110"], "degree", "0"),
+        (["enumerate", "--balanced", "--max-len", "2"], "count", "3"),
+        (["invertibles", "--max-len", "2"], "invertibles", "e"),
+    ],
+    ids=["dual", "degree", "enumerate", "invertibles"],
+)
+def test_word_results_are_typed(capsys, schema, argv, key, bad):
+    doc = json.loads(invoke(capsys, *argv, "--json")[1])
+    jsonschema.validate(doc, schema)
+    doc["result"][key] = bad
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check-simple", "--ambient", "pu", "--seed-len", "2", "--work-len",

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 from functools import partial, reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,14 @@ from freefusion.closure import (
     witness,
 )
 from freefusion.normality import AdConfig, Ambient, AmbientView, ad_closure
-from freefusion.words import degree, involute, one_runs, shortlex_key, zero_runs
+from freefusion.words import (
+    degree,
+    involute,
+    one_runs,
+    parse_word,
+    shortlex_key,
+    zero_runs,
+)
 
 from helpers import (
     PairwiseSaturator,
@@ -225,6 +234,31 @@ def test_replay_matches_old_replay():
         assert new == old, obj
         failures += new[0] is not True
     assert failures > len(cases) // 2
+
+
+def _bench_oracle():
+    """perfbench/oracle.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replay_matches_old_replay_at_bench_shape():
+    # The replay benchmark's documents, with words of 16 to 40 letters and
+    # every 8th one corrupted in one node, get the old replay's (ok, why)
+    # and the verdict they were built to get.
+    docs, expected = _bench_oracle().synth_documents(1, 100, 8)
+    assert expected.count(False) == 12
+    for doc, valid in zip(docs, expected):
+        gens = {parse_word(g) for g in doc["generators"]}
+        obj = doc["certificate"]
+        new = _replay(certificate_from_json, verify_certificate_detailed, obj, gens)
+        old = _replay(old_certificate_from_json, old_verify_certificate_detailed,
+                      obj, gens)
+        assert new == old, doc
+        assert new[0] is valid, doc
 
 
 def test_enumerate_words():

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from freefusion.fusion import (
     UNIT,
-    cut_depth,
     dual,
     element_to_json,
     mul,
@@ -13,9 +12,16 @@ from freefusion.fusion import (
 )
 from freefusion.words import involute
 
-from helpers import brute_force_product, search_valid_cuts, words_up_to
+from helpers import (
+    brute_force_product,
+    cut_depth,
+    old_simple_terms,
+    search_valid_cuts,
+    words_up_to,
+)
 
 words = st.text(alphabet="01", max_size=5)
+long_words = st.text(alphabet="01", max_size=40)
 
 
 def test_cut_depth_examples():
@@ -30,7 +36,28 @@ def test_cut_law_matches_search_exhaustively():
     ws = words_up_to(7)
     for x in ws:
         for y in ws:
-            assert search_valid_cuts(x, y) == list(range(cut_depth(x, y) + 1)), (x, y)
+            cuts = search_valid_cuts(x, y)
+            assert cuts == list(range(cut_depth(x, y) + 1)), (x, y)
+            assert len(mul_simple(x, y)) == len(cuts), (x, y)
+
+
+def test_mul_simple_matches_old_terms_exhaustively():
+    # The one cut loop gives the terms of the list it replaced, in its
+    # order (cut order 0..K, which the Saturator adds in): all words up to
+    # length 6.
+    ws = words_up_to(6)
+    for x in ws:
+        for y in ws:
+            assert list(mul_simple(x, y)) == old_simple_terms(x, y), (x, y)
+
+
+@given(long_words, long_words, long_words)
+def test_mul_simple_matches_old_terms_deep_cuts(a, g, b):
+    # Words built to share a cut of depth at least |g|, up to 40 deep.
+    x, y = a + g, involute(g) + b
+    terms = list(mul_simple(x, y))
+    assert terms == old_simple_terms(x, y)
+    assert len(terms) > len(g)
 
 
 def test_mul_simple_examples():

@@ -122,8 +122,10 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list words in shortlex order")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--all", action="store_true", default=True)
-    g.add_argument("--balanced", action="store_true")
+    g.add_argument("--all", dest="filter", action="store_const", const="all")
+    g.add_argument("--balanced", dest="filter", action="store_const",
+                   const="balanced")
+    p.set_defaults(filter="all")
     p.add_argument("--max-len", type=int, required=True)
     _add_output_flags(p)
 
@@ -196,10 +198,9 @@ def _run_degree(args):
 
 
 def _run_enumerate(args):
-    which = "balanced" if args.balanced else "all"
-    words = enumerate_words(which, args.max_len)
+    words = enumerate_words(args.filter, args.max_len)
     formatted = [format_word(w) for w in words]
-    return {"filter": which, "max_len": args.max_len,
+    return {"filter": args.filter, "max_len": args.max_len,
             "count": len(words), "words": formatted}, formatted, EXIT_OK
 
 

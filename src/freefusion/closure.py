@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .fusion import mul_many, mul_simple
+from .fusion import has_term, mul_many, mul_simple
 from .words import (
     degree,
     format_word,
@@ -198,6 +198,11 @@ def certificate_from_json(obj: dict) -> Certificate:
 def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
     """Replay a certificate against the fusion rule only.
 
+    A product node is checked at the one cut its word lengths fix
+    (fusion.has_term).  An ad node multiplies by involute(y) only when
+    y * x is a single simple: two terms there give y * x * involute(y)
+    total multiplicity at least 2, so it cannot be the simple claimed.
+
     Returns (True, None) on success, otherwise (False, diagnostic path).
     The path is built only on failure: a node reports its own failure at
     "root", and its parent extends that to "root.left" and so on.
@@ -212,7 +217,7 @@ def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
             return ok, "root.right" + why[4:]
         lw = cert.left.word
         rw = cert.right.word
-        if cert.word in mul_simple(lw, rw):
+        if has_term(lw, rw, cert.word):
             return True, None
         return False, (f"root: {format_word(cert.word)} does not occur in "
                        f"{format_word(lw)} * {format_word(rw)}")
@@ -226,8 +231,9 @@ def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
             return ok, "root.inner" + why[4:]
         y = cert.conjugator
         x = cert.inner.word
-        product = mul_many([{y: 1}, {x: 1}, {involute(y): 1}])
-        if product == {cert.word: 1}:
+        first = mul_simple(y, x)
+        if len(first) == 1 and (mul_many([first, {involute(y): 1}])
+                                == {cert.word: 1}):
             return True, None
         return False, (f"root: {format_word(y)} * {format_word(x)} * "
                        f"{format_word(involute(y))} is not exactly the single "

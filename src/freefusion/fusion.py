@@ -38,6 +38,17 @@ def mul_simple(x: str, y: str) -> Element:
     return out
 
 
+def has_term(x: str, y: str, w: str) -> bool:
+    """True iff w is a term of x * y.  The term at cut k has length
+    |x| + |y| - 2k, so only cut k = (|x| + |y| - |w|) / 2 can give w, and
+    that cut alone is checked: no loop, no other cut."""
+    d = len(x) + len(y) - len(w)
+    k = d >> 1
+    if d < 0 or d & 1 or k > len(x) or k > len(y):
+        return False
+    return x.endswith(involute(y[:k])) and w == x[:len(x) - k] + y[k:]
+
+
 def mul(a: Element, b: Element) -> Element:
     """Bilinear extension of mul_simple."""
     out: Element = {}

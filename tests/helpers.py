@@ -1,8 +1,10 @@
 """Shared test utilities, kept independent of the library's product path."""
 
+import importlib.util
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product as iproduct
+from pathlib import Path
 
 from freefusion.closure import (
     AdStep,
@@ -23,6 +25,15 @@ from freefusion.normality import (
 from freefusion.words import format_word, involute, shortlex_key
 
 
+def bench_oracle():
+    """perfbench/oracle.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def flip_reverse(w: str) -> str:
     """Dual of a word, written without the library's translate table."""
     return "".join("1" if c == "0" else "0" for c in reversed(w))
@@ -40,6 +51,11 @@ def brute_force_product(x: str, y: str) -> dict[str, int]:
                 t = a + b
                 out[t] = out.get(t, 0) + 1
     return out
+
+
+def flip_letter(w: str, i: int) -> str:
+    """w with its i-th letter swapped."""
+    return w[:i] + ("1" if w[i] == "0" else "0") + w[i + 1:]
 
 
 def words_up_to(n: int) -> list[str]:

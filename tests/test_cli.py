@@ -18,6 +18,8 @@ from freefusion import cli, normality
 from freefusion.cli import run
 from freefusion.words import format_word, involute, parse_word
 
+from helpers import bench_oracle
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -55,6 +57,14 @@ def test_enumerate(capsys):
     code, out, _ = invoke(capsys, "enumerate", "--balanced", "--max-len", "2")
     assert code == 0
     assert out.split() == ["e", "01", "10"]
+    _, out, _ = invoke(capsys, "enumerate", "--balanced", "--max-len", "2", "--json")
+    assert json.loads(out)["invocation"]["args"] == {"filter": "balanced",
+                                                     "max-len": 2}
+    for flags in ([], ["--all"]):
+        _, out, _ = invoke(capsys, "enumerate", *flags, "--max-len", "2", "--json")
+        assert json.loads(out)["invocation"]["args"] == {"filter": "all",
+                                                         "max-len": 2}
+    assert invoke(capsys, "enumerate", "--all", "--balanced", "--max-len", "2")[0] == 2
 
 
 def test_usage_errors(capsys):
@@ -639,6 +649,18 @@ def test_benchmark_replay_hooks_record(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["verdicts"] == [True, False]
+
+    # After the one-cut check only ad nodes reach mul_simple and mul_many;
+    # the replay benchmark's own documents must still record both.
+    bench_docs, expected = bench_oracle().synth_documents(1, 100, 8)
+    docs.write_text(json.dumps(bench_docs))
+    proc = subprocess.run(
+        [sys.executable, str(child), "--mode", "replay", "--trace", "1",
+         "--t0", "0", "--out", str(out), "--docs", str(docs)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["verdicts"] == expected
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,6 @@
-import importlib.util
 import itertools
 import json
-from functools import partial, reduce
-from pathlib import Path
+from functools import lru_cache, partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +23,7 @@ from freefusion.closure import (
 from freefusion.normality import AdConfig, Ambient, AmbientView, ad_closure
 from freefusion.words import (
     degree,
+    format_word,
     involute,
     one_runs,
     parse_word,
@@ -32,9 +31,13 @@ from freefusion.words import (
     zero_runs,
 )
 
+import helpers
 from helpers import (
     PairwiseSaturator,
     balanced_words_up_to,
+    bench_oracle as _bench_oracle,
+    cut_depth,
+    flip_letter,
     memo_terms,
     old_certificate_from_json,
     old_verify_certificate_detailed,
@@ -236,15 +239,6 @@ def test_replay_matches_old_replay():
     assert failures > len(cases) // 2
 
 
-def _bench_oracle():
-    """perfbench/oracle.py, loaded by path: perfbench is not a package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("bench_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_replay_matches_old_replay_at_bench_shape():
     # The replay benchmark's documents, with words of 16 to 40 letters and
     # every 8th one corrupted in one node, get the old replay's (ok, why)
@@ -259,6 +253,86 @@ def test_replay_matches_old_replay_at_bench_shape():
                       obj, gens)
         assert new == old, doc
         assert new[0] is valid, doc
+
+
+_WORD_KEY = {"gen": "word", "prod": "term", "ad": "result"}
+
+
+def _node_word(node):
+    if node["kind"] == "unit":
+        return ""
+    return parse_word(node[_WORD_KEY[node["kind"]]])
+
+
+def _wrong_terms(obj):
+    """Copies of a certificate JSON tree with the term w of one product
+    node x * y replaced, for every product node in turn: by the word at
+    cut K + 1, one past the deepest valid cut, when both factors are that
+    long, and by w with its middle letter flipped.  Each has the length of
+    a term, so parity alone cannot refuse it."""
+    paths = []
+
+    def walk(node, path):
+        if node["kind"] == "prod":
+            paths.append(path)
+        for child in ("left", "right", "inner"):
+            if child in node:
+                walk(node[child], path + (child,))
+
+    walk(obj, ())
+    for path in paths:
+        node = reduce(dict.__getitem__, path, obj)
+        x, y = _node_word(node["left"]), _node_word(node["right"])
+        w = parse_word(node["term"])
+        bad = []
+        k = cut_depth(x, y) + 1
+        if k <= min(len(x), len(y)):
+            bad.append(x[:len(x) - k] + y[k:])
+        if w:
+            bad.append(flip_letter(w, len(w) // 2))
+        for word in bad:
+            copy = json.loads(json.dumps(obj))
+            reduce(dict.__getitem__, path, copy)["term"] = format_word(word)
+            yield copy
+
+
+def test_replay_refuses_terms_of_the_right_length(monkeypatch):
+    # A product term replaced by a word of a term's length, at an invalid
+    # cut or one letter off, is refused by the one-cut check with the old
+    # replay's (ok, why): in the closures of test_replay_matches_old_replay
+    # and in the replay benchmark's documents.  The old replay asks for the
+    # same products in every copy of a document, so its brute-force
+    # product is memoised here.
+    monkeypatch.setattr(helpers, "brute_force_product",
+                        lru_cache(maxsize=None)(helpers.brute_force_product))
+    closures = [
+        generate({"01", "10"}, ClosureConfig(work_len=8, report_len=8)),
+        generate({"001"}, ClosureConfig(work_len=8, report_len=8)),
+        ad_closure({"0011"}, Ambient.full_au(), AdConfig(
+            closure=ClosureConfig(work_len=9, report_len=4), ad_len=4)),
+        ad_closure({"01"}, Ambient.projective_pu(), AdConfig(
+            closure=ClosureConfig(work_len=10, report_len=4), ad_len=4)),
+    ]
+    docs = [
+        (certificate_to_json(witness(c, w)), set(c.generators))
+        for c in closures
+        for w in sorted(c.members, key=shortlex_key)[-8:]
+    ]
+    docs += [
+        (doc["certificate"], {parse_word(g) for g in doc["generators"]})
+        for doc in _bench_oracle().synth_documents(1, 100, 8)[0]
+    ]
+    cases = 0
+    for obj, gens in docs:
+        for bad in _wrong_terms(obj):
+            new = _replay(certificate_from_json, verify_certificate_detailed,
+                          bad, gens)
+            old = _replay(old_certificate_from_json,
+                          old_verify_certificate_detailed, bad, gens)
+            assert new == old, bad
+            assert new[0] is False, bad
+            cases += 1
+    assert cases > 1000
 
 
 def test_enumerate_words():

@@ -5,6 +5,7 @@ from freefusion.fusion import (
     UNIT,
     dual,
     element_to_json,
+    has_term,
     mul,
     mul_many,
     mul_simple,
@@ -15,6 +16,7 @@ from freefusion.words import involute
 from helpers import (
     brute_force_product,
     cut_depth,
+    flip_letter,
     old_simple_terms,
     search_valid_cuts,
     words_up_to,
@@ -58,6 +60,34 @@ def test_mul_simple_matches_old_terms_deep_cuts(a, g, b):
     terms = list(mul_simple(x, y))
     assert terms == old_simple_terms(x, y)
     assert len(terms) > len(g)
+
+
+def test_has_term_matches_brute_force_exhaustively():
+    # The one-cut check accepts exactly the terms the split search finds:
+    # all words x, y up to length 4 against every w up to length 8.
+    small = words_up_to(4)
+    targets = words_up_to(8)
+    for x in small:
+        for y in small:
+            terms = brute_force_product(x, y)
+            for w in targets:
+                assert has_term(x, y, w) is (w in terms), (x, y, w)
+
+
+@given(long_words, long_words, long_words, st.integers(min_value=0))
+def test_has_term_deep_cuts(a, g, b, i):
+    # Words built to share a cut of depth at least |g|, up to 40 deep: the
+    # cut-|g| term is accepted; that term with one letter flipped, the word
+    # at the invalid cut K + 1 and a word of the wrong parity are refused.
+    x, y = a + g, involute(g) + b
+    term = a + b
+    assert has_term(x, y, term)
+    if term:
+        assert not has_term(x, y, flip_letter(term, i % len(term)))
+    k = cut_depth(x, y) + 1
+    if k <= min(len(x), len(y)):
+        assert not has_term(x, y, x[:len(x) - k] + y[k:])
+    assert not has_term(x, y, term + "0")
 
 
 def test_mul_simple_examples():

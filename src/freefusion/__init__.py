@@ -8,14 +8,12 @@ for simplicity of the projective quotient.
 """
 
 from .words import (
-    concat,
     degree,
     format_word,
     involute,
     is_balanced,
     parse_word,
     shortlex_key,
-    zero_runs,
 )
 from .fusion import (
     Element,
@@ -70,7 +68,6 @@ __all__ = [
     "ad_closure",
     "check_circle_corollary",
     "check_simplicity",
-    "concat",
     "degree",
     "dual",
     "enumerate_words",
@@ -88,5 +85,4 @@ __all__ = [
     "trivial_multiplicity",
     "verify_certificate",
     "witness",
-    "zero_runs",
 ]

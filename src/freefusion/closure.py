@@ -16,12 +16,11 @@ from .fusion import has_term, mul_many, mul_simple
 from .words import (
     degree,
     format_word,
+    heights,
     involute,
     is_balanced,
-    one_runs,
     parse_word,
     shortlex_key,
-    zero_runs,
 )
 
 # --------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def verify_certificate(cert, gens) -> bool:
 # membership answers
 
 
-ABSENT_RUN_BOUND = "run-bound"
+ABSENT_HEIGHT = "prefix-height"
 ABSENT_DEGREE = "degree"
 
 
@@ -262,7 +261,7 @@ class Membership(_Frozen):
 
     status "present": in the computed closure, certificate available.
     status "absent-certified": provably absent from the full infinite
-    closure (reason "run-bound" or "degree").
+    closure (reason "prefix-height" or "degree").
     status "absent-within-bound": not among the retained members; no claim
     about the infinite closure.
     """
@@ -356,13 +355,16 @@ class Saturator:
     are x[:|x| - k] + y[k:] over the valid cuts k = 0..K (fusion.mul_simple),
     and the cut k is valid when the length-k prefix of y is the dual of the
     length-k suffix of x.  Each processed member is indexed at every split
-    by head, then length, then tail, and its dual likewise in a dual index.
-    For a new member m and a cut k, the partners o of m * o are one lookup,
-    and all their terms within work_len are tested against the members in
-    bulk.  The terms of o * m are the duals of those of m* * o*, so the same
-    query on the dual index with m*, tested against the members' duals (the
-    members themselves under dual closure), finds the partners of o * m.  A
-    pair is evaluated, in the usual order, only when one of its terms was
+    by head, then length, then tail.  For a new member m and a cut k, the
+    partners o of m * o are one lookup, and all their terms within work_len
+    are tested against the members in bulk.  The terms of o * m are the
+    duals of those of m* * o*, so the same query with m*, tested against the
+    members' duals, finds the duals p = o* of the partners of o * m: in the
+    one index under dual closure, where o sits next to p in order, and in a
+    second index of the duals without it.  The dual step's member m runs no
+    query: its products with processed members are the duals of those that
+    step i - 1 absorbed for m*, but for m * m* and m* * m.
+    A pair is evaluated, in the usual order, only when one of its terms was
     not a member when the step began.  Any other pair would add nothing, and
     done() can only change after an add, so members, order and provenance
     are those of multiplying every pair.  An evaluated pair adds the terms
@@ -373,7 +375,7 @@ class Saturator:
 
     def __init__(self, config: ClosureConfig, generators=(), targets=None):
         self.config = config
-        dual = config.require_dual_closure
+        self._dual = dual = config.require_dual_closure
         gens = set(generators)
         self.generators = frozenset(gens | {involute(g) for g in gens if dual})
         self.members: set[str] = set()
@@ -384,7 +386,7 @@ class Saturator:
         self.stopped_early = False
         self.stats = {"products": 0, "members": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
-        self._dual_tails: dict[str, dict[int, dict[str, int]]] = {}
+        self._dual_tails = self._tails if dual else {}  # filed duals
         self.add("", ("unit",))
         for g in sorted(self.generators, key=shortlex_key):
             if len(g) > config.work_len:
@@ -403,7 +405,7 @@ class Saturator:
         if self.remaining:
             self.remaining.discard(w)
         d = involute(w)
-        if not self.config.require_dual_closure:
+        if not self._dual:
             self._duals.add(d)
         elif d not in self.members:
             kind = prov[0]
@@ -424,13 +426,14 @@ class Saturator:
 
     def _index(self, j: int):
         """Index the processed member order[j] = o at every split
-        o = head + tail as _tails[head][len(o)][tail] = j, and its dual
-        the same way in _dual_tails."""
+        o = head + tail as _tails[head][len(o)][tail] = j.  Without dual
+        closure its dual is filed the same way in _dual_tails."""
         o = self.order[j]
         if not o:
             return  # m * e = e * m = m is always a member
         n = len(o)
-        for index, w in ((self._tails, o), (self._dual_tails, involute(o))):
+        filed = ((self._tails, o), (self._dual_tails, involute(o)))
+        for index, w in filed[:1] if self._dual else filed:
             for k in range(n + 1):
                 index.setdefault(w[:k], {}).setdefault(n, {})[w[k:]] = j
 
@@ -456,13 +459,28 @@ class Saturator:
                     )
         return found
 
-    def _partners(self, m: str) -> list[tuple[int, int]]:
+    def _partners(self, i: int) -> list[tuple[int, int]]:
         """(j, sides) for each indexed order[j] = o such that m * o (sides
         bit 1) or o * m (bit 2) has a term within work_len that is not yet
-        a member, by increasing j."""
+        a member, by increasing j, where m = order[i]."""
+        order = self.order
+        m = order[i]
+        d = involute(m)
+        if self._dual and d == order[i - 1] != m:  # the dual step's member
+            sides = self._fresh_square(m) | 2 * self._fresh_square(d)
+            return [(i - 1, sides)] if sides else []
         left = self._side(self._tails, m, self.members)
-        right = self._side(self._dual_tails, involute(m), self._duals)
+        right = self._side(self._dual_tails, d, self._duals)
+        if self._dual:  # a hit p is o*, next to o; o = m shows only in left
+            mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
+            right = {j for j in mates if j <= i} | (left & {i})
         return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
+
+    def _fresh_square(self, x: str) -> bool:
+        """True when x * x* has a term within work_len that is not a member:
+        every cut is valid, so the terms are h + h* over prefixes h of x."""
+        return any(x[:n] + involute(x[:n]) not in self.members
+                   for n in range(1, min(len(x), self.config.work_len // 2) + 1))
 
     def _absorb(self, x: str, y: str):
         """Add the terms of x * y within work_len."""
@@ -484,7 +502,7 @@ class Saturator:
                 return
             m = self.order[i]
             self._index(i)
-            for j, sides in self._partners(m):
+            for j, sides in self._partners(i):
                 o = self.order[j]
                 if sides & 1:
                     self._absorb(m, o)
@@ -529,10 +547,11 @@ def certified_absence(generators, w: str, is_ad: bool) -> str | None:
 
     Degree obstruction: degrees of derivable simples lie in the subgroup
     of the integers generated by the generator degrees (conjugation is
-    degree-preserving, so this also holds for ad-closures).  Run bound:
-    the leading run of '0's (resp. '1's) of a derivable simple never
-    exceeds the longest run of '0's (resp. '1's) occurring in a generator;
-    this is unsound under adjoint steps and only applies to plain closures.
+    degree-preserving, so this also holds for ad-closures).  Prefix height,
+    when the generators, and so the members, are balanced: a prefix of a
+    term a + b of x * y, x = a + g, y = g* + b, is a prefix of x or has the
+    degree of a prefix of y, so no member is higher (words.heights), either
+    way up, than the highest generator.  Not for ad steps, which can be.
     """
     g = 0
     for gen in generators:
@@ -540,11 +559,11 @@ def certified_absence(generators, w: str, is_ad: bool) -> str | None:
     d = degree(w)
     if (d != 0 if g == 0 else d % g != 0):
         return ABSENT_DEGREE
-    if not is_ad:
-        zr_bound = max((zero_runs(g_)[1] for g_ in generators), default=0)
-        or_bound = max((one_runs(g_)[1] for g_ in generators), default=0)
-        if zero_runs(w)[0] > zr_bound or one_runs(w)[0] > or_bound:
-            return ABSENT_RUN_BOUND
+    if not is_ad and g == 0:
+        top, bottom = map(max, zip((0, 0), *map(heights, generators)))
+        hi, lo = heights(w)
+        if hi > top or lo > bottom:
+            return ABSENT_HEIGHT
     return None
 
 

@@ -48,11 +48,6 @@ def involute(w: str) -> str:
     return w[::-1].translate(_FLIP)
 
 
-def flip(w: str) -> str:
-    """Swap 0 <-> 1 pointwise, without reversing."""
-    return w.translate(_FLIP)
-
-
 def degree(w: str) -> int:
     """Count of '0's minus count of '1's.
 
@@ -67,21 +62,11 @@ def is_balanced(w: str) -> bool:
     return degree(w) == 0
 
 
-def zero_runs(w: str) -> tuple[int, int]:
-    """(length of the leading run of '0's, longest run of '0's anywhere)."""
-    leading = len(w) - len(w.lstrip("0"))
-    longest = max((len(r) for r in w.split("1")), default=0)
-    return leading, longest
-
-
-def one_runs(w: str) -> tuple[int, int]:
-    """Same as zero_runs but for '1's."""
-    return zero_runs(flip(w))
-
-
-def concat(x: str, y: str) -> str:
-    """Free monoid multiplication: juxtaposition."""
-    return x + y
+def heights(w: str) -> tuple[int, int]:
+    """(largest degree of a prefix of w, largest negated degree of one).
+    The empty prefix makes both at least 0."""
+    running = [degree(w[:i]) for i in range(len(w) + 1)]
+    return max(running), -min(running)
 
 
 def shortlex_key(w: str) -> tuple[int, str]:

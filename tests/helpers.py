@@ -58,6 +58,23 @@ def flip_letter(w: str, i: int) -> str:
     return w[:i] + ("1" if w[i] == "0" else "0") + w[i + 1:]
 
 
+def zero_runs(w: str) -> tuple[int, int]:
+    """(length of the leading run of '0's, longest run of '0's anywhere)."""
+    leading = len(w) - len(w.lstrip("0"))
+    longest = max((len(r) for r in w.split("1")), default=0)
+    return leading, longest
+
+
+def flip(w: str) -> str:
+    """Swap 0 <-> 1 pointwise, without reversing."""
+    return w.translate(str.maketrans("01", "10"))
+
+
+def one_runs(w: str) -> tuple[int, int]:
+    """Same as zero_runs but for '1's."""
+    return zero_runs(flip(w))
+
+
 def words_up_to(n: int) -> list[str]:
     """All binary words of length <= n, shortlex."""
     return ["".join(t) for k in range(n + 1) for t in iproduct("01", repeat=k)]
@@ -201,8 +218,9 @@ class IndexedSaturator(Saturator):
             self._by_prefix.setdefault((n, w[:k]), []).append(i)
             self._by_suffix.setdefault((n, w[n - k :]), []).append(i)
 
-    def _partners(self, m: str) -> list[tuple[int, int]]:
+    def _partners(self, i: int) -> list[tuple[int, int]]:
         work_len = self.config.work_len
+        m = self.order[i]
         lm = len(m)
         d = flip_reverse(m)
         found: dict[int, int] = {}
@@ -213,6 +231,50 @@ class IndexedSaturator(Saturator):
             for j in self._by_suffix.get((n, d[lm - kmin :]), ()):
                 found[j] = found.get(j, 0) | 2
         return sorted(found.items())
+
+
+class TwoIndexSaturator(Saturator):
+    """The library's saturation loop with a second partner index that holds
+    every processed member's dual, under dual closure too, and both product
+    orders queried at every step."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._dual_tails = {}
+
+    def _index(self, j: int):
+        """Index the processed member order[j] = o at every split
+        o = head + tail as _tails[head][len(o)][tail] = j, and its dual
+        the same way in _dual_tails."""
+        o = self.order[j]
+        if not o:
+            return  # m * e = e * m = m is always a member
+        n = len(o)
+        for index, w in ((self._tails, o), (self._dual_tails, involute(o))):
+            for k in range(n + 1):
+                index.setdefault(w[:k], {}).setdefault(n, {})[w[k:]] = j
+
+    def _partners(self, i: int) -> list[tuple[int, int]]:
+        """(j, sides) for each indexed order[j] = o such that m * o (sides
+        bit 1) or o * m (bit 2) has a term within work_len that is not yet
+        a member, by increasing j, where m = order[i]."""
+        m = self.order[i]
+        left = self._side(self._tails, m, self.members)
+        right = self._side(self._dual_tails, involute(m), self._duals)
+        return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
+
+
+def recording(engine, steps: list):
+    """A subclass of the Saturator class engine that appends (i, the
+    _partners list of step i) to steps at every step."""
+
+    class Recording(engine):
+        def _partners(self, i):
+            got = super()._partners(i)
+            steps.append((i, got))
+            return got
+
+    return Recording
 
 
 def saturate(engine, gens, config):

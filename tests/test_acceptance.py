@@ -146,7 +146,7 @@ def test_criterion_7_proposition_desk_scale():
     ok = (
         report.passed
         and m.status == "absent-certified"
-        and m.reason == "run-bound"
+        and m.reason == "prefix-height"
     )
     _verdict(
         7, ok,
@@ -177,7 +177,7 @@ def test_criterion_9_non_finite_generation():
     gens = {w for w in balanced_words_up_to(4) if w}
     c = generate(gens, ClosureConfig(work_len=12, report_len=6))
     m = member(c, "000111")
-    ok = m.status == "absent-certified" and m.reason == "run-bound"
+    ok = m.status == "absent-certified" and m.reason == "prefix-height"
     _verdict(9, ok, f"000111 membership {m.status} ({m.reason})")
 
 

@@ -88,7 +88,7 @@ def test_closure_member(capsys):
         capsys, "closure", "--gens", "01,10", "--work-len", "12", "--member", "0011"
     )
     assert code == 0
-    assert "0011: absent-certified (run-bound)" in out
+    assert "0011: absent-certified (prefix-height)" in out
 
 
 def test_closure_json_schema(capsys, schema):
@@ -288,31 +288,45 @@ def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
 
 
 # The bench-scale sweeps of perfbench/run.py and criterion 7's sweep.  A
-# change that means to alter report bytes updates these prefixes.
+# change that means to alter report bytes updates these prefixes.  The
+# counters are the engine stats that the benchmark fingerprints, summed
+# over the sweep's ad_closure calls: (calls, products, members, ad_steps).
 _CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
                     "--ad-len", "8"]
 _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 
 
 @pytest.mark.parametrize(
-    "argv,code,prefix",
+    "argv,code,prefix,counters",
     [
         (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-         "718b6dea32e2"),
+         "718b6dea32e2", (28, 876, 1185, 109)),
         (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
-         "148c1bca7b21"),
+         "148c1bca7b21", (28, 377, 819, 108)),
         (_CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"], 0,
-         "3f847b053c4e"),
+         "3f847b053c4e", (62, 572, 2096, 444)),
         (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
           "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
-         "f3efc108ee38"),
+         "f3efc108ee38", (14, 100, 266, 40)),
     ],
     ids=["pu-fixpoint", "pu-targets", "au-circle", "criterion-7"],
 )
-def test_sweep_report_bytes_pinned(tmp_path, argv, code, prefix):
+def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
+                                   counters):
+    stats = []
+    ad_closure = normality.ad_closure
+
+    def counted(*args, **kwargs):
+        result = ad_closure(*args, **kwargs)
+        stats.append(result.stats)
+        return result
+
+    monkeypatch.setattr(normality, "ad_closure", counted)
     report = tmp_path / "r.json"
     assert run(argv + ["--report", str(report)]) == code
     assert hashlib.sha256(report.read_bytes()).hexdigest()[:12] == prefix
+    assert (len(stats), *(sum(s[k] for s in stats)
+                          for k in ("products", "members", "ad_steps"))) == counters
 
 
 @pytest.mark.parametrize(

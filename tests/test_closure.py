@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freefusion.closure import (
+    ABSENT_WITHIN_BOUND,
     AdStep,
     ClosureConfig,
     Generator,
     ProductTerm,
+    Saturator,
     Unit,
     certificate_from_json,
     certificate_to_json,
@@ -25,15 +27,14 @@ from freefusion.words import (
     degree,
     format_word,
     involute,
-    one_runs,
     parse_word,
     shortlex_key,
-    zero_runs,
 )
 
 import helpers
 from helpers import (
     PairwiseSaturator,
+    TwoIndexSaturator,
     balanced_words_up_to,
     bench_oracle as _bench_oracle,
     cut_depth,
@@ -41,8 +42,11 @@ from helpers import (
     memo_terms,
     old_certificate_from_json,
     old_verify_certificate_detailed,
+    one_runs,
+    recording,
     saturate,
     words_up_to,
+    zero_runs,
 )
 
 
@@ -80,7 +84,7 @@ def test_member_answers():
     c = generate({"01", "10"}, ClosureConfig(work_len=12, report_len=6))
     assert member(c, "100110").present
     m = member(c, "0011")
-    assert m.status == "absent-certified" and m.reason == "run-bound"
+    assert m.status == "absent-certified" and m.reason == "prefix-height"
     m = member(c, "0")
     assert m.status == "absent-certified" and m.reason == "degree"
 
@@ -345,21 +349,26 @@ def test_enumerate_words():
         enumerate_words("all", -1)
 
 
+def _small_generator_sets():
+    """Every 1- and 2-generator set of words of length 1-3."""
+    pool = [w for w in words_up_to(3) if w]
+    return itertools.chain(
+        itertools.combinations(pool, 1), itertools.combinations(pool, 2)
+    )
+
+
 @pytest.mark.parametrize("dual", [True, False], ids=["dual", "no-dual"])
 def test_new_term_engine_matches_pairwise(dual):
-    # Every 1- and 2-generator set of words of length 1-3: the engine that
-    # evaluates only the products with a new term derives the same members
-    # in the same order, by the same steps, as multiplying every pair.  The
-    # pairwise run stops once every word within work_len is a member, which
-    # changes neither order nor provenance: no step can add anything then.
+    # The engine that evaluates only the products with a new term derives
+    # the same members in the same order, by the same steps, as multiplying
+    # every pair.  The pairwise run stops once every word within work_len
+    # is a member, which changes neither order nor provenance: no step can
+    # add anything then.
     cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=dual)
     # au holds every word, all 2**7 - 1 of them within work_len, so its
     # filter rejects nothing and only its full stop acts.
     au = AmbientView(Ambient.full_au(), cfg)
-    pool = [w for w in words_up_to(3) if w]
-    for gens in itertools.chain(
-        itertools.combinations(pool, 1), itertools.combinations(pool, 2)
-    ):
+    for gens in _small_generator_sets():
         try:
             old = saturate(partial(PairwiseSaturator, ambient=au), gens, cfg)
         finally:
@@ -367,6 +376,41 @@ def test_new_term_engine_matches_pairwise(dual):
         new = generate(gens, cfg)
         assert list(new.provenance) == old.order, gens
         assert new.provenance == old.provenance, gens
+
+
+def _engine_trace(engine, gens, config):
+    """Order, provenance, stats and the _partners list of every step of a
+    plain saturation on the given Saturator class."""
+    steps = []
+    sat = saturate(recording(engine, steps), gens, config)
+    return sat.order, sat.provenance, sat.stats, steps
+
+
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "no-dual"])
+def test_one_index_engine_matches_two_index(dual):
+    # Under dual closure the engine files each member once, answers o * m
+    # from the same index with m*, and runs no query for a dual step's
+    # member; every step must still find the partners that a second index
+    # of the members' duals finds.
+    cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=dual)
+    for gens in _small_generator_sets():
+        assert (_engine_trace(Saturator, gens, cfg)
+                == _engine_trace(TwoIndexSaturator, gens, cfg)), gens
+    sat = saturate(Saturator, {"001", "01"}, cfg)
+    assert (sat._dual_tails is sat._tails) == dual
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sets(st.text(alphabet="01", min_size=1, max_size=5), max_size=3),
+    st.booleans(),
+    st.integers(min_value=5, max_value=9),
+)
+def test_one_index_engine_matches_two_index_random(gens, dual, work_len):
+    cfg = ClosureConfig(work_len=work_len, report_len=5,
+                        require_dual_closure=dual)
+    assert (_engine_trace(Saturator, gens, cfg)
+            == _engine_trace(TwoIndexSaturator, gens, cfg))
 
 
 def test_monotone_in_work_len():
@@ -400,6 +444,28 @@ def test_run_bound_invariant_work_len_12_spot_checks():
         for w in c.members:
             assert zero_runs(w)[0] <= zb
             assert one_runs(w)[0] <= ob
+
+
+def test_certified_absence_holds_at_every_larger_bound():
+    # Certified absence speaks of the infinite closure, so no word that a
+    # larger work_len derives may be certified absent at a smaller one.  The
+    # leading-run rule that prefix height replaced failed this on 001, whose
+    # square has the term 0001, and on the balanced 0010011011.
+    # Height only applies to balanced generators, and in the first grid
+    # those are 01 and 10, so a grid of balanced words follows.
+    pool = [w for w in words_up_to(3) if w]
+    cases = [(gens, 3, 7) for r in (1, 2, 3)
+             for gens in itertools.combinations(pool, r)]
+    pool = [w for w in balanced_words_up_to(4) if w]
+    cases += [(gens, 4, 12) for r in (1, 2)
+              for gens in itertools.combinations(pool, r)]
+    cases.append((("0010011011",), 10, 14))
+    for gens, small, large in cases:
+        bounded = generate(gens, ClosureConfig(work_len=small, report_len=0))
+        for w in generate(gens, ClosureConfig(work_len=large, report_len=0)).members:
+            assert member(bounded, w).status != "absent-certified", (gens, w)
+    assert member(generate({"001"}, ClosureConfig(work_len=3, report_len=3)),
+                  "0001") == ABSENT_WITHIN_BOUND
 
 
 def test_degree_invariant():

@@ -2,6 +2,7 @@ import pytest
 
 from freefusion.closure import (
     ClosureConfig,
+    Saturator,
     enumerate_words,
     generate,
     member,
@@ -24,11 +25,13 @@ from freefusion.words import involute
 
 from helpers import (
     IndexedSaturator,
+    TwoIndexSaturator,
     balanced_words_up_to,
     direct_check,
     engine_ad_closure,
     memo_terms,
     pairwise_ad_closure,
+    recording,
     scan_conjugations,
     words_up_to,
 )
@@ -153,6 +156,35 @@ def test_indexed_engine_matches_pairwise(ambient, cfg, stop):
             assert new.saturated == (not old.stopped_early), seed
     finally:
         memo_terms.cache_clear()
+
+
+@pytest.mark.parametrize("stop", [False, True], ids=["fixpoint", "targets"])
+@pytest.mark.parametrize(
+    "ambient",
+    [Ambient.projective_pu(), Ambient.full_au(), Ambient.generated({"01", "10"})],
+    ids=["pu", "au", "gen"],
+)
+def test_one_index_engine_matches_two_index_ad_closure(ambient, stop, monkeypatch):
+    # ad_closure on the one-index engine and on the two-index one: the same
+    # order, provenance, stats and _partners list at every step.
+    cfg = AdConfig(
+        closure=ClosureConfig(work_len=10, report_len=4), ad_len=8, seed_len=6
+    )
+    view = AmbientView(ambient, cfg.closure)
+    targets = balanced_words_up_to(4) if stop else None
+    # A seed and its dual start the same run: the engine dual-closes both.
+    seeds = [s for s in view.simples(cfg.seed_len)[1:] if s <= involute(s)]
+    assert seeds
+    for seed in seeds:
+        traces = []
+        for engine in (Saturator, TwoIndexSaturator):
+            steps = []
+            monkeypatch.setattr(normality, "Saturator", recording(engine, steps))
+            got = ad_closure({seed}, ambient, cfg, stop_targets=targets,
+                             _view=view)
+            traces.append((list(got.provenance.items()), got.stats,
+                           got.saturated, steps))
+        assert traces[0] == traces[1], seed
 
 
 def test_indexed_engine_evaluates_fewer_products():
@@ -287,7 +319,7 @@ def test_not_finitely_generated():
         c = generate(gens, ClosureConfig(work_len=12, report_len=6))
         target = "0" * (k + 1) + "1" * (k + 1)
         m = member(c, target)
-        assert m.status == "absent-certified" and m.reason == "run-bound"
+        assert m.status == "absent-certified" and m.reason == "prefix-height"
 
 
 def test_property_f_counterexample():

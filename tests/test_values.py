@@ -59,7 +59,7 @@ def samples(t):
         t.ProductTerm("1", g01, "1010"),  # the fields of an AdStep above
         t.Membership("present"),
         t.Membership("absent-certified", "degree"),
-        t.Membership(status="absent-certified", reason="run-bound"),
+        t.Membership(status="absent-certified", reason="prefix-height"),
         t.ClosureResult(frozenset({"01", "10"}), t.ClosureConfig(), True,
                         {"members": 3}, prov),
         t.ClosureResult(frozenset({"01", "10"}), t.ClosureConfig(), True,

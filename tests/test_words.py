@@ -2,17 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freefusion.words import (
-    concat,
     degree,
-    flip,
     format_word,
+    heights,
     involute,
     is_balanced,
-    one_runs,
     parse_word,
     shortlex_key,
-    zero_runs,
 )
+
+from helpers import flip, one_runs, zero_runs
 
 words = st.text(alphabet="01", max_size=8)
 
@@ -52,7 +51,7 @@ def test_involute_is_involution(w):
 
 @given(words, words)
 def test_involute_anti_homomorphism(x, y):
-    assert involute(concat(x, y)) == concat(involute(y), involute(x))
+    assert involute(x + y) == involute(y) + involute(x)
 
 
 def test_degree_examples():
@@ -68,7 +67,7 @@ def test_degree_of_involute(w):
 
 @given(words, words)
 def test_degree_additive(x, y):
-    assert degree(concat(x, y)) == degree(x) + degree(y)
+    assert degree(x + y) == degree(x) + degree(y)
 
 
 def test_is_balanced():
@@ -96,10 +95,22 @@ def test_leading_one_run_is_leading_zero_run_of_flip(w):
     assert one_runs(w)[0] == lead
 
 
-def test_concat():
-    assert concat("", "10") == "10"
-    assert concat("01", "10") == "0110"
-    assert concat("0", "") == "0"
+def test_heights():
+    assert heights("") == (0, 0)
+    assert heights("0011") == (2, 0)
+    assert heights("100110") == (1, 1)
+    assert heights("1100") == (0, 2)
+
+
+@given(words)
+def test_heights_are_the_extreme_running_degrees(w):
+    d = hi = lo = 0
+    for c in w:
+        d += 1 if c == "0" else -1
+        hi, lo = max(hi, d), max(lo, -d)
+    assert heights(w) == (hi, lo)
+    if is_balanced(w):
+        assert heights(involute(w)) == heights(w)
 
 
 def test_shortlex_order():

@@ -204,6 +204,7 @@ def ad_closure(
     config: AdConfig = AdConfig(),
     stop_targets=None,
     _view: AmbientView | None = None,
+    _pairs: dict | None = None,
 ) -> ClosureResult:
     """Least fixpoint, within bounds, of fusion generation interleaved with
     adjoint steps, from seeds that must be ambient simples.  No derived
@@ -214,6 +215,11 @@ def ad_closure(
     With stop_targets, saturation halts as soon as every target word has
     been derived; the member set is then a sound under-approximation and
     the result is marked unsaturated.
+
+    _pairs, one sweep's memo over one view and config, keeps the result
+    of seeds that are not dual-closed for a later call with their duals,
+    which start the same run; that call takes it out and returns it when
+    its stop targets are equal.
     """
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
@@ -221,10 +227,17 @@ def ad_closure(
     for s in sorted(seeds, key=shortlex_key):
         if not view.contains(s):
             raise ValueError(f"{format_word(s)} is not an ambient simple")
+    if _pairs is not None:
+        shared = _pairs.pop(frozenset(seeds), None)
+        if shared is not None and shared[0] == stop_targets:
+            return shared[1]
     sat = Saturator(config.closure, seeds, stop_targets)
     by_last = view.conjugators_by_last(config.ad_len)
     sat.run(ad_scan=lambda x: _conjugations(x, by_last, work_len))
-    return sat.result(is_ad=True)
+    result = sat.result(is_ad=True)
+    if _pairs is not None and sat.generators != seeds:  # else no dual to share
+        _pairs[frozenset(map(involute, seeds))] = stop_targets, result
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -323,13 +336,17 @@ def _check(name, view, config, targets, cert_samples):
     Descent: cut |s|-1 of s * s* is 01 or 10, and a closure deriving 01
     contains the root closure of 01.  A seed whose targets the root holds,
     or that a saturated root holds, stops at 01 and grafts the root's steps.
+
+    Dual pairs: a seed and its dual reach the same targets, descend alike
+    (the root's members are dual-closed) and start the same run, so their
+    records differ only in seed.  The second of a pair gets the first's
+    closure back from ad_closure's memo, and with it the first's record.
     """
-    # A seed that does not fit within work_len cannot be a generator.
-    if view.count(config.seed_len) > view.count(config.closure.work_len):
-        raise ValueError(
-            f"seed_len {config.seed_len} exceeds work_len "
-            f"{config.closure.work_len}"
-        )
+    # The longest seed, seed_len in au and even in pu, must fit within
+    # work_len to be a generator; every simple of a generated ambient does.
+    n, work_len = config.seed_len, config.closure.work_len
+    if {"au": n, "pu": n - n % 2}.get(view.ambient.kind, 0) > work_len:
+        raise ValueError(f"seed_len {n} exceeds work_len {work_len}")
     seeds = [s for s in view.simples(config.seed_len) if s]
     # An empty sweep would pass without checking anything.
     if not seeds:
@@ -351,38 +368,39 @@ def _check(name, view, config, targets, cert_samples):
         root = ad_closure(
             {ROOT}, view.ambient, config, stop_targets=reachable(ROOT), _view=view
         )
+    pairs = {}  # ad_closure's memo
+    unpaired = {}  # dual -> (closure, record fields) of a seed before it
     records = []
     for seed in seeds:
         reach = reachable(seed)
         descend = seed != ROOT and root is not None and (
             root.members >= reach or (root.saturated and seed in root.members)
         )
-        cl = root if seed == ROOT else ad_closure(
+        cl = own = root if seed == ROOT else ad_closure(
             {seed}, view.ambient, config,
-            stop_targets={ROOT} if descend else reach, _view=view,
+            stop_targets={ROOT} if descend else reach, _view=view, _pairs=pairs,
         )
-        # A descent that never derives 01 ran to its fixpoint: exact as is.
-        end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
-        if end == "descent":
-            # Descent steps refer only to descent words: the graft is acyclic.
-            cl = ClosureResult(cl.generators, cl.config, cl.saturated, cl.stats,
-                               {**root.provenance, **cl.provenance}, cl.is_ad)
-        missing_certified = [t for t in targets if t not in reach]
-        present = [t for t in targets if t in reach and t in cl.members]
-        missing_within = [t for t in targets if t in reach and t not in cl.members]
-        sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
-        certificates = [witness_entry(cl, w) for w in sample]
-        # A sample that does not replay is a failure, never a silent pass.
-        unverified = not all(c["verified"] for c in certificates)
-        records.append(SeedRecord(
-            seed=seed,
-            status=_status(bool(missing_certified) or unverified,
-                           bool(missing_within)),
-            end=end,
-            missing_certified=missing_certified,
-            missing_within_bound=missing_within,
-            certificates=certificates,
-        ))
+        dual_own, fields = unpaired.pop(seed, (None, None))
+        if own is not dual_own:
+            # A descent that never derives 01 ran to its fixpoint: exact as is.
+            end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
+            if end == "descent":
+                # Descent steps refer only to descent words: the graft is acyclic.
+                cl = ClosureResult(cl.generators, cl.config, cl.saturated, cl.stats,
+                                   {**root.provenance, **cl.provenance}, cl.is_ad)
+            missing_certified = [t for t in targets if t not in reach]
+            present = [t for t in targets if t in reach and t in cl.members]
+            missing_within = [t for t in targets if t in reach and t not in cl.members]
+            sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
+            certificates = [witness_entry(cl, w) for w in sample]
+            # A sample that does not replay is a failure, never a silent pass.
+            unverified = not all(c["verified"] for c in certificates)
+            fields = (_status(bool(missing_certified) or unverified,
+                              bool(missing_within)),
+                      end, missing_certified, missing_within, certificates)
+            if involute(seed) != seed:
+                unpaired[involute(seed)] = own, fields
+        records.append(SeedRecord(seed, *fields))
     statuses = {r.status for r in records}
     return SimplicityReport(
         check=name,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from freefusion.closure import (
     AdStep,
+    ClosureResult,
     Generator,
     ProductTerm,
     Saturator,
@@ -15,6 +16,7 @@ from freefusion.closure import (
     certified_absence,
 )
 from freefusion.normality import (
+    ROOT,
     AmbientView,
     SeedRecord,
     SimplicityReport,
@@ -330,6 +332,74 @@ def direct_check(name, view, config, targets, cert_samples=3):
             missing_certified=missing_certified,
             missing_within_bound=missing_within,
             certificates=[witness_entry(cl, w) for w in sample],
+        ))
+    statuses = {r.status for r in records}
+    return SimplicityReport(
+        check=name,
+        ambient=view.ambient.describe(),
+        config=config,
+        seeds=records,
+        verdict=_status("fail" in statuses, "inconclusive" in statuses),
+    )
+
+
+def unshared_check(name, view, config, targets, cert_samples=3):
+    """normality._check before dual pairs shared a run: every seed but the
+    root makes its own ad_closure call, witnesses and replays, and the
+    seed_len guard compares view.count at seed_len and at work_len.
+    Returns the SimplicityReport whose JSON the library's sweep must equal."""
+    # A seed that does not fit within work_len cannot be a generator.
+    if view.count(config.seed_len) > view.count(config.closure.work_len):
+        raise ValueError(
+            f"seed_len {config.seed_len} exceeds work_len "
+            f"{config.closure.work_len}"
+        )
+    seeds = [s for s in view.simples(config.seed_len) if s]
+    # An empty sweep would pass without checking anything.
+    if not seeds:
+        raise ValueError(
+            f"no seeds: the ambient has no nontrivial simple of length "
+            f"<= {config.seed_len}"
+        )
+    if cert_samples < 0:
+        raise ValueError("cert_samples must be nonnegative")
+
+    def reachable(seed) -> set[str]:
+        return {t for t in targets if certified_absence({seed}, t, is_ad=True) is None}
+
+    root = None
+    if ROOT in seeds:
+        root = ad_closure(
+            {ROOT}, view.ambient, config, stop_targets=reachable(ROOT), _view=view
+        )
+    records = []
+    for seed in seeds:
+        reach = reachable(seed)
+        descend = seed != ROOT and root is not None and (
+            root.members >= reach or (root.saturated and seed in root.members)
+        )
+        cl = root if seed == ROOT else ad_closure(
+            {seed}, view.ambient, config,
+            stop_targets={ROOT} if descend else reach, _view=view,
+        )
+        end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
+        if end == "descent":
+            cl = ClosureResult(cl.generators, cl.config, cl.saturated, cl.stats,
+                               {**root.provenance, **cl.provenance}, cl.is_ad)
+        missing_certified = [t for t in targets if t not in reach]
+        present = [t for t in targets if t in reach and t in cl.members]
+        missing_within = [t for t in targets if t in reach and t not in cl.members]
+        sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
+        certificates = [witness_entry(cl, w) for w in sample]
+        unverified = not all(c["verified"] for c in certificates)
+        records.append(SeedRecord(
+            seed=seed,
+            status=_status(bool(missing_certified) or unverified,
+                           bool(missing_within)),
+            end=end,
+            missing_certified=missing_certified,
+            missing_within_bound=missing_within,
+            certificates=certificates,
         ))
     statuses = {r.status for r in records}
     return SimplicityReport(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import freefusion
-from freefusion import cli, normality
+from freefusion import cli, closure, normality
 from freefusion.cli import run
 from freefusion.words import format_word, involute, parse_word
 
@@ -291,42 +291,88 @@ def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
 # change that means to alter report bytes updates these prefixes.  The
 # counters are the engine stats that the benchmark fingerprints, summed
 # over the sweep's ad_closure calls: (calls, products, members, ad_steps).
+# The work done is (Saturator.run calls, witness_entry calls): a seed and
+# its dual share one run and one certificate replay, and a generated
+# ambient saturates its own simple set once more.
 _CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
                     "--ad-len", "8"]
 _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
+_AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
+_SWEEP_PINS = [
+    (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
+     "718b6dea32e2", (28, 876, 1185, 109), (21, 63)),
+    (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
+     "148c1bca7b21", (28, 377, 819, 108), (21, 63)),
+    (_AU_CIRCLE, 0, "3f847b053c4e", (62, 572, 2096, 444), (34, 102)),
+    (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
+      "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
+     "f3efc108ee38", (14, 100, 266, 40), (12, 33)),
+]
+
+
+def _run_sweep(tmp_path, argv) -> tuple[int, str]:
+    """Exit code and report sha256 prefix of one in-process sweep."""
+    report = tmp_path / "r.json"
+    code = run(argv + ["--report", str(report)])
+    return code, hashlib.sha256(report.read_bytes()).hexdigest()[:12]
 
 
 @pytest.mark.parametrize(
-    "argv,code,prefix,counters",
-    [
-        (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-         "718b6dea32e2", (28, 876, 1185, 109)),
-        (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
-         "148c1bca7b21", (28, 377, 819, 108)),
-        (_CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"], 0,
-         "3f847b053c4e", (62, 572, 2096, 444)),
-        (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
-          "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
-         "f3efc108ee38", (14, 100, 266, 40)),
-    ],
+    "argv,code,prefix,counters,work",
+    _SWEEP_PINS,
     ids=["pu-fixpoint", "pu-targets", "au-circle", "criterion-7"],
 )
 def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
-                                   counters):
+                                   counters, work):
     stats = []
+    runs = []
+    witnessed = []
     ad_closure = normality.ad_closure
+    saturator_run = closure.Saturator.run
+    witness_entry = normality.witness_entry
 
     def counted(*args, **kwargs):
         result = ad_closure(*args, **kwargs)
         stats.append(result.stats)
         return result
 
+    def counted_run(self, *args, **kwargs):
+        runs.append(self.generators)
+        return saturator_run(self, *args, **kwargs)
+
+    def counted_witness(result, w):
+        witnessed.append(w)
+        return witness_entry(result, w)
+
     monkeypatch.setattr(normality, "ad_closure", counted)
-    report = tmp_path / "r.json"
-    assert run(argv + ["--report", str(report)]) == code
-    assert hashlib.sha256(report.read_bytes()).hexdigest()[:12] == prefix
+    monkeypatch.setattr(closure.Saturator, "run", counted_run)
+    monkeypatch.setattr(normality, "witness_entry", counted_witness)
+    assert _run_sweep(tmp_path, argv) == (code, prefix)
     assert (len(stats), *(sum(s[k] for s in stats)
                           for k in ("products", "members", "ad_steps"))) == counters
+    assert (len(runs), len(witnessed)) == work
+
+
+def test_sweeps_back_to_back_match_each_alone():
+    # ad_closure's memo belongs to one sweep.  These two sweeps share their
+    # seeds and targets but not ad_len, and in au some seeds saturate on
+    # their own; run in one process, in either order, each prints what it
+    # prints alone in a fresh interpreter.
+    argv = ["check-simple", "--ambient", "au", "--seed-len", "3",
+            "--report-len", "2", "--work-len", "6", "--json", "--ad-len"]
+    sweeps = [argv + ["0"], argv + ["2"]]
+    alone = []
+    for a in sweeps:
+        proc = subprocess.run([sys.executable, "-m", "freefusion.cli", *a],
+                              capture_output=True, text=True, env=_child_env())
+        alone.append((proc.returncode, proc.stdout))
+    assert alone[0] != alone[1]
+    for order in ([0, 1], [1, 0]):
+        for i in order:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = run(sweeps[i])
+            assert (code, out.getvalue()) == alone[i], sweeps[i]
 
 
 @pytest.mark.parametrize(
@@ -501,6 +547,33 @@ def test_no_vacuous_sweeps(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
+    [["check-simple", "--ambient", "au"], ["check-simple", "--ambient", "pu"],
+     ["check-circle"]],
+    ids=["au", "pu", "circle"],
+)
+def test_huge_seed_len_is_refused_at_once(capsys, argv):
+    # The seed_len guard is a closed form in seed_len: it neither counts nor
+    # lists the ambient's simples up to it.
+    code, out, err = invoke(capsys, *argv, "--seed-len", "1000000",
+                            "--work-len", "10")
+    assert code == 2 and out == ""
+    assert err == "error: seed_len 1000000 exceeds work_len 10\n"
+
+
+def test_huge_seed_len_in_a_generated_ambient(capsys):
+    # Every simple of a generated ambient fits within work_len, so no
+    # seed_len is refused there: the sweep is the one at seed_len = work_len.
+    argv = ["check-simple", "--ambient", "gen:01,10", "--work-len", "6",
+            "--report-len", "2", "--ad-len", "2", "--json"]
+    huge = invoke(capsys, *argv, "--seed-len", "1000000")
+    fits = invoke(capsys, *argv, "--seed-len", "6")
+    assert huge[0] == fits[0] == 0
+    assert (json.loads(huge[1])["result"]["seeds"]
+            == json.loads(fits[1])["result"]["seeds"])
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["enumerate", "--max-len", "-1"], ["invertibles", "--max-len", "-2"]],
     ids=["enumerate", "invertibles"],
 )
@@ -639,6 +712,24 @@ def test_one_ad_closure_call_per_seed(tmp_path, monkeypatch, argv):
     assert len(calls) == len(seeds)
     assert list(seeds[0]) == ["seed", "status", "end", "missing_certified",
                               "missing_within_bound", "certificates"]
+
+
+def test_benchmark_sweep_times_one_op_per_seed(tmp_path):
+    # The benchmark's untraced au-circle pass times one operation, and
+    # fingerprints one stats entry, per seed of the report it checks.
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    out, report = tmp_path / "out.json", tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, str(child), "--mode", "sweep", "--trace", "0",
+         "--t0", "0", "--out", str(out), "--report", str(report),
+         "--sweep-argv", *_AU_CIRCLE],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    seeds = json.loads(report.read_text())["result"]["seeds"]
+    assert result["exit_code"] == 0 and len(seeds) == 62
+    assert len(result["ops_s"]) == len(result["stats"]) == len(seeds)
 
 
 def test_benchmark_replay_hooks_record(tmp_path):

@@ -33,6 +33,7 @@ from helpers import (
     pairwise_ad_closure,
     recording,
     scan_conjugations,
+    unshared_check,
     words_up_to,
 )
 
@@ -432,21 +433,41 @@ def _assert_matches_direct(report, direct):
         assert all(c["verified"] for c in got.certificates), got.seed
 
 
-def _sweep_and_direct(ambient, cfg):
-    """The library's sweep and direct_check's, for check_simplicity in
-    ambient, or for check_circle_corollary when ambient is None."""
+def _oracle_sweep(ambient, cfg, oracle):
+    """oracle(name, view, cfg, targets) for check_simplicity in ambient, or
+    for check_circle_corollary when ambient is None."""
     if ambient is None:
         view = AmbientView(Ambient.full_au(), cfg.closure)
         targets = enumerate_words("balanced", cfg.closure.report_len)
-        return (check_circle_corollary(cfg),
-                direct_check("circle-corollary", view, cfg, targets))
+        return oracle("circle-corollary", view, cfg, targets)
     view = AmbientView(ambient, cfg.closure)
-    return (check_simplicity(ambient, cfg),
-            direct_check("simplicity", view, cfg,
-                         view.simples(cfg.closure.report_len)))
+    return oracle("simplicity", view, cfg, view.simples(cfg.closure.report_len))
 
 
-@pytest.mark.parametrize(
+def _library_sweep(ambient, cfg):
+    if ambient is None:
+        return check_circle_corollary(cfg)
+    return check_simplicity(ambient, cfg)
+
+
+def _sweep_and_direct(ambient, cfg):
+    """The library's sweep and direct_check's, for check_simplicity in
+    ambient, or for check_circle_corollary when ambient is None."""
+    return (_library_sweep(ambient, cfg),
+            _oracle_sweep(ambient, cfg, direct_check))
+
+
+def _small_cfgs():
+    """The grid of small sweep bounds, some of them invalid for a sweep."""
+    for work_len in range(9):
+        for seed_len in range(1, 5):
+            for report_len in (0, 2, 4):
+                for ad_len in (0, 2, 4):
+                    if max(report_len, ad_len) <= work_len:
+                        yield small_cfg(work_len, report_len, ad_len, seed_len)
+
+
+_SMALL_SWEEPS = pytest.mark.parametrize(
     "ambient, sweeps",
     [
         (Ambient.full_au(), 201),
@@ -457,28 +478,7 @@ def _sweep_and_direct(ambient, cfg):
     ],
     ids=["au", "pu", "gen-01-10", "gen-0011", "circle"],
 )
-def test_descent_matches_direct_check(ambient, sweeps):
-    # In au, a seed of nonzero degree reaches targets that the root 01
-    # (degree 0) cannot, so it must not descend even where the root holds
-    # every target of its own.
-    done = 0
-    for work_len in range(9):
-        for seed_len in range(1, 5):
-            for report_len in (0, 2, 4):
-                for ad_len in (0, 2, 4):
-                    if max(report_len, ad_len) > work_len:
-                        continue
-                    cfg = small_cfg(work_len, report_len, ad_len, seed_len)
-                    try:
-                        report, direct = _sweep_and_direct(ambient, cfg)
-                    except ValueError:  # no seeds, or seeds beyond work_len
-                        continue
-                    _assert_matches_direct(report, direct)
-                    done += 1
-    assert done == sweeps
-
-
-@pytest.mark.parametrize(
+_ACCEPTANCE_SWEEPS = pytest.mark.parametrize(
     "ambient, work_len, seed_len",
     [
         (Ambient.projective_pu(), 12, 6),
@@ -487,6 +487,25 @@ def test_descent_matches_direct_check(ambient, sweeps):
     ],
     ids=["criterion-6", "criterion-6-supplement", "criterion-8"],
 )
+
+
+@_SMALL_SWEEPS
+def test_descent_matches_direct_check(ambient, sweeps):
+    # In au, a seed of nonzero degree reaches targets that the root 01
+    # (degree 0) cannot, so it must not descend even where the root holds
+    # every target of its own.
+    done = 0
+    for cfg in _small_cfgs():
+        try:
+            report, direct = _sweep_and_direct(ambient, cfg)
+        except ValueError:  # no seeds, or seeds beyond work_len
+            continue
+        _assert_matches_direct(report, direct)
+        done += 1
+    assert done == sweeps
+
+
+@_ACCEPTANCE_SWEEPS
 def test_descent_matches_direct_check_at_acceptance_bounds(
     ambient, work_len, seed_len
 ):
@@ -533,3 +552,107 @@ def test_descent_that_never_derives_root_is_exact(
     _assert_matches_direct(report, direct)
     assert stops["10"] == stop_10
     assert {r.seed: r.end for r in report.seeds}["10"] == "fixpoint"
+
+
+# --------------------------------------------------------------------------
+# dual pairs: a seed and its dual share one run, against the unshared sweep
+
+
+def _json_or_error(sweep):
+    """The report's JSON, or the message of the ValueError that refused it."""
+    try:
+        return sweep().to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+@_SMALL_SWEEPS
+def test_dual_pairs_match_unshared_sweep(ambient, sweeps):
+    # Every record, byte for byte, and every refusal (no seeds, or seeds
+    # beyond work_len) with the same message.
+    done = 0
+    for cfg in _small_cfgs():
+        got = _json_or_error(lambda: _library_sweep(ambient, cfg))
+        assert got == _json_or_error(
+            lambda: _oracle_sweep(ambient, cfg, unshared_check)), cfg.to_json()
+        done += isinstance(got, dict)
+    assert done == sweeps
+
+
+@_ACCEPTANCE_SWEEPS
+def test_dual_pairs_match_unshared_sweep_at_acceptance_bounds(
+    ambient, work_len, seed_len
+):
+    cfg = small_cfg(work_len, report_len=6, ad_len=8, seed_len=seed_len)
+    assert (_library_sweep(ambient, cfg).to_json()
+            == _oracle_sweep(ambient, cfg, unshared_check).to_json())
+
+
+def _count_saturators(monkeypatch) -> list:
+    built = []
+
+    class Counted(Saturator):
+        def __init__(self, config, generators=(), targets=None):
+            built.append(set(generators))
+            super().__init__(config, generators, targets)
+
+    monkeypatch.setattr(normality, "Saturator", Counted)
+    return built
+
+
+def test_ad_closure_without_memo_builds_a_saturator_per_call(monkeypatch):
+    built = _count_saturators(monkeypatch)
+    cfg = small_cfg(work_len=8)
+    view = AmbientView(Ambient.full_au(), cfg.closure)
+    runs = [ad_closure(seeds, Ambient.full_au(), cfg, stop_targets={"01"}, _view=view)
+            for seeds in ({"0110"}, {"1001"}, {"0110"})]
+    assert built == [{"0110"}, {"1001"}, {"0110"}]
+    assert runs[0] is not runs[1] and runs[0] is not runs[2]
+    assert runs[0].to_json() == runs[1].to_json() == runs[2].to_json()
+
+
+def test_memo_shares_one_run_per_dual_pair(monkeypatch):
+    built = _count_saturators(monkeypatch)
+    cfg = small_cfg(work_len=8)
+    view = AmbientView(Ambient.full_au(), cfg.closure)
+    pairs = {}
+
+    def run(seed, stop):
+        return ad_closure({seed}, Ambient.full_au(), cfg, stop_targets=stop,
+                          _view=view, _pairs=pairs)
+
+    first = run("0110", {"01"})
+    assert len(pairs) == 1
+    assert run("1001", {"01"}) is first  # its dual: no Saturator, entry used
+    assert len(built) == 1 and pairs == {}
+    run("0011", {"01"})  # self-dual: nothing to share
+    assert len(built) == 2 and pairs == {}
+    first = run("0110", {"01"})
+    other = run("1001", {"01", "0011"})  # other stop targets: a run of its own
+    assert len(built) == 4 and other is not first
+    assert [r for _, r in pairs.values()] == [other]  # filed for a later dual
+
+
+def test_a_record_is_shared_only_with_its_closure(monkeypatch):
+    # When ad_closure shares no run, the second seed of a pair builds and
+    # replays its own record, which is the same as the shared one.
+    cfg = small_cfg(work_len=8, report_len=4, ad_len=4, seed_len=3)
+    witnessed = []
+    witness_entry = normality.witness_entry
+
+    def counted(result, w):
+        witnessed.append(w)
+        return witness_entry(result, w)
+
+    monkeypatch.setattr(normality, "witness_entry", counted)
+    shared = check_circle_corollary(cfg).to_json()
+    shared_witnessed = len(witnessed)
+    ad_closure = normality.ad_closure
+
+    def unshared(*args, _pairs=None, **kwargs):
+        return ad_closure(*args, **kwargs)
+
+    monkeypatch.setattr(normality, "ad_closure", unshared)
+    witnessed.clear()
+    assert check_circle_corollary(cfg).to_json() == shared
+    assert len(witnessed) > shared_witnessed

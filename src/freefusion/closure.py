@@ -85,11 +85,7 @@ class ClosureConfig(_Frozen):
         self._set(work_len, report_len, require_dual_closure)
 
     def to_json(self) -> dict:
-        return {
-            "work_len": self.work_len,
-            "report_len": self.report_len,
-            "require_dual_closure": self.require_dual_closure,
-        }
+        return dict(zip(self._fields, self._key()))
 
 
 # --------------------------------------------------------------------------
@@ -276,10 +272,7 @@ class Membership(_Frozen):
         return self.status == "present"
 
     def to_json(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
+        return {f: v for f, v in zip(self._fields, self._key()) if v is not None}
 
 
 PRESENT = Membership("present")
@@ -383,8 +376,7 @@ class Saturator:
         self.order: list[str] = []
         self.provenance: dict[str, tuple] = {}
         self.remaining = None if targets is None else set(targets)
-        self.stopped_early = False
-        self.stats = {"products": 0, "members": 0, "ad_steps": 0}
+        self.stats = {"products": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
         self._dual_tails = self._tails if dual else {}  # filed duals
         self.add("", ("unit",))
@@ -401,7 +393,6 @@ class Saturator:
         self.members.add(w)
         self.order.append(w)
         self.provenance[w] = prov
-        self.stats["members"] += 1
         if self.remaining:
             self.remaining.discard(w)
         d = involute(w)
@@ -416,13 +407,10 @@ class Saturator:
             self.add(d, prov)
 
     def done(self) -> bool:
-        """True once every target is derived.  The remaining work is then
-        skipped, so the result is only an under-approximation of the
-        fixpoint."""
-        if self.remaining is not None and not self.remaining:
-            self.stopped_early = True
-            return True
-        return False
+        """True once every target is derived; it answers and writes nothing.
+        The remaining work is then skipped, so the result is only an
+        under-approximation of the fixpoint."""
+        return self.remaining is not None and not self.remaining
 
     def _index(self, j: int):
         """Index the processed member order[j] = o at every split
@@ -520,11 +508,12 @@ class Saturator:
             i += 1
 
     def result(self, is_ad: bool) -> ClosureResult:
+        # The base predicate: a done() override's stop (a full ambient) is a fixpoint.
         return ClosureResult(
             generators=self.generators,
             config=self.config,
-            saturated=not self.stopped_early,
-            stats=dict(self.stats),
+            saturated=not Saturator.done(self),
+            stats={**self.stats, "members": len(self.provenance)},
             provenance=self.provenance,
             is_ad=is_ad,
         )

@@ -378,6 +378,32 @@ def test_new_term_engine_matches_pairwise(dual):
         assert new.provenance == old.provenance, gens
 
 
+def test_done_only_answers():
+    # A run whose targets are met stopped short of its fixpoint, whether or
+    # not anything has asked done() yet.
+    sat = Saturator(ClosureConfig(4, 2), {"01"}, targets={"01"})
+    assert sat.result(False).saturated is False
+    assert sat.done()
+    assert sat.result(False).saturated is False
+    assert sat.result(False).stats["members"] == len(sat.provenance) == 2
+
+
+def test_a_done_override_stop_is_saturated():
+    # The pairwise run stops once its members fill the ambient: a fixpoint,
+    # which only its own done() override sees.
+    cfg = ClosureConfig(work_len=4, report_len=4)
+    au = AmbientView(Ambient.full_au(), cfg)
+    try:
+        sat = saturate(partial(PairwiseSaturator, ambient=au), {"0"}, cfg)
+    finally:
+        memo_terms.cache_clear()
+    assert len(sat.members) == sat.ambient_size and sat.done()
+    assert not Saturator.done(sat)
+    result = sat.result(False)
+    assert result.saturated is True
+    assert result.stats["members"] == sat.ambient_size
+
+
 def _engine_trace(engine, gens, config):
     """Order, provenance, stats and the _partners list of every step of a
     plain saturation on the given Saturator class."""

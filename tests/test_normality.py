@@ -148,13 +148,15 @@ def test_indexed_engine_matches_pairwise(ambient, cfg, stop):
     # filters none, so the gen ambients check that none leaves it.
     view = AmbientView(ambient, cfg.closure)
     targets = balanced_words_up_to(4) if stop else None
+    # A seed and its dual start the same run: both engines dual-close them.
+    seeds = [s for s in view.simples(cfg.seed_len)[1:] if s <= involute(s)]
     try:
-        for seed in view.simples(cfg.seed_len)[1:]:
+        for seed in seeds:
             old = pairwise_ad_closure({seed}, ambient, cfg, targets)
             new = ad_closure({seed}, ambient, cfg, stop_targets=targets)
             assert list(new.provenance) == old.order, seed
             assert new.provenance == old.provenance, seed
-            assert new.saturated == (not old.stopped_early), seed
+            assert new.saturated == old.result(is_ad=True).saturated, seed
     finally:
         memo_terms.cache_clear()
 
@@ -197,7 +199,7 @@ def test_indexed_engine_evaluates_fewer_products():
     finally:
         memo_terms.cache_clear()
     new = ad_closure({"001110"}, Ambient.projective_pu(), cfg)
-    assert new.stats["members"] == old.stats["members"]
+    assert new.stats["members"] == len(old.provenance)
     assert new.stats["products"] < old.stats["products"]
 
 
@@ -216,7 +218,7 @@ def test_new_term_engine_evaluates_fewer_products_than_indexed():
         memo_terms.cache_clear()
     new = ad_closure({"001110"}, Ambient.projective_pu(), cfg)
     assert new.members == old.members
-    assert new.stats["members"] == old.stats["members"]
+    assert new.stats["members"] == len(old.provenance)
     assert new.stats["products"] < old.stats["products"]
 
 

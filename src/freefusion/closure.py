@@ -364,9 +364,12 @@ class Saturator:
     of fusion's product that fit within work_len.  stats["products"] counts
     the products evaluated: those with a term that was not a member when
     their step began (fewer if the run stops early).
+    A base provenance is replayed through add after the unit.  Its first
+    `closed` words, a fixpoint at the same bounds, are indexed as processed.
     """
 
-    def __init__(self, config: ClosureConfig, generators=(), targets=None):
+    def __init__(self, config: ClosureConfig, generators=(), targets=None,
+                 base=None, closed=0):
         self.config = config
         self._dual = dual = config.require_dual_closure
         gens = set(generators)
@@ -380,12 +383,18 @@ class Saturator:
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
         self._dual_tails = self._tails if dual else {}  # filed duals
         self.add("", ("unit",))
+        if base is not None:
+            for w, prov in base.items():
+                self.add(w, prov)
         for g in sorted(self.generators, key=shortlex_key):
             if len(g) > config.work_len:
                 raise ValueError(
                     f"generator {format_word(g)} exceeds work_len {config.work_len}"
                 )
             self.add(g, ("gen",))
+        self._closed = closed
+        for j in range(closed):
+            self._index(j)
 
     def add(self, w: str, prov: tuple):
         if w in self.members:
@@ -484,7 +493,7 @@ class Saturator:
         results are added with an adjoint provenance step.
         """
         work_len = self.config.work_len
-        i = 0
+        i = self._closed
         while i < len(self.order):
             if self.done():
                 return

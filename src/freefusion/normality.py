@@ -12,8 +12,6 @@ projective quotient has no proper normal quantum subgroups.
 
 from __future__ import annotations
 
-from math import comb
-
 from .closure import (
     ClosureConfig,
     ClosureResult,
@@ -107,11 +105,7 @@ class AmbientView:
         )
 
     def count(self, max_len: int) -> int:
-        if self.ambient.kind == "au":
-            return 2 ** (max_len + 1) - 1
-        if self.ambient.kind == "pu":
-            return sum(comb(2 * n, n) for n in range(max_len // 2 + 1))
-        return sum(1 for w in self._members if len(w) <= max_len)
+        return len(self.simples(max_len))
 
     def conjugators_by_last(self, ad_len: int) -> dict[str, list[str]]:
         """The nontrivial ambient simples up to ad_len, split by their last
@@ -205,6 +199,7 @@ def ad_closure(
     stop_targets=None,
     _view: AmbientView | None = None,
     _pairs: dict | None = None,
+    _base: ClosureResult | None = None,
 ) -> ClosureResult:
     """Least fixpoint, within bounds, of fusion generation interleaved with
     adjoint steps, from seeds that must be ambient simples.  No derived
@@ -219,8 +214,13 @@ def ad_closure(
     _pairs, one sweep's memo over one view and config, keeps the result
     of seeds that are not dual-closed for a later call with their duals,
     which start the same run; that call takes it out and returns it when
-    its stop targets are equal.
+    its stop targets are equal.  _base, a saturated ad-closure over the
+    same view and config whose generators the stop targets hold, stops the
+    run at them; if it derived them, a second run from the graft of its steps
+    over the base's files the base's words as processed.  stats count both.
     """
+    if _base is not None and not _base.saturated:
+        raise ValueError("a base closure must be saturated")
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
     # Every ambient is dual-closed: a seed is an ambient simple iff its dual is.
@@ -231,9 +231,16 @@ def ad_closure(
         shared = _pairs.pop(frozenset(seeds), None)
         if shared is not None and shared[0] == stop_targets:
             return shared[1]
-    sat = Saturator(config.closure, seeds, stop_targets)
     by_last = view.conjugators_by_last(config.ad_len)
-    sat.run(ad_scan=lambda x: _conjugations(x, by_last, work_len))
+    scan = lambda x: _conjugations(x, by_last, work_len)
+    sat = Saturator(config.closure, seeds, _base.generators if _base else stop_targets)
+    sat.run(ad_scan=scan)
+    if _base is not None and sat.done():  # it derived the base's generators
+        first = sat.stats
+        sat = Saturator(config.closure, seeds, stop_targets,
+                        {**_base.provenance, **sat.provenance}, len(_base.provenance))
+        sat.run(ad_scan=scan)
+        sat.stats = {key: n + first[key] for key, n in sat.stats.items()}
     result = sat.result(is_ad=True)
     if _pairs is not None and sat.generators != seeds:  # else no dual to share
         _pairs[frozenset(map(involute, seeds))] = stop_targets, result
@@ -336,6 +343,7 @@ def _check(name, view, config, targets, cert_samples):
     Descent: cut |s|-1 of s * s* is 01 or 10, and a closure deriving 01
     contains the root closure of 01.  A seed whose targets the root holds,
     or that a saturated root holds, stops at 01 and grafts the root's steps.
+    Any other seed starts from a saturated root's fixpoint (ad_closure's _base).
 
     Dual pairs: a seed and its dual reach the same targets, descend alike
     (the root's members are dual-closed) and start the same run, so their
@@ -379,6 +387,7 @@ def _check(name, view, config, targets, cert_samples):
         cl = own = root if seed == ROOT else ad_closure(
             {seed}, view.ambient, config,
             stop_targets={ROOT} if descend else reach, _view=view, _pairs=pairs,
+            _base=None if descend or root is None or not root.saturated else root,
         )
         dual_own, fields = unpaired.pop(seed, (None, None))
         if own is not dual_own:

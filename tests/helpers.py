@@ -346,7 +346,9 @@ def direct_check(name, view, config, targets, cert_samples=3):
 def unshared_check(name, view, config, targets, cert_samples=3):
     """normality._check before dual pairs shared a run: every seed but the
     root makes its own ad_closure call, witnesses and replays, and the
-    seed_len guard compares view.count at seed_len and at work_len.
+    seed_len guard compares view.count at seed_len and at work_len.  A seed
+    outside a saturated root starts from the root's fixpoint, as in the
+    library's sweep.
     Returns the SimplicityReport whose JSON the library's sweep must equal."""
     # A seed that does not fit within work_len cannot be a generator.
     if view.count(config.seed_len) > view.count(config.closure.work_len):
@@ -378,9 +380,12 @@ def unshared_check(name, view, config, targets, cert_samples=3):
         descend = seed != ROOT and root is not None and (
             root.members >= reach or (root.saturated and seed in root.members)
         )
+        # The library's warm start, so that only the memo differs.
+        warm = not descend and root is not None and root.saturated
         cl = root if seed == ROOT else ad_closure(
             {seed}, view.ambient, config,
             stop_targets={ROOT} if descend else reach, _view=view,
+            _base=root if warm else None,
         )
         end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
         if end == "descent":
@@ -401,6 +406,90 @@ def unshared_check(name, view, config, targets, cert_samples=3):
             missing_within_bound=missing_within,
             certificates=certificates,
         ))
+    statuses = {r.status for r in records}
+    return SimplicityReport(
+        check=name,
+        ambient=view.ambient.describe(),
+        config=config,
+        seeds=records,
+        verdict=_status("fail" in statuses, "inconclusive" in statuses),
+    )
+
+
+def cold_check(name, view, config, targets, cert_samples=3):
+    """normality._check before a seed outside a saturated root started from
+    the root's fixpoint: such a seed saturates cold, from its own
+    generators.  Returns the SimplicityReport whose JSON, certificate trees
+    left out, the library's sweep must equal.
+
+    Descent: cut |s|-1 of s * s* is 01 or 10, and a closure deriving 01
+    contains the root closure of 01.  A seed whose targets the root holds,
+    or that a saturated root holds, stops at 01 and grafts the root's steps.
+
+    Dual pairs: a seed and its dual reach the same targets, descend alike
+    (the root's members are dual-closed) and start the same run, so their
+    records differ only in seed.  The second of a pair gets the first's
+    closure back from ad_closure's memo, and with it the first's record.
+    """
+    # The longest seed, seed_len in au and even in pu, must fit within
+    # work_len to be a generator; every simple of a generated ambient does.
+    n, work_len = config.seed_len, config.closure.work_len
+    if {"au": n, "pu": n - n % 2}.get(view.ambient.kind, 0) > work_len:
+        raise ValueError(f"seed_len {n} exceeds work_len {work_len}")
+    seeds = [s for s in view.simples(config.seed_len) if s]
+    # An empty sweep would pass without checking anything.
+    if not seeds:
+        raise ValueError(
+            f"no seeds: the ambient has no nontrivial simple of length "
+            f"<= {config.seed_len}"
+        )
+    if cert_samples < 0:
+        raise ValueError("cert_samples must be nonnegative")
+
+    def reachable(seed) -> set[str]:
+        # Certified absence depends only on the seed's degree, which its dual
+        # negates.  Targets it rules out can never appear, so they must not
+        # keep the stop-at-targets saturation running to exhaustion.
+        return {t for t in targets if certified_absence({seed}, t, is_ad=True) is None}
+
+    root = None
+    if ROOT in seeds:
+        root = ad_closure(
+            {ROOT}, view.ambient, config, stop_targets=reachable(ROOT), _view=view
+        )
+    pairs = {}  # ad_closure's memo
+    unpaired = {}  # dual -> (closure, record fields) of a seed before it
+    records = []
+    for seed in seeds:
+        reach = reachable(seed)
+        descend = seed != ROOT and root is not None and (
+            root.members >= reach or (root.saturated and seed in root.members)
+        )
+        cl = own = root if seed == ROOT else ad_closure(
+            {seed}, view.ambient, config,
+            stop_targets={ROOT} if descend else reach, _view=view, _pairs=pairs,
+        )
+        dual_own, fields = unpaired.pop(seed, (None, None))
+        if own is not dual_own:
+            # A descent that never derives 01 ran to its fixpoint: exact as is.
+            end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
+            if end == "descent":
+                # Descent steps refer only to descent words: the graft is acyclic.
+                cl = ClosureResult(cl.generators, cl.config, cl.saturated, cl.stats,
+                                   {**root.provenance, **cl.provenance}, cl.is_ad)
+            missing_certified = [t for t in targets if t not in reach]
+            present = [t for t in targets if t in reach and t in cl.members]
+            missing_within = [t for t in targets if t in reach and t not in cl.members]
+            sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
+            certificates = [witness_entry(cl, w) for w in sample]
+            # A sample that does not replay is a failure, never a silent pass.
+            unverified = not all(c["verified"] for c in certificates)
+            fields = (_status(bool(missing_certified) or unverified,
+                              bool(missing_within)),
+                      end, missing_certified, missing_within, certificates)
+            if involute(seed) != seed:
+                unpaired[involute(seed)] = own, fields
+        records.append(SeedRecord(seed, *fields))
     statuses = {r.status for r in records}
     return SimplicityReport(
         check=name,

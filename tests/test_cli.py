@@ -292,15 +292,16 @@ def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
 # counters are the engine stats that the benchmark fingerprints, summed
 # over the sweep's ad_closure calls: (calls, products, members, ad_steps).
 # The work done is (Saturator.run calls, witness_entry calls): a seed and
-# its dual share one run and one certificate replay, and a generated
-# ambient saturates its own simple set once more.
+# its dual share one run and one certificate replay, a generated ambient
+# saturates its own simple set once more, and a seed outside a saturated
+# root runs twice, to 01 and then from the root's fixpoint.
 _CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
                     "--ad-len", "8"]
 _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 _AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
 _SWEEP_PINS = [
     (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-     "718b6dea32e2", (28, 876, 1185, 109), (21, 63)),
+     "ea7b4fbe7e49", (28, 528, 1185, 71), (23, 63)),
     (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
      "148c1bca7b21", (28, 377, 819, 108), (21, 63)),
     (_AU_CIRCLE, 0, "3f847b053c4e", (62, 572, 2096, 444), (34, 102)),

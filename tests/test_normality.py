@@ -21,12 +21,14 @@ from freefusion.normality import (
     check_simplicity,
     find_invertibles,
 )
-from freefusion.words import involute
+from freefusion.words import format_word, involute
 
 from helpers import (
     IndexedSaturator,
     TwoIndexSaturator,
     balanced_words_up_to,
+    bench_oracle,
+    cold_check,
     direct_check,
     engine_ad_closure,
     memo_terms,
@@ -480,14 +482,13 @@ _SMALL_SWEEPS = pytest.mark.parametrize(
     ],
     ids=["au", "pu", "gen-01-10", "gen-0011", "circle"],
 )
+_ACCEPTANCE_CASES = [
+    pytest.param(Ambient.projective_pu(), 12, 6, id="criterion-6"),
+    pytest.param(Ambient.projective_pu(), 14, 6, id="criterion-6-supplement"),
+    pytest.param(None, 12, 5, id="criterion-8"),
+]
 _ACCEPTANCE_SWEEPS = pytest.mark.parametrize(
-    "ambient, work_len, seed_len",
-    [
-        (Ambient.projective_pu(), 12, 6),
-        (Ambient.projective_pu(), 14, 6),
-        (None, 12, 5),
-    ],
-    ids=["criterion-6", "criterion-6-supplement", "criterion-8"],
+    "ambient, work_len, seed_len", _ACCEPTANCE_CASES
 )
 
 
@@ -518,7 +519,8 @@ def test_descent_matches_direct_check_at_acceptance_bounds(
 def test_descent_record_ends():
     # The benchmark's pu-fixpoint sweep: the root runs to its fixpoint, and
     # 000111 and 111000 lie outside it and miss targets it holds, so they
-    # saturate on their own; every other seed descends.
+    # run to their own fixpoints, each started from the root's (see
+    # test_warm_start_matches_cold_check); every other seed descends.
     cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
     report = check_simplicity(Ambient.projective_pu(), cfg)
     own = {"01", "000111", "111000"}
@@ -594,9 +596,10 @@ def _count_saturators(monkeypatch) -> list:
     built = []
 
     class Counted(Saturator):
-        def __init__(self, config, generators=(), targets=None):
+        def __init__(self, config, generators=(), targets=None, base=None,
+                     closed=0):
             built.append(set(generators))
-            super().__init__(config, generators, targets)
+            super().__init__(config, generators, targets, base, closed)
 
     monkeypatch.setattr(normality, "Saturator", Counted)
     return built
@@ -658,3 +661,154 @@ def test_a_record_is_shared_only_with_its_closure(monkeypatch):
     witnessed.clear()
     assert check_circle_corollary(cfg).to_json() == shared
     assert len(witnessed) > shared_witnessed
+
+
+# --------------------------------------------------------------------------
+# warm start: a seed outside a saturated root starts from the root's
+# fixpoint, against the sweep in which it saturates cold
+
+
+def _without_trees(doc):
+    """A report's JSON with the tree of every sampled certificate left out."""
+    return {**doc, "seeds": [
+        {**r, "certificates": [{k: v for k, v in c.items() if k != "certificate"}
+                               for c in r["certificates"]]}
+        for r in doc["seeds"]
+    ]}
+
+
+def _assert_warm_matches_cold(ambient, cfg, oracle):
+    """The library's sweep equals cold_check's but for the certificate
+    trees of warm-started seeds, and every sampled certificate replays
+    under the benchmark's oracle.  Returns (warm-started records, records
+    whose trees differ), or None when both sweeps refuse alike."""
+    got = _json_or_error(lambda: _library_sweep(ambient, cfg))
+    want = _json_or_error(lambda: _oracle_sweep(ambient, cfg, cold_check))
+    if not isinstance(got, dict):
+        assert got == want, cfg.to_json()
+        return None
+    assert _without_trees(got) == _without_trees(want), cfg.to_json()
+    # The root's record ends at its fixpoint exactly when the root is saturated.
+    root_saturated = any(r["seed"] == "01" and r["end"] == "fixpoint"
+                         for r in got["seeds"])
+    warm = changed = 0
+    for rec, cold in zip(got["seeds"], want["seeds"]):
+        gens = {rec["seed"], oracle.dual(rec["seed"])}
+        for c in rec["certificates"]:
+            assert c["verified"] is True, (cfg.to_json(), rec["seed"])
+            replayed = oracle.certificate_word(c["certificate"], gens)
+            assert replayed is not None and format_word(replayed) == c["word"]
+        if root_saturated and rec["seed"] != "01" and rec["end"] != "descent":
+            warm += 1
+        else:
+            assert rec == cold, (cfg.to_json(), rec["seed"])
+        changed += rec != cold
+    return warm, changed
+
+
+@_SMALL_SWEEPS
+def test_warm_start_matches_cold_check(ambient, sweeps):
+    # Every refusal too, with the same message.
+    oracle = bench_oracle()
+    done = warm = changed = 0
+    for cfg in _small_cfgs():
+        got = _assert_warm_matches_cold(ambient, cfg, oracle)
+        if got is not None:
+            warm, changed = warm + got[0], changed + got[1]
+            done += 1
+    assert done == sweeps
+    # Every grid has warm-started seeds, and in au and pu some of their
+    # trees differ from the cold run's; in the generated ambients none does.
+    assert warm > 0
+    assert changed > 0 or ambient.kind == "gen"
+
+
+@pytest.mark.parametrize(
+    "ambient, work_len, seed_len",
+    _ACCEPTANCE_CASES
+    + [pytest.param(Ambient.projective_pu(), 10, 6, id="pu-fixpoint")],
+)
+def test_warm_start_matches_cold_check_at_acceptance_bounds(
+    ambient, work_len, seed_len
+):
+    # At work_len 10 and 12 the pu root saturates and 000111 and 111000 are
+    # warm-started; only 000111's sampled trees differ.  At work_len 14 the
+    # root reaches its targets, and in the circle check it holds them.
+    cfg = small_cfg(work_len, report_len=6, ad_len=8, seed_len=seed_len)
+    got = _assert_warm_matches_cold(ambient, cfg, bench_oracle())
+    assert got == ((2, 1) if ambient is not None and work_len < 14 else (0, 0))
+
+
+def _recorded_runs(monkeypatch) -> list:
+    """(saturator, the steps its run processed, the products it evaluated)
+    per Saturator run."""
+    runs = []
+
+    class Recorded(Saturator):
+        def run(self, ad_scan=None):
+            runs.append((self, [], []))
+            return super().run(ad_scan)
+
+        def _partners(self, i):
+            runs[-1][1].append(i)
+            return super()._partners(i)
+
+        def _absorb(self, x, y):
+            runs[-1][2].append((x, y))
+            return super()._absorb(x, y)
+
+    monkeypatch.setattr(normality, "Saturator", Recorded)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "ambient, seed, work_len, ad_len",
+    [
+        (Ambient.projective_pu(), "000111", 10, 8),
+        (Ambient.projective_pu(), "111000", 10, 8),
+        (Ambient.projective_pu(), "000111", 12, 8),
+        (Ambient.projective_pu(), "111000", 12, 8),
+        # Without conjugators the closure of 10 never derives 01.
+        (Ambient.full_au(), "10", 8, 0),
+    ],
+    ids=["pu-000111-10", "pu-111000-10", "pu-000111-12", "pu-111000-12",
+         "au-10-never-derives-01"],
+)
+def test_warm_closure_matches_cold(monkeypatch, ambient, seed, work_len, ad_len):
+    cfg = small_cfg(work_len, report_len=6, ad_len=ad_len, seed_len=6)
+    view = AmbientView(ambient, cfg.closure)
+    targets = set(view.simples(6))
+    root = ad_closure({"01"}, ambient, cfg, stop_targets=targets, _view=view)
+    assert root.saturated
+    cold = ad_closure({seed}, ambient, cfg, stop_targets=targets, _view=view)
+    runs = _recorded_runs(monkeypatch)
+    warm = ad_closure({seed}, ambient, cfg, stop_targets=targets, _view=view,
+                      _base=root)
+    assert warm.members == cold.members and warm.saturated == cold.saturated
+    (descent, _, _), *rest = runs
+    if "01" not in cold.members:  # the first run is the exact fixpoint
+        assert rest == [] and warm.provenance is descent.provenance
+        assert warm.stats == cold.stats
+        return
+    # The second run lists the root's words first, in the root's order, and
+    # processes none of them; stats count the products of both runs.
+    ((second, steps, _),) = rest
+    closed = len(root.provenance)
+    assert list(second.provenance)[:closed] == list(root.provenance)
+    assert steps[0] == closed
+    assert warm.stats["products"] == sum(len(products) for *_, products in runs)
+    assert warm.stats["products"] < cold.stats["products"]
+    # 01 is derived from the seed, not a generator, and so are the words
+    # derived from it.
+    for w in ["01", *sorted(warm.members, key=len)[-20:]]:
+        assert verify_certificate(witness(warm, w), warm.generators), w
+
+
+def test_ad_closure_refuses_an_unsaturated_base():
+    # Filing an open set as processed would drop the products of its pairs.
+    cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
+    pu = Ambient.projective_pu()
+    root = ad_closure({"01"}, pu, cfg, stop_targets={"0011"})
+    assert not root.saturated
+    with pytest.raises(ValueError, match="must be saturated"):
+        ad_closure({"000111"}, pu, cfg, stop_targets={"000111"}, _base=root)

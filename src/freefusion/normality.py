@@ -26,7 +26,7 @@ from .closure import (
     witness,
 )
 from .fusion import mul_simple
-from .words import format_word, involute, is_balanced, parse_words, shortlex_key
+from .words import degree, format_word, involute, is_balanced, parse_words, shortlex_key
 
 # --------------------------------------------------------------------------
 # ambients
@@ -192,6 +192,25 @@ def ad_candidates(
     return set(_conjugations(x, by_last, len(x) + 2 * ad_len))
 
 
+ROOT = "01"  # the seed every descent stops at; see _check
+
+
+def _route(gens, by_last, work_len: int) -> dict | None:
+    """Steps deriving ROOT from the dual-closed gens in closed form, or None where
+    they do not fit: cut |g|-1 of g * g* is g[0] + flip(g[0]), 01 for the first g
+    starting with 0, else 10; 10 conjugated by 01 is 011001; cut 5 of 011001^2 is 01."""
+    zeros = [g for g in gens if g[:1] == "0"]
+    g = min(zeros or filter(None, gens), key=shortlex_key, default=None)
+    if g is None or work_len < 2:
+        return None
+    top = g[:1] + involute(g)[len(g) - 1:]
+    route = {} if top in gens else {top: ("prod", g, involute(g))}
+    if top != ROOT and work_len >= 6 and ROOT in by_last["1"]:
+        x = ROOT + top + ROOT  # the ad rule: ROOT ends in top[0] != top[-1]
+        return {**route, x: ("ad", ROOT, top), ROOT: ("prod", x, x)}
+    return route if top == ROOT else None
+
+
 def ad_closure(
     seeds,
     ambient: Ambient = Ambient.full_au(),
@@ -209,7 +228,8 @@ def ad_closure(
 
     With stop_targets, saturation halts as soon as every target word has
     been derived; the member set is then a sound under-approximation and
-    the result is marked unsaturated.
+    the result is marked unsaturated.  A run stopping at {01} alone replays
+    _route where it fits, evaluating nothing: a fixpoint then holds 01 too.
 
     _pairs, one sweep's memo over one view and config, keeps the result
     of seeds that are not dual-closed for a later call with their duals,
@@ -233,7 +253,10 @@ def ad_closure(
             return shared[1]
     by_last = view.conjugators_by_last(config.ad_len)
     scan = lambda x: _conjugations(x, by_last, work_len)
-    sat = Saturator(config.closure, seeds, _base.generators if _base else stop_targets)
+    targets = _base.generators if _base else stop_targets
+    route = None if targets is None or {*targets} != {ROOT} else _route(
+        {*seeds, *map(involute, seeds)}, by_last, work_len)
+    sat = Saturator(config.closure, seeds, targets, route)
     sat.run(ad_scan=scan)
     if _base is not None and sat.done():  # it derived the base's generators
         first = sat.stats
@@ -326,9 +349,6 @@ def witness_entry(result: ClosureResult, w: str) -> dict | None:
     return entry
 
 
-ROOT = "01"  # the seed every descent stops at; see _check
-
-
 def _status(fail: bool, inconclusive: bool) -> str:
     """A failure outranks an inconclusive result, which outranks a pass."""
     return "fail" if fail else "inconclusive" if inconclusive else "pass"
@@ -340,9 +360,9 @@ def _check(name, view, config, targets, cert_samples):
     certificates for its cert_samples shortlex-largest derived targets,
     a spot-checkable sample rather than a full trace.
 
-    Descent: cut |s|-1 of s * s* is 01 or 10, and a closure deriving 01
-    contains the root closure of 01.  A seed whose targets the root holds,
-    or that a saturated root holds, stops at 01 and grafts the root's steps.
+    Descent: a closure deriving 01 contains the root closure of 01.  A seed
+    whose targets the root holds, or that a saturated root holds, stops at 01,
+    by ad_closure's closed-form route where it fits, and grafts the root's steps.
     Any other seed starts from a saturated root's fixpoint (ad_closure's _base).
 
     Dual pairs: a seed and its dual reach the same targets, descend alike
@@ -365,11 +385,16 @@ def _check(name, view, config, targets, cert_samples):
     if cert_samples < 0:
         raise ValueError("cert_samples must be nonnegative")
 
+    reach_of = {}  # |degree| -> the targets a seed of that |degree| reaches
+
     def reachable(seed) -> set[str]:
-        # Certified absence depends only on the seed's degree, which its dual
-        # negates.  Targets it rules out can never appear, so they must not
-        # keep the stop-at-targets saturation running to exhaustion.
-        return {t for t in targets if certified_absence({seed}, t, is_ad=True) is None}
+        # Certified absence depends only on |degree|, which a dual keeps.  The
+        # targets it rules out must not keep a stop-at-targets run going.
+        d = abs(degree(seed))
+        if d not in reach_of:
+            reach_of[d] = {t for t in targets
+                           if certified_absence({seed}, t, is_ad=True) is None}
+        return reach_of[d]
 
     root = None
     if ROOT in seeds:

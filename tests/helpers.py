@@ -2,7 +2,7 @@
 
 import importlib.util
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -17,9 +17,12 @@ from freefusion.closure import (
 )
 from freefusion.normality import (
     ROOT,
+    AdConfig,
+    Ambient,
     AmbientView,
     SeedRecord,
     SimplicityReport,
+    _conjugations,
     _status,
     ad_closure,
     witness_entry,
@@ -27,8 +30,9 @@ from freefusion.normality import (
 from freefusion.words import format_word, involute, shortlex_key
 
 
+@cache
 def bench_oracle():
-    """perfbench/oracle.py, loaded by path: perfbench is not a package."""
+    """perfbench/oracle.py, loaded once by path: perfbench is not a package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
     spec = importlib.util.spec_from_file_location("bench_oracle", path)
     module = importlib.util.module_from_spec(spec)
@@ -468,6 +472,154 @@ def cold_check(name, view, config, targets, cert_samples=3):
         cl = own = root if seed == ROOT else ad_closure(
             {seed}, view.ambient, config,
             stop_targets={ROOT} if descend else reach, _view=view, _pairs=pairs,
+        )
+        dual_own, fields = unpaired.pop(seed, (None, None))
+        if own is not dual_own:
+            # A descent that never derives 01 ran to its fixpoint: exact as is.
+            end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
+            if end == "descent":
+                # Descent steps refer only to descent words: the graft is acyclic.
+                cl = ClosureResult(cl.generators, cl.config, cl.saturated, cl.stats,
+                                   {**root.provenance, **cl.provenance}, cl.is_ad)
+            missing_certified = [t for t in targets if t not in reach]
+            present = [t for t in targets if t in reach and t in cl.members]
+            missing_within = [t for t in targets if t in reach and t not in cl.members]
+            sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
+            certificates = [witness_entry(cl, w) for w in sample]
+            # A sample that does not replay is a failure, never a silent pass.
+            unverified = not all(c["verified"] for c in certificates)
+            fields = (_status(bool(missing_certified) or unverified,
+                              bool(missing_within)),
+                      end, missing_certified, missing_within, certificates)
+            if involute(seed) != seed:
+                unpaired[involute(seed)] = own, fields
+        records.append(SeedRecord(seed, *fields))
+    statuses = {r.status for r in records}
+    return SimplicityReport(
+        check=name,
+        ambient=view.ambient.describe(),
+        config=config,
+        seeds=records,
+        verdict=_status("fail" in statuses, "inconclusive" in statuses),
+    )
+
+
+# --------------------------------------------------------------------------
+# normality.ad_closure and normality._check before a run stopping at 01 took
+# the closed-form route: such a run saturates until it derives 01.  The
+# library's sweep must equal search_check's JSON, certificate trees left out.
+
+
+def search_ad_closure(
+    seeds,
+    ambient: Ambient = Ambient.full_au(),
+    config: AdConfig = AdConfig(),
+    stop_targets=None,
+    _view: AmbientView | None = None,
+    _pairs: dict | None = None,
+    _base: ClosureResult | None = None,
+) -> ClosureResult:
+    """Least fixpoint, within bounds, of fusion generation interleaved with
+    adjoint steps, from seeds that must be ambient simples.  No derived
+    term needs an ambient test: the Saturator dual-closes the seeds, and
+    every ambient is closed under fusion and the ad rule within work_len
+    (see "Ambient closure" in the README).
+
+    With stop_targets, saturation halts as soon as every target word has
+    been derived; the member set is then a sound under-approximation and
+    the result is marked unsaturated.
+
+    _pairs, one sweep's memo over one view and config, keeps the result
+    of seeds that are not dual-closed for a later call with their duals,
+    which start the same run; that call takes it out and returns it when
+    its stop targets are equal.  _base, a saturated ad-closure over the
+    same view and config whose generators the stop targets hold, stops the
+    run at them; if it derived them, a second run from the graft of its steps
+    over the base's files the base's words as processed.  stats count both.
+    """
+    if _base is not None and not _base.saturated:
+        raise ValueError("a base closure must be saturated")
+    view = _view if _view is not None else AmbientView(ambient, config.closure)
+    work_len = config.closure.work_len
+    # Every ambient is dual-closed: a seed is an ambient simple iff its dual is.
+    for s in sorted(seeds, key=shortlex_key):
+        if not view.contains(s):
+            raise ValueError(f"{format_word(s)} is not an ambient simple")
+    if _pairs is not None:
+        shared = _pairs.pop(frozenset(seeds), None)
+        if shared is not None and shared[0] == stop_targets:
+            return shared[1]
+    by_last = view.conjugators_by_last(config.ad_len)
+    scan = lambda x: _conjugations(x, by_last, work_len)
+    sat = Saturator(config.closure, seeds, _base.generators if _base else stop_targets)
+    sat.run(ad_scan=scan)
+    if _base is not None and sat.done():  # it derived the base's generators
+        first = sat.stats
+        sat = Saturator(config.closure, seeds, stop_targets,
+                        {**_base.provenance, **sat.provenance}, len(_base.provenance))
+        sat.run(ad_scan=scan)
+        sat.stats = {key: n + first[key] for key, n in sat.stats.items()}
+    result = sat.result(is_ad=True)
+    if _pairs is not None and sat.generators != seeds:  # else no dual to share
+        _pairs[frozenset(map(involute, seeds))] = stop_targets, result
+    return result
+
+
+
+def search_check(name, view, config, targets, cert_samples):
+    """Check every nontrivial ambient simple up to seed_len as a seed: its
+    ad-closure must contain every target.  Each seed keeps verified
+    certificates for its cert_samples shortlex-largest derived targets,
+    a spot-checkable sample rather than a full trace.
+
+    Descent: cut |s|-1 of s * s* is 01 or 10, and a closure deriving 01
+    contains the root closure of 01.  A seed whose targets the root holds,
+    or that a saturated root holds, stops at 01 and grafts the root's steps.
+    Any other seed starts from a saturated root's fixpoint (ad_closure's _base).
+
+    Dual pairs: a seed and its dual reach the same targets, descend alike
+    (the root's members are dual-closed) and start the same run, so their
+    records differ only in seed.  The second of a pair gets the first's
+    closure back from ad_closure's memo, and with it the first's record.
+    """
+    # The longest seed, seed_len in au and even in pu, must fit within
+    # work_len to be a generator; every simple of a generated ambient does.
+    n, work_len = config.seed_len, config.closure.work_len
+    if {"au": n, "pu": n - n % 2}.get(view.ambient.kind, 0) > work_len:
+        raise ValueError(f"seed_len {n} exceeds work_len {work_len}")
+    seeds = [s for s in view.simples(config.seed_len) if s]
+    # An empty sweep would pass without checking anything.
+    if not seeds:
+        raise ValueError(
+            f"no seeds: the ambient has no nontrivial simple of length "
+            f"<= {config.seed_len}"
+        )
+    if cert_samples < 0:
+        raise ValueError("cert_samples must be nonnegative")
+
+    def reachable(seed) -> set[str]:
+        # Certified absence depends only on the seed's degree, which its dual
+        # negates.  Targets it rules out can never appear, so they must not
+        # keep the stop-at-targets saturation running to exhaustion.
+        return {t for t in targets if certified_absence({seed}, t, is_ad=True) is None}
+
+    root = None
+    if ROOT in seeds:
+        root = search_ad_closure(
+            {ROOT}, view.ambient, config, stop_targets=reachable(ROOT), _view=view
+        )
+    pairs = {}  # ad_closure's memo
+    unpaired = {}  # dual -> (closure, record fields) of a seed before it
+    records = []
+    for seed in seeds:
+        reach = reachable(seed)
+        descend = seed != ROOT and root is not None and (
+            root.members >= reach or (root.saturated and seed in root.members)
+        )
+        cl = own = root if seed == ROOT else search_ad_closure(
+            {seed}, view.ambient, config,
+            stop_targets={ROOT} if descend else reach, _view=view, _pairs=pairs,
+            _base=None if descend or root is None or not root.saturated else root,
         )
         dual_own, fields = unpaired.pop(seed, (None, None))
         if own is not dual_own:

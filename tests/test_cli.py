@@ -294,20 +294,22 @@ def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
 # The work done is (Saturator.run calls, witness_entry calls): a seed and
 # its dual share one run and one certificate replay, a generated ambient
 # saturates its own simple set once more, and a seed outside a saturated
-# root runs twice, to 01 and then from the root's fixpoint.
+# root runs twice, to 01 and then from the root's fixpoint.  A run to 01
+# that takes the closed-form route evaluates nothing, so its stats count no
+# product and no ad step.
 _CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
                     "--ad-len", "8"]
 _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 _AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
 _SWEEP_PINS = [
     (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-     "ea7b4fbe7e49", (28, 528, 1185, 71), (23, 63)),
+     "f88e49b1b44a", (28, 391, 919, 24), (23, 63)),
     (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
-     "148c1bca7b21", (28, 377, 819, 108), (21, 63)),
-    (_AU_CIRCLE, 0, "3f847b053c4e", (62, 572, 2096, 444), (34, 102)),
+     "6b0dceae0bdf", (28, 213, 383, 34), (21, 63)),
+    (_AU_CIRCLE, 0, "7654545f6a2f", (62, 80, 374, 61), (34, 102)),
     (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
       "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
-     "f3efc108ee38", (14, 100, 266, 40), (12, 33)),
+     "098b6fa22818", (14, 35, 105, 10), (12, 33)),
 ]
 
 

@@ -1,0 +1,108 @@
+"""The mutation gate: each mutant is one library function with one small
+edit, installed by monkeypatch, paired with the narrowest oracle check that
+must reject it.  Every case asserts that the check passes on the real code
+and fails under the mutant.
+
+A mutant is compiled from its function's source with each edit applied
+exactly once, in a copy of the function's module namespace.  A change that
+moves the edited text away therefore fails here loudly, rather than leaving
+a mutant that is the real code.  Add the hand mutations of each later
+change here.
+"""
+
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from freefusion import closure, fusion, normality
+from freefusion.normality import Ambient
+
+import test_closure
+import test_fusion
+import test_normality
+from helpers import bench_oracle
+from test_normality import small_cfg
+
+
+def _edited(func, *edits):
+    """func compiled from its source with each (old, new) edit applied."""
+    src = textwrap.dedent(inspect.getsource(func))
+    for old, new in edits:
+        assert src.count(old) == 1, f"{func.__name__} has no single {old!r}"
+        src = src.replace(old, new)
+    namespace = dict(vars(sys.modules[func.__module__]))
+    exec(compile(src, func.__code__.co_filename, "exec"), namespace)
+    return namespace[func.__name__]
+
+
+def _install(monkeypatch, real, mutant):
+    """Bind mutant wherever real is bound: in the library's modules and in
+    the test modules that import it by name.  tests/helpers.py keeps the
+    real functions, as its oracles must."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "freefusion" or name.startswith("test_"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, mutant)
+
+
+def _routes():
+    # test_route_replays_from_the_seed_and_its_dual on fixed examples: both
+    # routes, and a route absent at each of its bounds.
+    for kind, seed, work_len, ad_len in [
+        ("au", "0", 2, 0), ("au", "1", 1, 0), ("au", "10", 6, 2),
+        ("au", "10", 6, 0), ("au", "10", 5, 2), ("pu", "111000", 6, 2),
+        ("pu", "0011", 4, 0),
+    ]:
+        test_normality._assert_route(seed, Ambient.parse(kind), work_len, ad_len)
+
+
+def _sweeps():
+    # test_route_matches_search_check at two small grid points: every seed
+    # descends in the circle check, and in au at ad_len 0 the seed 10 never
+    # derives 01, so it runs to its fixpoint.
+    oracle = bench_oracle()
+    for ambient, ad_len in [(None, 2), (Ambient.full_au(), 0)]:
+        cfg = small_cfg(work_len=6, report_len=2, ad_len=ad_len, seed_len=2)
+        assert test_normality._assert_route_matches_search(ambient, cfg, oracle)
+
+
+MUTANTS = [
+    pytest.param(
+        normality._route,
+        [("g[:1] + involute(g)[len(g) - 1:]", "g[:0] + involute(g)[len(g):]")],
+        _routes, id="route-at-cut-|g|"),
+    pytest.param(
+        normality._route,
+        [("x = ROOT + top + ROOT", "x = top + top + top"),
+         ('("ad", ROOT, top)', '("ad", top, top)')],
+        _sweeps, id="route-conjugator-10"),
+    pytest.param(
+        normality._route,
+        [(' and ROOT in by_last["1"]', "")],
+        _sweeps, id="route-ad-len-check-dropped"),
+    pytest.param(
+        closure.verify_certificate_detailed,
+        [("    kind = type(cert)\n", "    return True, None\n")],
+        test_closure.test_verify_rejects_tampering, id="verifier-always-valid"),
+    pytest.param(
+        fusion.has_term,
+        [("x.endswith(involute(y[:k])) and ", "")],
+        test_fusion.test_has_term_matches_brute_force_exhaustively,
+        id="has-term-without-endswith"),
+    pytest.param(
+        fusion.mul_simple,
+        [("    return out\n", "    return dict(reversed(out.items()))\n")],
+        test_fusion.test_mul_simple_matches_old_terms_exhaustively,
+        id="mul-simple-reverse-cut-order"),
+]
+
+
+@pytest.mark.parametrize("real, edits, check", MUTANTS)
+def test_mutant_fails_its_oracle(monkeypatch, real, edits, check):
+    check()
+    _install(monkeypatch, real, _edited(real, *edits))
+    with pytest.raises(AssertionError):
+        check()

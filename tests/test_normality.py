@@ -1,8 +1,13 @@
+from functools import partial
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freefusion.closure import (
     ClosureConfig,
     Saturator,
+    certificate_to_json,
+    certified_absence,
     enumerate_words,
     generate,
     member,
@@ -12,6 +17,7 @@ from freefusion.closure import (
 from freefusion.fusion import mul_many
 from freefusion import normality
 from freefusion.normality import (
+    ROOT,
     AdConfig,
     Ambient,
     AmbientView,
@@ -21,7 +27,7 @@ from freefusion.normality import (
     check_simplicity,
     find_invertibles,
 )
-from freefusion.words import format_word, involute
+from freefusion.words import degree, format_word, involute
 
 from helpers import (
     IndexedSaturator,
@@ -35,6 +41,8 @@ from helpers import (
     pairwise_ad_closure,
     recording,
     scan_conjugations,
+    search_ad_closure,
+    search_check,
     unshared_check,
     words_up_to,
 )
@@ -677,6 +685,16 @@ def _without_trees(doc):
     ]}
 
 
+def _assert_certificates_replay(rec, oracle, cfg):
+    """Every sampled certificate of a seed's JSON record reads verified and
+    replays from the seed and its dual under the benchmark's oracle."""
+    gens = {rec["seed"], oracle.dual(rec["seed"])}
+    for c in rec["certificates"]:
+        assert c["verified"] is True, (cfg.to_json(), rec["seed"])
+        replayed = oracle.certificate_word(c["certificate"], gens)
+        assert replayed is not None and format_word(replayed) == c["word"]
+
+
 def _assert_warm_matches_cold(ambient, cfg, oracle):
     """The library's sweep equals cold_check's but for the certificate
     trees of warm-started seeds, and every sampled certificate replays
@@ -693,11 +711,7 @@ def _assert_warm_matches_cold(ambient, cfg, oracle):
                          for r in got["seeds"])
     warm = changed = 0
     for rec, cold in zip(got["seeds"], want["seeds"]):
-        gens = {rec["seed"], oracle.dual(rec["seed"])}
-        for c in rec["certificates"]:
-            assert c["verified"] is True, (cfg.to_json(), rec["seed"])
-            replayed = oracle.certificate_word(c["certificate"], gens)
-            assert replayed is not None and format_word(replayed) == c["word"]
+        _assert_certificates_replay(rec, oracle, cfg)
         if root_saturated and rec["seed"] != "01" and rec["end"] != "descent":
             warm += 1
         else:
@@ -732,11 +746,13 @@ def test_warm_start_matches_cold_check_at_acceptance_bounds(
     ambient, work_len, seed_len
 ):
     # At work_len 10 and 12 the pu root saturates and 000111 and 111000 are
-    # warm-started; only 000111's sampled trees differ.  At work_len 14 the
-    # root reaches its targets, and in the circle check it holds them.
+    # warm-started; the sampled trees of both differ: each reaches 01 by the
+    # closed-form route in the warm run and by the search in the cold one.
+    # At work_len 14 the root reaches its targets, and in the circle check it
+    # holds them.
     cfg = small_cfg(work_len, report_len=6, ad_len=8, seed_len=seed_len)
     got = _assert_warm_matches_cold(ambient, cfg, bench_oracle())
-    assert got == ((2, 1) if ambient is not None and work_len < 14 else (0, 0))
+    assert got == ((2, 2) if ambient is not None and work_len < 14 else (0, 0))
 
 
 def _recorded_runs(monkeypatch) -> list:
@@ -812,3 +828,117 @@ def test_ad_closure_refuses_an_unsaturated_base():
     assert not root.saturated
     with pytest.raises(ValueError, match="must be saturated"):
         ad_closure({"000111"}, pu, cfg, stop_targets={"000111"}, _base=root)
+
+
+# --------------------------------------------------------------------------
+# the closed-form route to 01, against the search it replaced
+
+
+def _assert_route_matches_search(ambient, cfg, oracle) -> bool:
+    """The library's sweep equals search_check's but for certificate trees,
+    and every sampled certificate replays under the benchmark's oracle.
+    Returns False when both sweeps refuse alike."""
+    got = _json_or_error(lambda: _library_sweep(ambient, cfg))
+    search = partial(search_check, cert_samples=3)
+    want = _json_or_error(lambda: _oracle_sweep(ambient, cfg, search))
+    if not isinstance(got, dict):
+        assert got == want, cfg.to_json()
+        return False
+    assert _without_trees(got) == _without_trees(want), cfg.to_json()
+    for rec in got["seeds"]:
+        _assert_certificates_replay(rec, oracle, cfg)
+    return True
+
+
+@_SMALL_SWEEPS
+def test_route_matches_search_check(ambient, sweeps):
+    # Statuses, ends, missing lists and sampled words, and every refusal
+    # with the same message.
+    oracle = bench_oracle()
+    assert sum(_assert_route_matches_search(ambient, cfg, oracle)
+               for cfg in _small_cfgs()) == sweeps
+
+
+@pytest.mark.parametrize(
+    "ambient, work_len, report_len, seed_len",
+    [
+        pytest.param(Ambient.projective_pu(), 12, 6, 6, id="criterion-6"),
+        pytest.param(Ambient.projective_pu(), 14, 6, 6, id="criterion-6-supplement"),
+        pytest.param(None, 12, 6, 5, id="criterion-8"),
+        # The benchmark's three sweeps (perfbench/run.py WORKLOADS argv).
+        pytest.param(Ambient.projective_pu(), 10, 6, 6, id="bench-pu-fixpoint"),
+        pytest.param(Ambient.projective_pu(), 12, 4, 6, id="bench-pu-targets"),
+        pytest.param(None, 10, 4, 5, id="bench-au-circle"),
+    ],
+)
+def test_route_matches_search_check_at_acceptance_and_bench_bounds(
+    ambient, work_len, report_len, seed_len
+):
+    cfg = small_cfg(work_len, report_len, ad_len=8, seed_len=seed_len)
+    assert _assert_route_matches_search(ambient, cfg, bench_oracle())
+
+
+def _assert_route(seed, ambient, work_len, ad_len):
+    """The closed-form route of a seed is absent exactly when 01 exceeds
+    work_len, or the seed is 1...0 and 011001 exceeds work_len or 01 ad_len.
+    Otherwise a run to 01 evaluates nothing, and its 01 replays from the seed
+    and its dual under verify_certificate and the benchmark's oracle."""
+    cfg = small_cfg(work_len, report_len=0, ad_len=ad_len, seed_len=0)
+    view = AmbientView(ambient, cfg.closure)
+    gens = {seed, involute(seed)}
+    route = normality._route(gens, view.conjugators_by_last(ad_len), work_len)
+    absent = work_len < 2 or (
+        seed[0] == "1" and seed[-1] == "0" and (work_len < 6 or ad_len < 2))
+    assert (route is None) == absent, (seed, work_len, ad_len)
+    if absent:
+        return
+    if work_len <= 10:  # a search to the fixpoint derives 01 too
+        searched = search_ad_closure({seed}, ambient, cfg, stop_targets={ROOT})
+        assert ROOT in searched.members, (seed, work_len, ad_len)
+    result = ad_closure({seed}, ambient, cfg, stop_targets={ROOT}, _view=view)
+    stats = result.stats
+    assert (stats["products"], stats["ad_steps"], result.saturated) == (0, 0, False)
+    cert = witness(result, ROOT)
+    assert verify_certificate(cert, gens), seed
+    assert bench_oracle().certificate_word(certificate_to_json(cert), gens) == ROOT
+
+
+_AU_SEEDS = st.text("01", min_size=1, max_size=64).map(lambda s: ("au", s))
+_PU_SEEDS = st.integers(1, 32).flatmap(
+    lambda n: st.permutations("0" * n + "1" * n)).map(lambda p: ("pu", "".join(p)))
+
+
+@settings(deadline=None)
+@given(st.one_of(_AU_SEEDS, _PU_SEEDS), st.integers(0, 6), st.integers(0, 4))
+@example(("au", "0"), 0, 0)  # 01 exceeds work_len 1
+@example(("au", "10"), 3, 2)  # 011001 exceeds work_len 5
+@example(("au", "10"), 4, 1)  # 01 exceeds ad_len 1
+@example(("au", "10"), 4, 2)
+@example(("pu", "111000"), 0, 2)
+@example(("au", "01"), 0, 0)  # 01 is a generator: the route is empty
+def test_route_replays_from_the_seed_and_its_dual(ambient_seed, room, ad_len):
+    kind, seed = ambient_seed
+    work_len = len(seed) + room
+    _assert_route(seed, Ambient.parse(kind), work_len, min(ad_len, work_len))
+
+
+def test_reachable_targets_are_computed_once_per_degree(monkeypatch):
+    # An ad-closure's certified absences depend only on its seed's |degree|:
+    # every word up to length 8 gets the answers of the first word of its
+    # |degree| for every target up to length 6.  So the sweep asks once per
+    # |degree| and target: six degrees for the seeds up to length 5.
+    targets = words_up_to(6)
+    by_degree = {}
+    for s in words_up_to(8)[1:]:
+        got = [certified_absence({s}, t, is_ad=True) for t in targets]
+        assert by_degree.setdefault(abs(degree(s)), got) == got, s
+    asked = []
+
+    def counted(generators, w, is_ad):
+        asked.append(w)
+        return certified_absence(generators, w, is_ad)
+
+    monkeypatch.setattr(normality, "certified_absence", counted)
+    cfg = small_cfg(work_len=10, report_len=4, ad_len=8, seed_len=5)
+    check_circle_corollary(cfg)
+    assert len(asked) == 6 * len(balanced_words_up_to(4))

@@ -103,24 +103,38 @@ def _resolve_bounds(args):
             setattr(args, name, min(default, args.work_len))
 
 
-def build_parser() -> _ArgumentParser:
+class _Skipped:
+    """A subcommand's parser that argv does not invoke: its arguments are skipped."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self
+
+
+def _build_parser(argv) -> _ArgumentParser:
+    """Every subcommand with its help, and arguments only for the one argv
+    invokes: the first token naming one, as the top level takes no argument."""
     parser = _ArgumentParser(prog="freefusion")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    invoked = next((a for a in argv if a in _HANDLERS), None)
 
-    p = sub.add_parser("mul", help="fusion product of simples")
+    def add(name, help):
+        p = sub.add_parser(name, help=help)
+        return p if name == invoked else _Skipped()
+
+    p = add("mul", "fusion product of simples")
     p.add_argument("words", nargs="+")
     _add_output_flags(p)
 
-    p = sub.add_parser("dual", help="dual of a word")
+    p = add("dual", "dual of a word")
     p.add_argument("word")
     _add_output_flags(p)
 
-    p = sub.add_parser("degree", help="degree of a word (#0 - #1)")
+    p = add("degree", "degree of a word (#0 - #1)")
     p.add_argument("word")
     _add_output_flags(p)
 
-    p = sub.add_parser("enumerate", help="list words in shortlex order")
+    p = add("enumerate", "list words in shortlex order")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--all", dest="filter", action="store_const", const="all")
     g.add_argument("--balanced", dest="filter", action="store_const",
@@ -129,7 +143,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--max-len", type=int, required=True)
     _add_output_flags(p)
 
-    p = sub.add_parser("closure", help="bounded closure of a generated sub-semiring")
+    p = add("closure", "bounded closure of a generated sub-semiring")
     p.add_argument("--gens", required=True, help="comma-separated words")
     p.add_argument("--member", help="query membership of a word")
     p.add_argument("--witness", help="emit a derivation certificate for a member")
@@ -138,7 +152,7 @@ def build_parser() -> _ArgumentParser:
     _add_bound_flags(p)
     _add_output_flags(p)
 
-    p = sub.add_parser("ad-closure", help="ad-saturated closure of seeds")
+    p = add("ad-closure", "ad-saturated closure of seeds")
     p.add_argument("--seeds", required=True, help="comma-separated words")
     p.add_argument("--ambient", default="au", help="au, pu, or gen:w1,w2,...")
     p.add_argument("--member", help="query membership of a word")
@@ -146,23 +160,22 @@ def build_parser() -> _ArgumentParser:
     _add_bound_flags(p, ad_len=True)
     _add_output_flags(p)
 
-    p = sub.add_parser("check-simple", help="per-seed simplicity check")
+    p = add("check-simple", "per-seed simplicity check")
     p.add_argument("--ambient", default="pu", help="au, pu, or gen:w1,w2,...")
     p.add_argument("--cert-samples", type=int, default=3)
     _add_bound_flags(p, seed_len=True, ad_len=True)
     _add_output_flags(p)
 
-    p = sub.add_parser("check-circle",
-                       help="every nonempty seed reaches all balanced words")
+    p = add("check-circle", "every nonempty seed reaches all balanced words")
     p.add_argument("--cert-samples", type=int, default=3)
     _add_bound_flags(p, seed_len=True, ad_len=True)
     _add_output_flags(p)
 
-    p = sub.add_parser("invertibles", help="scan for invertible simples")
+    p = add("invertibles", "scan for invertible simples")
     p.add_argument("--max-len", type=int, required=True)
     _add_output_flags(p)
 
-    p = sub.add_parser("verify-cert", help="replay a certificate file")
+    p = add("verify-cert", "replay a certificate file")
     p.add_argument("file")
     _add_output_flags(p)
 
@@ -250,14 +263,6 @@ def _run_closure(args):
     return payload, lines, EXIT_OK
 
 
-def _verdict_exit(verdict: str) -> int:
-    if verdict == "pass":
-        return EXIT_OK
-    if verdict == "fail":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
-
-
 def _report_lines(report):
     lines = [f"check: {report.check}", f"ambient: {report.ambient}",
              f"seeds: {len(report.seeds)}", f"verdict: {report.verdict}"]
@@ -282,7 +287,8 @@ def _run_check(args):
         report = check_circle_corollary(
             _ad_config(args), cert_samples=args.cert_samples
         )
-    return report.to_json(), _report_lines(report), _verdict_exit(report.verdict)
+    code = {"pass": EXIT_OK, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
+    return report.to_json(), _report_lines(report), code
 
 
 def _run_invertibles(args):
@@ -345,7 +351,7 @@ def _invocation_echo(args) -> dict:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

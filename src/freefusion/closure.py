@@ -364,12 +364,11 @@ class Saturator:
     of fusion's product that fit within work_len.  stats["products"] counts
     the products evaluated: those with a term that was not a member when
     their step began (fewer if the run stops early).
-    A base provenance is replayed through add after the unit.  Its first
-    `closed` words, a fixpoint at the same bounds, are indexed as processed.
+    A base provenance is replayed through add after the unit.
     """
 
     def __init__(self, config: ClosureConfig, generators=(), targets=None,
-                 base=None, closed=0):
+                 base=None):
         self.config = config
         self._dual = dual = config.require_dual_closure
         gens = set(generators)
@@ -382,6 +381,7 @@ class Saturator:
         self.stats = {"products": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
         self._dual_tails = self._tails if dual else {}  # filed duals
+        self._closed = 0
         self.add("", ("unit",))
         if base is not None:
             for w, prov in base.items():
@@ -392,9 +392,26 @@ class Saturator:
                     f"generator {format_word(g)} exceeds work_len {config.work_len}"
                 )
             self.add(g, ("gen",))
-        self._closed = closed
-        for j in range(closed):
-            self._index(j)
+
+    def fork(self, generators, targets, steps: dict) -> Saturator:
+        """A run from generators that resumes after this saturated run, all
+        of whose words count as processed: a copy of its members, order,
+        provenance and index, with steps laid over it, then the generators."""
+        sat = Saturator(self.config, generators, targets)  # checks the generators
+        copied = lambda index: {head: {n: {**group} for n, group in by_len.items()}
+                                for head, by_len in index.items()}
+        sat.members, sat.order = set(self.members), self.order[:]
+        sat.provenance, sat._tails = dict(self.provenance), copied(self._tails)
+        sat._duals, sat._dual_tails = ((sat.members, sat._tails) if self._dual else
+                                       (set(self._duals), copied(self._dual_tails)))
+        sat.remaining = None if targets is None else set(targets) - sat.members
+        sat._closed = len(self.order)
+        for w, prov in steps.items():
+            sat.add(w, prov)
+        sat.provenance.update(steps)  # laid over: a word this run holds keeps its place
+        for g in sorted(sat.generators, key=shortlex_key):
+            sat.add(g, ("gen",))
+        return sat
 
     def add(self, w: str, prov: tuple):
         if w in self.members:

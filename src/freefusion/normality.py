@@ -26,7 +26,7 @@ from .closure import (
     witness,
 )
 from .fusion import mul_simple
-from .words import degree, format_word, involute, is_balanced, parse_words, shortlex_key
+from .words import degree, flip, format_word, involute, is_balanced, parse_words, shortlex_key
 
 # --------------------------------------------------------------------------
 # ambients
@@ -59,18 +59,13 @@ class Ambient(_Frozen):
 
     def describe(self) -> str:
         if self.kind == "gen":
-            gens = ",".join(
-                format_word(g) for g in sorted(self.gens, key=shortlex_key)
-            )
-            return f"gen:{gens}"
+            return "gen:" + ",".join(map(format_word, sorted(self.gens, key=shortlex_key)))
         return self.kind
 
     @staticmethod
     def parse(text: str) -> "Ambient":
-        if text == "au":
-            return Ambient.full_au()
-        if text == "pu":
-            return Ambient.projective_pu()
+        if text in ("au", "pu"):
+            return Ambient(text)
         if text.startswith("gen:"):
             return Ambient.generated(parse_words(text[4:]))
         raise ValueError(f"unknown ambient {text!r}; expected au, pu or gen:...")
@@ -100,9 +95,7 @@ class AmbientView:
             return enumerate_words("all", max_len)
         if self.ambient.kind == "pu":
             return enumerate_words("balanced", max_len)
-        return sorted(
-            (w for w in self._members if len(w) <= max_len), key=shortlex_key
-        )
+        return sorted((w for w in self._members if len(w) <= max_len), key=shortlex_key)
 
     def count(self, max_len: int) -> int:
         return len(self.simples(max_len))
@@ -112,9 +105,8 @@ class AmbientView:
         symbol, each list in shortlex order; built once per ad_len."""
         if ad_len not in self._conjugators:
             by_last: dict[str, list[str]] = {"0": [], "1": []}
-            for y in self.simples(ad_len):
-                if y:
-                    by_last[y[-1]].append(y)
+            for y in filter(None, self.simples(ad_len)):
+                by_last[y[-1]].append(y)
             self._conjugators[ad_len] = by_last
         return self._conjugators[ad_len]
 
@@ -234,10 +226,12 @@ def ad_closure(
     _pairs, one sweep's memo over one view and config, keeps the result
     of seeds that are not dual-closed for a later call with their duals,
     which start the same run; that call takes it out and returns it when
-    its stop targets are equal.  _base, a saturated ad-closure over the
-    same view and config whose generators the stop targets hold, stops the
-    run at them; if it derived them, a second run from the graft of its steps
-    over the base's files the base's words as processed.  stats count both.
+    its stop targets are equal; after a search in au or pu to flip-closed
+    stop targets, also the flipped result for the seeds' flip and its dual,
+    unless that is the seeds or their dual.  _base, a saturated ad-closure
+    over the same view and config whose generators the stop targets hold,
+    stops the run at them; if it derived them, a fork of the base's run
+    (kept as _engine) resumes from the base's fixpoint.  stats count both.
     """
     if _base is not None and not _base.saturated:
         raise ValueError("a base closure must be saturated")
@@ -260,14 +254,29 @@ def ad_closure(
     sat.run(ad_scan=scan)
     if _base is not None and sat.done():  # it derived the base's generators
         first = sat.stats
-        sat = Saturator(config.closure, seeds, stop_targets,
-                        {**_base.provenance, **sat.provenance}, len(_base.provenance))
+        sat = _base._engine.fork(seeds, stop_targets, sat.provenance)
         sat.run(ad_scan=scan)
         sat.stats = {key: n + first[key] for key, n in sat.stats.items()}
     result = sat.result(is_ad=True)
+    result._engine = sat  # what a fork of a saturated result copies
     if _pairs is not None and sat.generators != seeds:  # else no dual to share
         _pairs[frozenset(map(involute, seeds))] = stop_targets, result
+    if _pairs is not None and (route is None or _base is not None):  # a search ran
+        flipped = frozenset(map(flip, seeds))
+        if (view.ambient.kind != "gen" and flipped not in (seeds, frozenset(map(involute, seeds)))
+                and all(flip(t) in stop_targets for t in stop_targets or ())):
+            _pairs[flipped] = _pairs[frozenset(map(involute, flipped))] = (
+                stop_targets, _flipped(result))
     return result
+
+
+def _flipped(result: ClosureResult) -> ClosureResult:
+    """The closure from the flipped generators, in closed form: flip is an
+    automorphism of the fusion and ad rules that keeps au, pu and their conjugators."""
+    provenance = {flip(w): (step[0], *map(flip, step[1:]))
+                  for w, step in result.provenance.items()}
+    return ClosureResult(frozenset(map(flip, result.generators)), result.config,
+                         result.saturated, result.stats, provenance, result.is_ad)
 
 
 # --------------------------------------------------------------------------

@@ -48,6 +48,11 @@ def involute(w: str) -> str:
     return w[::-1].translate(_FLIP)
 
 
+def flip(w: str) -> str:
+    """Swap 0 and 1 letter by letter, without reversing (README "Flip pairs")."""
+    return w.translate(_FLIP)
+
+
 def degree(w: str) -> int:
     """Count of '0's minus count of '1's.
 

@@ -6,6 +6,8 @@ from functools import cache, lru_cache, partial
 from itertools import product as iproduct
 from pathlib import Path
 
+from freefusion import __version__
+from freefusion.cli import _add_bound_flags, _add_output_flags, _ArgumentParser
 from freefusion.closure import (
     AdStep,
     ClosureResult,
@@ -270,6 +272,40 @@ class TwoIndexSaturator(Saturator):
         return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
 
 
+class ReplaySaturator(Saturator):
+    """Saturator.__init__ before forks, verbatim: a base provenance is
+    replayed through add after the unit, and its first `closed` words, a
+    fixpoint at the same bounds, are indexed as processed.  The warm start
+    rebuilt the root's run this way; a fork must equal it."""
+
+    def __init__(self, config, generators=(), targets=None, base=None, closed=0):
+        self.config = config
+        self._dual = dual = config.require_dual_closure
+        gens = set(generators)
+        self.generators = frozenset(gens | {involute(g) for g in gens if dual})
+        self.members: set[str] = set()
+        self._duals = self.members if dual else set()  # the members' duals
+        self.order: list[str] = []
+        self.provenance: dict[str, tuple] = {}
+        self.remaining = None if targets is None else set(targets)
+        self.stats = {"products": 0, "ad_steps": 0}
+        self._tails: dict[str, dict[int, dict[str, int]]] = {}
+        self._dual_tails = self._tails if dual else {}  # filed duals
+        self.add("", ("unit",))
+        if base is not None:
+            for w, prov in base.items():
+                self.add(w, prov)
+        for g in sorted(self.generators, key=shortlex_key):
+            if len(g) > config.work_len:
+                raise ValueError(
+                    f"generator {format_word(g)} exceeds work_len {config.work_len}"
+                )
+            self.add(g, ("gen",))
+        self._closed = closed
+        for j in range(closed):
+            self._index(j)
+
+
 def recording(engine, steps: list):
     """A subclass of the Saturator class engine that appends (i, the
     _partners list of step i) to steps at every step."""
@@ -506,8 +542,9 @@ def cold_check(name, view, config, targets, cert_samples=3):
 
 # --------------------------------------------------------------------------
 # normality.ad_closure and normality._check before a run stopping at 01 took
-# the closed-form route: such a run saturates until it derives 01.  The
-# library's sweep must equal search_check's JSON, certificate trees left out.
+# the closed-form route: such a run saturates until it derives 01, and a
+# warm start rebuilds the root's run (ReplaySaturator).  The library's sweep
+# must equal search_check's JSON, certificate trees left out.
 
 
 def search_ad_closure(
@@ -555,8 +592,9 @@ def search_ad_closure(
     sat.run(ad_scan=scan)
     if _base is not None and sat.done():  # it derived the base's generators
         first = sat.stats
-        sat = Saturator(config.closure, seeds, stop_targets,
-                        {**_base.provenance, **sat.provenance}, len(_base.provenance))
+        sat = ReplaySaturator(config.closure, seeds, stop_targets,
+                              {**_base.provenance, **sat.provenance},
+                              len(_base.provenance))
         sat.run(ad_scan=scan)
         sat.stats = {key: n + first[key] for key, n in sat.stats.items()}
     result = sat.result(is_ad=True)
@@ -844,3 +882,75 @@ class OldSimplicityReport:
     config: OldAdConfig
     seeds: list[OldSeedRecord]
     verdict: str
+
+
+# --------------------------------------------------------------------------
+# the command-line parser before it was built lazily
+
+
+def build_parser() -> _ArgumentParser:
+    """cli's parser before it added arguments only to the invoked subcommand:
+    every subcommand with all of its arguments, built eagerly."""
+    parser = _ArgumentParser(prog="freefusion")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("mul", help="fusion product of simples")
+    p.add_argument("words", nargs="+")
+    _add_output_flags(p)
+
+    p = sub.add_parser("dual", help="dual of a word")
+    p.add_argument("word")
+    _add_output_flags(p)
+
+    p = sub.add_parser("degree", help="degree of a word (#0 - #1)")
+    p.add_argument("word")
+    _add_output_flags(p)
+
+    p = sub.add_parser("enumerate", help="list words in shortlex order")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--all", dest="filter", action="store_const", const="all")
+    g.add_argument("--balanced", dest="filter", action="store_const",
+                   const="balanced")
+    p.set_defaults(filter="all")
+    p.add_argument("--max-len", type=int, required=True)
+    _add_output_flags(p)
+
+    p = sub.add_parser("closure", help="bounded closure of a generated sub-semiring")
+    p.add_argument("--gens", required=True, help="comma-separated words")
+    p.add_argument("--member", help="query membership of a word")
+    p.add_argument("--witness", help="emit a derivation certificate for a member")
+    p.add_argument("--no-dual-closure", action="store_true",
+                   help="do not close the generator set under duals")
+    _add_bound_flags(p)
+    _add_output_flags(p)
+
+    p = sub.add_parser("ad-closure", help="ad-saturated closure of seeds")
+    p.add_argument("--seeds", required=True, help="comma-separated words")
+    p.add_argument("--ambient", default="au", help="au, pu, or gen:w1,w2,...")
+    p.add_argument("--member", help="query membership of a word")
+    p.add_argument("--witness", help="emit a derivation certificate for a member")
+    _add_bound_flags(p, ad_len=True)
+    _add_output_flags(p)
+
+    p = sub.add_parser("check-simple", help="per-seed simplicity check")
+    p.add_argument("--ambient", default="pu", help="au, pu, or gen:w1,w2,...")
+    p.add_argument("--cert-samples", type=int, default=3)
+    _add_bound_flags(p, seed_len=True, ad_len=True)
+    _add_output_flags(p)
+
+    p = sub.add_parser("check-circle",
+                       help="every nonempty seed reaches all balanced words")
+    p.add_argument("--cert-samples", type=int, default=3)
+    _add_bound_flags(p, seed_len=True, ad_len=True)
+    _add_output_flags(p)
+
+    p = sub.add_parser("invertibles", help="scan for invertible simples")
+    p.add_argument("--max-len", type=int, required=True)
+    _add_output_flags(p)
+
+    p = sub.add_parser("verify-cert", help="replay a certificate file")
+    p.add_argument("file")
+    _add_output_flags(p)
+
+    return parser

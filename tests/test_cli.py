@@ -18,7 +18,7 @@ from freefusion import cli, closure, normality
 from freefusion.cli import run
 from freefusion.words import format_word, involute, parse_word
 
-from helpers import bench_oracle
+from helpers import bench_oracle, build_parser
 
 
 def invoke(capsys, *argv):
@@ -294,7 +294,9 @@ def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
 # The work done is (Saturator.run calls, witness_entry calls): a seed and
 # its dual share one run and one certificate replay, a generated ambient
 # saturates its own simple set once more, and a seed outside a saturated
-# root runs twice, to 01 and then from the root's fixpoint.  A run to 01
+# root runs twice, to 01 and then from the root's fixpoint.  In pu its flip
+# (111000 for 000111) takes the flipped closure from the memo, with the
+# same stats and no run, and replays its own certificates.  A run to 01
 # that takes the closed-form route evaluates nothing, so its stats count no
 # product and no ad step.
 _CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
@@ -303,7 +305,7 @@ _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 _AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
 _SWEEP_PINS = [
     (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-     "f88e49b1b44a", (28, 391, 919, 24), (23, 63)),
+     "3b0936a99959", (28, 391, 919, 24), (21, 63)),
     (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
      "6b0dceae0bdf", (28, 213, 383, 34), (21, 63)),
     (_AU_CIRCLE, 0, "7654545f6a2f", (62, 80, 374, 61), (34, 102)),
@@ -378,18 +380,18 @@ def test_sweeps_back_to_back_match_each_alone():
             assert (code, out.getvalue()) == alone[i], sweeps[i]
 
 
-@pytest.mark.parametrize(
-    "argv,prefix",
-    [
-        (["closure", "--gens", "01,10", "--work-len", "8", "--witness", "100110"],
-         "e75d9babc359"),
-        (["closure", "--gens", "001,0110", "--work-len", "12", "--no-dual-closure",
-          "--witness", "0010110"], "cd3ed3ce54f6"),
-        (["ad-closure", "--seeds", "0011", "--ambient", "pu", "--work-len", "10",
-          "--member", "01", "--witness", "0101"], "62971d78836b"),
-    ],
-    ids=["closure", "no-dual-closure", "ad-closure"],
-)
+CLOSURE_PINS = [
+    (["closure", "--gens", "01,10", "--work-len", "8", "--witness", "100110"],
+     "e75d9babc359"),
+    (["closure", "--gens", "001,0110", "--work-len", "12", "--no-dual-closure",
+      "--witness", "0010110"], "cd3ed3ce54f6"),
+    (["ad-closure", "--seeds", "0011", "--ambient", "pu", "--work-len", "10",
+      "--member", "01", "--witness", "0101"], "62971d78836b"),
+]
+
+
+@pytest.mark.parametrize("argv,prefix", CLOSURE_PINS,
+                         ids=["closure", "no-dual-closure", "ad-closure"])
 def test_closure_json_bytes_pinned(capsys, argv, prefix):
     # The closure payload (member cut and count) and the witness document.
     code, out, _ = invoke(capsys, *argv, "--json")
@@ -919,3 +921,48 @@ def test_random_invocations_never_escape(fuzz_dir, argv, document):
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: "), argv
         assert err.getvalue().count("\n") == 1, argv
+
+
+# --------------------------------------------------------------------------
+# the lazy parser, against the eager one it replaced (helpers.build_parser)
+
+
+def _parsed(parser, argv):
+    """What parsing argv gives: the namespace, the usage error or the exit
+    code, with everything printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            got = ("args", vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    except cli._UsageError as exc:
+        got = ("usage", str(exc))
+    return got, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("sub", [None, *cli._HANDLERS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_lazy_parser_help_matches_eager(sub, flag):
+    argv = [flag] if sub is None else [sub, flag]
+    got = _parsed(cli._build_parser(argv), argv)
+    assert got == _parsed(build_parser(), argv)
+    assert got[0] == ("exit", 0) and got[1].startswith("usage: freefusion")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--version"], ["nope"], ["nope", "dual", "01"], ["--json", "dual", "01"],
+    ["dual"], ["mul", "dual", "degree"], ["--", "dual", "01"], ["-x", "mul", "01"],
+    ["verify-cert", "--json"], ["enumerate", "--all", "--balanced", "--max-len", "2"],
+])
+def test_lazy_parser_matches_eager_on_edge_invocations(argv):
+    assert _parsed(cli._build_parser(argv), argv) == _parsed(build_parser(), argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs(), prefix=st.sampled_from([[], ["-h"], ["--bogus"], ["dual"]]))
+def test_lazy_parser_matches_eager_on_random_invocations(argv, prefix):
+    # The corpus of test_random_invocations_never_escape, also behind a
+    # token that comes before the subcommand.
+    argv = prefix + argv
+    assert _parsed(cli._build_parser(argv), argv) == _parsed(build_parser(), argv)

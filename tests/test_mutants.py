@@ -10,15 +10,20 @@ a mutant that is the real code.  Add the hand mutations of each later
 change here.
 """
 
+import hashlib
 import inspect
+import io
 import sys
 import textwrap
+from contextlib import redirect_stdout
 
 import pytest
 
 from freefusion import closure, fusion, normality
+from freefusion.cli import run
 from freefusion.normality import Ambient
 
+import test_cli
 import test_closure
 import test_fusion
 import test_normality
@@ -38,14 +43,17 @@ def _edited(func, *edits):
 
 
 def _install(monkeypatch, real, mutant):
-    """Bind mutant wherever real is bound: in the library's modules and in
-    the test modules that import it by name.  tests/helpers.py keeps the
-    real functions, as its oracles must."""
+    """Bind mutant wherever real is bound: in the library's modules, in
+    the test modules that import it by name, and on its class if it is a
+    method.  tests/helpers.py keeps the real functions, as its oracles must."""
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "freefusion" or name.startswith("test_"):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, mutant)
+    owner, _, method = real.__qualname__.rpartition(".")
+    if owner:
+        monkeypatch.setattr(getattr(sys.modules[real.__module__], owner), method, mutant)
 
 
 def _routes():
@@ -69,6 +77,29 @@ def _sweeps():
         assert test_normality._assert_route_matches_search(ambient, cfg, oracle)
 
 
+def _forks():
+    # test_warm_closure_matches_cold at the bench's 000111, and the test that
+    # two forks leave their root untouched and equal the rebuild.
+    with pytest.MonkeyPatch.context() as mp:
+        test_normality.test_warm_closure_matches_cold(
+            mp, Ambient.projective_pu(), "000111", 10, 8)
+    test_normality.test_two_forks_leave_their_root_untouched()
+
+
+def _closure_pins():
+    # test_closure_json_bytes_pinned, every case.
+    for argv, prefix in test_cli.CLOSURE_PINS:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run([*argv, "--json"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:12] == prefix
+
+
+def _memo():
+    with pytest.MonkeyPatch.context() as mp:
+        test_normality.test_memo_shares_one_run_per_dual_pair(mp)
+
+
 MUTANTS = [
     pytest.param(
         normality._route,
@@ -83,6 +114,38 @@ MUTANTS = [
         normality._route,
         [(' and ROOT in by_last["1"]', "")],
         _sweeps, id="route-ad-len-check-dropped"),
+    pytest.param(
+        closure.Saturator.fork,
+        [("{n: {**group} for n, group in by_len.items()}", "by_len")],
+        _forks, id="fork-shares-inner-index-dicts"),
+    pytest.param(
+        closure.Saturator.fork,
+        [("sat._closed = len(self.order)", "sat._closed = len(self.order) - 1")],
+        _forks, id="fork-resumes-one-word-early"),
+    pytest.param(
+        closure.Saturator.fork,
+        [("sat._closed = len(self.order)", "sat._closed = len(self.order) + 1")],
+        _forks, id="fork-resumes-one-word-late"),
+    pytest.param(
+        normality.ad_closure,
+        [("\n                and all(flip(t) in stop_targets for t in stop_targets or ())",
+          "")],
+        test_normality.test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu,
+        id="flip-filed-for-targets-not-flip-closed"),
+    pytest.param(
+        normality.ad_closure,
+        [('view.ambient.kind != "gen"', "True")],
+        test_normality.test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu,
+        id="flip-filed-in-a-generated-ambient"),
+    pytest.param(
+        normality.ad_closure,
+        [("_pairs[frozenset(map(involute, seeds))] = stop_targets, result",
+          "_pairs[frozenset(seeds)] = stop_targets, result")],
+        _memo, id="memo-filed-under-the-seeds"),
+    pytest.param(
+        closure.ClosureResult.to_json,
+        [("len(w) <= self.config.report_len", "len(w) < self.config.report_len")],
+        _closure_pins, id="report-cut-strict"),
     pytest.param(
         closure.verify_certificate_detailed,
         [("    kind = type(cert)\n", "    return True, None\n")],

@@ -31,12 +31,14 @@ from freefusion.words import degree, format_word, involute
 
 from helpers import (
     IndexedSaturator,
+    ReplaySaturator,
     TwoIndexSaturator,
     balanced_words_up_to,
     bench_oracle,
     cold_check,
     direct_check,
     engine_ad_closure,
+    flip,
     memo_terms,
     pairwise_ad_closure,
     recording,
@@ -578,36 +580,117 @@ def _json_or_error(sweep):
         return str(exc)
 
 
+def _flip_shared_seeds(monkeypatch) -> list:
+    """The seeds, in call order, whose ad_closure call returns a closure
+    that no Saturator run made (ad_closure keeps the run of the results it
+    makes as _engine): a flip pair's shared run, derived in closed form."""
+    shared = []
+    ad_closure = normality.ad_closure
+
+    def recorded(seeds, *args, **kwargs):
+        result = ad_closure(seeds, *args, **kwargs)
+        if not hasattr(result, "_engine"):
+            shared.extend(seeds)
+        return result
+
+    monkeypatch.setattr(normality, "ad_closure", recorded)
+    return shared
+
+
+def _assert_dual_pairs_match_unshared(ambient, cfg, shared, oracle):
+    """The library's sweep equals unshared_check's, every record byte for
+    byte, but for the records of flip-shared seeds (shared, filled by
+    _flip_shared_seeds): those are equal with certificate trees left out,
+    and their certificates replay under the benchmark's oracle.  Every
+    refusal too, with the same message.  Returns the flip-shared seeds, or
+    None when both sweeps refuse alike."""
+    shared.clear()
+    got = _json_or_error(lambda: _library_sweep(ambient, cfg))
+    want = _json_or_error(lambda: _oracle_sweep(ambient, cfg, unshared_check))
+    if not isinstance(got, dict):
+        assert got == want, cfg.to_json()
+        return None
+    assert _without_trees(got) == _without_trees(want), cfg.to_json()
+    seeds = [r["seed"] for r in got["seeds"]]
+    for rec, alone in zip(got["seeds"], want["seeds"]):
+        if rec["seed"] not in shared:
+            assert rec == alone, (cfg.to_json(), rec["seed"])
+            continue
+        # Only in au and pu, and only after the seed's flip or that flip's dual.
+        assert ambient is None or ambient.kind != "gen", cfg.to_json()
+        first = min(seeds.index(w) for w in (flip(rec["seed"]), involute(flip(rec["seed"]))))
+        assert first < seeds.index(rec["seed"]), (cfg.to_json(), rec["seed"])
+        _assert_certificates_replay(rec, oracle, cfg)
+    return list(shared)
+
+
 @_SMALL_SWEEPS
-def test_dual_pairs_match_unshared_sweep(ambient, sweeps):
-    # Every record, byte for byte, and every refusal (no seeds, or seeds
-    # beyond work_len) with the same message.
-    done = 0
-    for cfg in _small_cfgs():
-        got = _json_or_error(lambda: _library_sweep(ambient, cfg))
-        assert got == _json_or_error(
-            lambda: _oracle_sweep(ambient, cfg, unshared_check)), cfg.to_json()
-        done += isinstance(got, dict)
-    assert done == sweeps
+def test_dual_pairs_match_unshared_sweep(monkeypatch, ambient, sweeps):
+    shared = _flip_shared_seeds(monkeypatch)
+    oracle = bench_oracle()
+    got = [_assert_dual_pairs_match_unshared(ambient, cfg, shared, oracle)
+           for cfg in _small_cfgs()]
+    assert sum(g is not None for g in got) == sweeps
+    # Flip pairs share runs in au and pu, and never in a generated ambient.
+    assert any(got) == (ambient is None or ambient.kind != "gen")
 
 
-@_ACCEPTANCE_SWEEPS
+@pytest.mark.parametrize(
+    "ambient, work_len, seed_len, flip_shared",
+    [pytest.param(*case.values, ["111000"] if case.id == "criterion-6" else [],
+                  id=case.id) for case in _ACCEPTANCE_CASES],
+)
 def test_dual_pairs_match_unshared_sweep_at_acceptance_bounds(
-    ambient, work_len, seed_len
+    monkeypatch, ambient, work_len, seed_len, flip_shared
 ):
+    # At work_len 12 the pu root saturates, 000111 searches from its
+    # fixpoint and 111000 takes the flipped closure.  At work_len 14 the
+    # root reaches its targets, and in the circle check it holds them, so
+    # every other seed descends to 01, whose stop {01} is not flip-closed.
+    shared = _flip_shared_seeds(monkeypatch)
     cfg = small_cfg(work_len, report_len=6, ad_len=8, seed_len=seed_len)
-    assert (_library_sweep(ambient, cfg).to_json()
-            == _oracle_sweep(ambient, cfg, unshared_check).to_json())
+    assert _assert_dual_pairs_match_unshared(
+        ambient, cfg, shared, bench_oracle()) == flip_shared
+
+
+_FLIP_SEEDS = st.one_of(
+    st.lists(st.text("01", min_size=1, max_size=4), min_size=1, max_size=2)
+    .map(lambda seeds: ("au", seeds)),
+    st.lists(st.integers(1, 2).flatmap(lambda n: st.permutations("0" * n + "1" * n))
+             .map("".join), min_size=1, max_size=2).map(lambda seeds: ("pu", seeds)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FLIP_SEEDS, st.integers(0, 4), st.integers(0, 4))
+@example(("pu", ["000111"]), 4, 4)  # the pu-fixpoint bench's warm seed
+def test_flipped_closure_has_the_flipped_members(ambient_seeds, room, ad_len):
+    # flip is an automorphism of the fusion rule and the ad rule, and au,
+    # pu and their conjugators are flip-closed: the saturated ad-closure of
+    # the flipped seeds holds exactly the flipped members.  The closed form
+    # the memo files (normality._flipped) has them too, and replays.
+    kind, seeds = ambient_seeds
+    ambient = Ambient.parse(kind)
+    work_len = max(map(len, seeds)) + room
+    cfg = small_cfg(work_len, report_len=0, ad_len=min(ad_len, work_len), seed_len=0)
+    closure = ad_closure(set(seeds), ambient, cfg)
+    flipped = ad_closure({flip(s) for s in seeds}, ambient, cfg)
+    assert closure.saturated and flipped.saturated
+    assert {flip(w) for w in closure.members} == set(flipped.members)
+    derived = normality._flipped(closure)
+    assert derived.members == flipped.members and derived.saturated
+    assert derived.generators == flipped.generators
+    for w in sorted(derived.members, key=len)[-5:]:
+        assert verify_certificate(witness(derived, w), derived.generators), w
 
 
 def _count_saturators(monkeypatch) -> list:
     built = []
 
     class Counted(Saturator):
-        def __init__(self, config, generators=(), targets=None, base=None,
-                     closed=0):
+        def __init__(self, config, generators=(), targets=None, base=None):
             built.append(set(generators))
-            super().__init__(config, generators, targets, base, closed)
+            super().__init__(config, generators, targets, base)
 
     monkeypatch.setattr(normality, "Saturator", Counted)
     return built
@@ -644,6 +727,42 @@ def test_memo_shares_one_run_per_dual_pair(monkeypatch):
     other = run("1001", {"01", "0011"})  # other stop targets: a run of its own
     assert len(built) == 4 and other is not first
     assert [r for _, r in pairs.values()] == [other]  # filed for a later dual
+
+
+def test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu():
+    # The memo files the flipped closure for the seeds' flip and that flip's
+    # dual only after a search in au or pu to flip-closed stop targets, and
+    # only when the flip is neither the seeds nor their dual.
+    cfg = small_cfg(work_len=6, report_len=2, ad_len=0, seed_len=3)
+    both = {"01", "10"}
+
+    def memo(ambient, seeds, stop):
+        pairs = {}
+        result = ad_closure(seeds, ambient, cfg, stop_targets=stop, _pairs=pairs)
+        return result, pairs
+
+    au = Ambient.full_au()
+    result, pairs = memo(au, {"001"}, both)
+    assert set(pairs) == {frozenset({"011"}), frozenset({"110"}), frozenset({"100"})}
+    assert pairs[frozenset({"011"})] == (both, result)
+    stop, flipped = pairs[frozenset({"110"})]
+    assert stop == both and pairs[frozenset({"100"})][1] is flipped
+    assert set(flipped.members) == {flip(w) for w in result.members}
+    assert flipped.generators == {"110", "100"}
+    assert (flipped.saturated, flipped.stats) == (result.saturated, result.stats)
+    # A stop that is not flip-closed, a run that takes the route to 01, and a
+    # generated ambient (gen:01,10 is flip-closed, but not by kind) file no flip.
+    for ambient, seeds, stop in [(au, {"001"}, {"0011"}), (au, {"001"}, {"01"}),
+                                 (Ambient.generated(both), {"0101"}, both)]:
+        result, pairs = memo(ambient, seeds, stop)
+        duals = frozenset(map(involute, seeds))
+        assert pairs == ({} if duals == seeds else {duals: (stop, result)}), seeds
+    # A palindrome's flip is its dual: the dual entry, the run's own result.
+    result, pairs = memo(au, {"010"}, both)
+    assert pairs == {frozenset({"101"}): (both, result)}
+    # A seed set that flip keeps: nothing to file but its dual.
+    result, pairs = memo(au, {"0011", "1100"}, both)
+    assert pairs == {}
 
 
 def test_a_record_is_shared_only_with_its_closure(monkeypatch):
@@ -755,10 +874,11 @@ def test_warm_start_matches_cold_check_at_acceptance_bounds(
     assert got == ((2, 2) if ambient is not None and work_len < 14 else (0, 0))
 
 
-def _recorded_runs(monkeypatch) -> list:
+def _recorded_runs(monkeypatch) -> tuple[list, list]:
     """(saturator, the steps its run processed, the products it evaluated)
-    per Saturator run."""
-    runs = []
+    per Saturator run, and (the saturator forked, the fork) per fork.  A
+    fork is recorded whichever saturator it copies, the root's included."""
+    runs, forks = [], []
 
     class Recorded(Saturator):
         def run(self, ad_scan=None):
@@ -773,8 +893,17 @@ def _recorded_runs(monkeypatch) -> list:
             runs[-1][2].append((x, y))
             return super()._absorb(x, y)
 
+    fork = Saturator.fork
+
+    def recorded_fork(self, generators, targets, steps):
+        sat = fork(self, generators, targets, steps)
+        sat.__class__ = Recorded
+        forks.append((self, sat))
+        return sat
+
     monkeypatch.setattr(normality, "Saturator", Recorded)
-    return runs
+    monkeypatch.setattr(Saturator, "fork", recorded_fork)
+    return runs, forks
 
 
 @pytest.mark.parametrize(
@@ -797,18 +926,20 @@ def test_warm_closure_matches_cold(monkeypatch, ambient, seed, work_len, ad_len)
     root = ad_closure({"01"}, ambient, cfg, stop_targets=targets, _view=view)
     assert root.saturated
     cold = ad_closure({seed}, ambient, cfg, stop_targets=targets, _view=view)
-    runs = _recorded_runs(monkeypatch)
+    runs, forks = _recorded_runs(monkeypatch)
     warm = ad_closure({seed}, ambient, cfg, stop_targets=targets, _view=view,
                       _base=root)
     assert warm.members == cold.members and warm.saturated == cold.saturated
     (descent, _, _), *rest = runs
     if "01" not in cold.members:  # the first run is the exact fixpoint
-        assert rest == [] and warm.provenance is descent.provenance
+        assert rest == [] and forks == [] and warm.provenance is descent.provenance
         assert warm.stats == cold.stats
         return
-    # The second run lists the root's words first, in the root's order, and
-    # processes none of them; stats count the products of both runs.
+    # The second run is a fork of the root's run.  It lists the root's words
+    # first, in the root's order, and processes none of them; stats count
+    # the products of both runs.
     ((second, steps, _),) = rest
+    assert forks == [(root._engine, second)]
     closed = len(root.provenance)
     assert list(second.provenance)[:closed] == list(root.provenance)
     assert steps[0] == closed
@@ -818,6 +949,42 @@ def test_warm_closure_matches_cold(monkeypatch, ambient, seed, work_len, ad_len)
     # derived from it.
     for w in ["01", *sorted(warm.members, key=len)[-20:]]:
         assert verify_certificate(witness(warm, w), warm.generators), w
+
+
+def test_two_forks_leave_their_root_untouched():
+    # 000111 and 111000 in pu at work_len 10 each fork the saturated root's
+    # run.  Each fork equals the rebuild it replaced (ReplaySaturator, which
+    # replays the graft through add and indexes the root's words) before and
+    # after its run, and reaches its cold closure; the root's run is as it was.
+    cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
+    pu = Ambient.projective_pu()
+    view = AmbientView(pu, cfg.closure)
+    targets = set(view.simples(6))
+    root = ad_closure({"01"}, pu, cfg, stop_targets=targets, _view=view)
+    engine = root._engine
+    state = lambda sat: (list(sat.order), set(sat.members), dict(sat.provenance),
+                         sat.remaining, sat._closed, sat.stats,
+                         {h: {n: dict(g) for n, g in by_len.items()}
+                          for h, by_len in sat._tails.items()})
+    before = state(engine)
+    scan = partial(normality._conjugations, by_last=view.conjugators_by_last(8),
+                   max_len=10)
+    for seed in ("000111", "111000"):
+        steps = ad_closure({seed}, pu, cfg, stop_targets=root.generators,
+                           _view=view).provenance
+        assert "01" in steps
+        fork = engine.fork({seed}, targets, steps)
+        rebuilt = ReplaySaturator(cfg.closure, {seed}, targets,
+                                  {**root.provenance, **steps}, len(root.provenance))
+        assert state(fork) == state(rebuilt) and fork.generators == rebuilt.generators
+        fork.run(ad_scan=scan)
+        rebuilt.run(ad_scan=scan)
+        assert state(fork) == state(rebuilt)
+        cold = ad_closure({seed}, pu, cfg, stop_targets=targets, _view=view)
+        assert fork.members == set(cold.members)
+        assert not fork.done() and cold.saturated
+    assert state(engine) == before
+    assert engine._dual_tails is engine._tails and engine._duals is engine.members
 
 
 def test_ad_closure_refuses_an_unsaturated_base():

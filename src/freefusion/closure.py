@@ -15,6 +15,7 @@ from math import gcd
 from .fusion import has_term, mul_many, mul_simple
 from .words import (
     degree,
+    flip,
     format_word,
     heights,
     involute,
@@ -354,9 +355,11 @@ class Saturator:
     duals of those of m* * o*, so the same query with m*, tested against the
     members' duals, finds the duals p = o* of the partners of o * m: in the
     one index under dual closure, where o sits next to p in order, and in a
-    second index of the duals without it.  The dual step's member m runs no
-    query: its products with processed members are the duals of those that
-    step i - 1 absorbed for m*, but for m * m* and m* * m.
+    second index of the duals without it.  After start_flip the flip step
+    adds each member's flip right after it and its dual, by its step flipped,
+    so an orbit {r, r*, flip r*, flip r} comes whole.  Only r queries: a later
+    word's products with earlier orbits are duals or flips of r's, so it tests
+    only its pairs with the orbit's earlier words (m* for the dual step's m).
     A pair is evaluated, in the usual order, only when one of its terms was
     not a member when the step began.  Any other pair would add nothing, and
     done() can only change after an add, so members, order and provenance
@@ -366,6 +369,8 @@ class Saturator:
     their step began (fewer if the run stops early).
     A base provenance is replayed through add after the unit.
     """
+
+    _flip = False  # see start_flip
 
     def __init__(self, config: ClosureConfig, generators=(), targets=None,
                  base=None):
@@ -426,11 +431,17 @@ class Saturator:
             self._duals.add(d)
         elif d not in self.members:
             kind = prov[0]
-            if kind == "prod":
-                prov = ("prod", involute(prov[2]), involute(prov[1]))
-            elif kind == "ad":
-                prov = ("ad", prov[1], involute(prov[2]))
-            self.add(d, prov)
+            self.add(d, ("prod", involute(prov[2]), involute(prov[1])) if kind == "prod"
+                     else ("ad", prov[1], involute(prov[2])) if kind == "ad" else prov)
+        if self._flip and flip(w) not in self.members:
+            self.add(flip(w), (prov[0], *map(flip, prov[1:])))
+
+    def start_flip(self, steps: dict):
+        """Take the flip step from here on, then add steps: they must derive
+        the flips of the members so far, as the flip of a generator is none."""
+        self._flip = True
+        for w, prov in steps.items():
+            self.add(w, prov)
 
     def done(self) -> bool:
         """True once every target is derived; it answers and writes nothing.
@@ -480,21 +491,29 @@ class Saturator:
         order = self.order
         m = order[i]
         d = involute(m)
-        if self._dual and d == order[i - 1] != m:  # the dual step's member
-            sides = self._fresh_square(m) | 2 * self._fresh_square(d)
-            return [(i - 1, sides)] if sides else []
-        left = self._side(self._tails, m, self.members)
-        right = self._side(self._dual_tails, d, self._duals)
-        if self._dual:  # a hit p is o*, next to o; o = m shows only in left
-            mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
-            right = {j for j in mates if j <= i} | (left & {i})
-        return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
+        prev = order[i - 1]
+        # A later word of an orbit tests only its pairs with the earlier ones: m*
+        # after the dual step; flip(m), and its dual if another word, after the flip step.
+        if self._dual and d == prev != m:
+            orbit = (i - 1,)
+        elif self._flip and flip(m) == prev:
+            orbit = (i - 1,) if involute(prev) == prev else (i - 2, i - 1)
+        else:
+            left = self._side(self._tails, m, self.members)
+            right = self._side(self._dual_tails, d, self._duals)
+            if self._dual:  # a hit p is o*, next to o; o = m shows only in left
+                mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
+                right = {j for j in mates if j <= i} | (left & {i})
+            return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
+        return [(j, sides) for j in orbit
+                if (sides := self._fresh(m, order[j]) | 2 * self._fresh(order[j], m))]
 
-    def _fresh_square(self, x: str) -> bool:
-        """True when x * x* has a term within work_len that is not a member:
-        every cut is valid, so the terms are h + h* over prefixes h of x."""
-        return any(x[:n] + involute(x[:n]) not in self.members
-                   for n in range(1, min(len(x), self.config.work_len // 2) + 1))
+    def _fresh(self, x: str, y: str) -> bool:
+        """True when x * y has a term within work_len that is not a member: the terms
+        of x[:|x| - k] * y[k:], k = ceil((|x| + |y| - work_len) / 2), if cut k is valid."""
+        k = max(0, (len(x) + len(y) - self.config.work_len + 1) // 2)
+        return (x.endswith(involute(y[:k]))
+                and not self.members.issuperset(mul_simple(x[:len(x) - k], y[k:])))
 
     def _absorb(self, x: str, y: str):
         """Add the terms of x * y within work_len."""

@@ -203,6 +203,10 @@ def _route(gens, by_last, work_len: int) -> dict | None:
     return route if top == ROOT else None
 
 
+# 10 in two nodes from ROOT: 100110 is ROOT conjugated by 10, and 10 is cut 5 of 100110^2.
+FLIP_GRAFT = {"10": ("prod", "100110", "100110"), "100110": ("ad", "10", ROOT)}
+
+
 def ad_closure(
     seeds,
     ambient: Ambient = Ambient.full_au(),
@@ -222,6 +226,9 @@ def ad_closure(
     been derived; the member set is then a sound under-approximation and
     the result is marked unsaturated.  A run stopping at {01} alone replays
     _route where it fits, evaluating nothing: a fixpoint then holds 01 too.
+    A search from {01} in au or pu, whose conjugators are flip-closed,
+    grafts 10 and takes the flip step where the graft fits and some target
+    lies past it (README "Flip step").
 
     _pairs, one sweep's memo over one view and config, keeps the result
     of seeds that are not dual-closed for a later call with their duals,
@@ -251,6 +258,10 @@ def ad_closure(
     route = None if targets is None or {*targets} != {ROOT} else _route(
         {*seeds, *map(involute, seeds)}, by_last, work_len)
     sat = Saturator(config.closure, seeds, targets, route)
+    if (route is None and _base is None and {*seeds} == {ROOT} and work_len >= 6
+            and view.ambient.kind != "gen" and "10" in by_last["0"]
+            and (targets is None or not {*targets} <= {"", ROOT, "10"})):
+        sat.start_flip(FLIP_GRAFT)
     sat.run(ad_scan=scan)
     if _base is not None and sat.done():  # it derived the base's generators
         first = sat.stats

@@ -18,6 +18,7 @@ from freefusion.closure import (
     certified_absence,
 )
 from freefusion.normality import (
+    FLIP_GRAFT,
     ROOT,
     AdConfig,
     Ambient,
@@ -306,6 +307,64 @@ class ReplaySaturator(Saturator):
             self._index(j)
 
 
+class FlipFreeSaturator(Saturator):
+    """Saturator.add and _partners before the flip step, verbatim: each
+    member's dual is added right after it, and only the dual step's member
+    skips the partner query.  The flip step must reach this engine's
+    fixpoint from {01}."""
+
+    def add(self, w: str, prov: tuple):
+        if w in self.members:
+            return
+        self.members.add(w)
+        self.order.append(w)
+        self.provenance[w] = prov
+        if self.remaining:
+            self.remaining.discard(w)
+        d = involute(w)
+        if not self._dual:
+            self._duals.add(d)
+        elif d not in self.members:
+            kind = prov[0]
+            if kind == "prod":
+                prov = ("prod", involute(prov[2]), involute(prov[1]))
+            elif kind == "ad":
+                prov = ("ad", prov[1], involute(prov[2]))
+            self.add(d, prov)
+
+    def _partners(self, i: int) -> list[tuple[int, int]]:
+        """(j, sides) for each indexed order[j] = o such that m * o (sides
+        bit 1) or o * m (bit 2) has a term within work_len that is not yet
+        a member, by increasing j, where m = order[i]."""
+        order = self.order
+        m = order[i]
+        d = involute(m)
+        if self._dual and d == order[i - 1] != m:  # the dual step's member
+            sides = self._fresh_square(m) | 2 * self._fresh_square(d)
+            return [(i - 1, sides)] if sides else []
+        left = self._side(self._tails, m, self.members)
+        right = self._side(self._dual_tails, d, self._duals)
+        if self._dual:  # a hit p is o*, next to o; o = m shows only in left
+            mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
+            right = {j for j in mates if j <= i} | (left & {i})
+        return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
+
+    def _fresh_square(self, x: str) -> bool:
+        """True when x * x* has a term within work_len that is not a member:
+        every cut is valid, so the terms are h + h* over prefixes h of x."""
+        return any(x[:n] + involute(x[:n]) not in self.members
+                   for n in range(1, min(len(x), self.config.work_len // 2) + 1))
+
+
+def flip_free_ad_closure(seeds, ambient, config, stop_targets=None):
+    """ad_closure's search on FlipFreeSaturator, with no route and no graft;
+    returns the saturator."""
+    by_last = AmbientView(ambient, config.closure).conjugators_by_last(config.ad_len)
+    sat = FlipFreeSaturator(config.closure, seeds, stop_targets)
+    sat.run(ad_scan=lambda x: _conjugations(x, by_last, config.closure.work_len))
+    return sat
+
+
 def recording(engine, steps: list):
     """A subclass of the Saturator class engine that appends (i, the
     _partners list of step i) to steps at every step."""
@@ -329,10 +388,17 @@ def saturate(engine, gens, config):
 
 def engine_ad_closure(engine, seeds, ambient, config, stop_targets=None):
     """ad_closure on the given Saturator class (or factory) with the
-    conjugation scan; returns the saturator, whose order, provenance and
-    stats the tests compare.  Call memo_terms.cache_clear() when done."""
+    conjugation scan and the library's start, the flip graft included;
+    returns the saturator, whose order, provenance and stats the tests
+    compare.  Call memo_terms.cache_clear() when done."""
     view = AmbientView(ambient, config.closure)
     sat = engine(config.closure, seeds, stop_targets)
+    # A search from {01} in au or pu grafts 10 and takes the flip step where
+    # 100110 and the conjugator 10 fit and some target lies past the graft.
+    if ({*seeds} == {ROOT} and ambient.kind != "gen" and config.closure.work_len >= 6
+            and config.ad_len >= 2
+            and (stop_targets is None or not {*stop_targets} <= {"", ROOT, "10"})):
+        sat.start_flip(FLIP_GRAFT)
     conjugators = [y for y in view.simples(config.ad_len) if y]
     sat.run(ad_scan=lambda x: scan_conjugations(x, conjugators))
     return sat

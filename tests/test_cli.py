@@ -305,10 +305,10 @@ _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 _AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
 _SWEEP_PINS = [
     (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-     "3b0936a99959", (28, 391, 919, 24), (21, 63)),
+     "b815f58921d4", (28, 278, 919, 24), (21, 63)),
     (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
-     "6b0dceae0bdf", (28, 213, 383, 34), (21, 63)),
-    (_AU_CIRCLE, 0, "7654545f6a2f", (62, 80, 374, 61), (34, 102)),
+     "42df8497e250", (28, 40, 191, 18), (21, 63)),
+    (_AU_CIRCLE, 0, "fe6c1003914e", (62, 3, 305, 15), (34, 102)),
     (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
       "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
      "098b6fa22818", (14, 35, 105, 10), (12, 33)),

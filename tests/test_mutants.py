@@ -4,9 +4,10 @@ must reject it.  Every case asserts that the check passes on the real code
 and fails under the mutant.
 
 A mutant is compiled from its function's source with each edit applied
-exactly once, in a copy of the function's module namespace.  A change that
-moves the edited text away therefore fails here loudly, rather than leaving
-a mutant that is the real code.  Add the hand mutations of each later
+exactly once, and bound to its module's live globals, so a check that
+monkeypatches a module global sees the mutant's calls too.  A change that
+moves the edited text away fails here loudly, rather than leaving a mutant
+that is the real code.  Add the hand mutations of each later
 change here.
 """
 
@@ -15,6 +16,7 @@ import inspect
 import io
 import sys
 import textwrap
+import types
 from contextlib import redirect_stdout
 
 import pytest
@@ -32,14 +34,21 @@ from test_normality import small_cfg
 
 
 def _edited(func, *edits):
-    """func compiled from its source with each (old, new) edit applied."""
+    """func compiled from its source with each (old, new) edit applied, in
+    a copy of its module's namespace, then bound to the module's live
+    globals with the compiled defaults and closure."""
     src = textwrap.dedent(inspect.getsource(func))
     for old, new in edits:
         assert src.count(old) == 1, f"{func.__name__} has no single {old!r}"
         src = src.replace(old, new)
-    namespace = dict(vars(sys.modules[func.__module__]))
+    module = sys.modules[func.__module__]
+    namespace = dict(vars(module))
     exec(compile(src, func.__code__.co_filename, "exec"), namespace)
-    return namespace[func.__name__]
+    compiled = namespace[func.__name__]
+    mutant = types.FunctionType(compiled.__code__, vars(module), compiled.__name__,
+                                compiled.__defaults__, compiled.__closure__)
+    mutant.__kwdefaults__ = compiled.__kwdefaults__
+    return mutant
 
 
 def _install(monkeypatch, real, mutant):
@@ -95,6 +104,21 @@ def _closure_pins():
         assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:12] == prefix
 
 
+def _flip_root():
+    # test_root_flip_step_reaches_the_flip_free_fixpoint in pu at work_len 10,
+    # at the fixpoint and at the targets.
+    for stop in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            test_normality.test_root_flip_step_reaches_the_flip_free_fixpoint(
+                mp, "pu", 10, stop)
+
+
+def _graft_cases():
+    # test_only_a_search_from_the_root_grafts_10, every case.
+    for case in test_normality._GRAFT_CASES:
+        test_normality.test_only_a_search_from_the_root_grafts_10(*case)
+
+
 def _memo():
     with pytest.MonkeyPatch.context() as mp:
         test_normality.test_memo_shares_one_run_per_dual_pair(mp)
@@ -134,7 +158,7 @@ MUTANTS = [
         id="flip-filed-for-targets-not-flip-closed"),
     pytest.param(
         normality.ad_closure,
-        [('view.ambient.kind != "gen"', "True")],
+        [('(view.ambient.kind != "gen" and flipped', "(True and flipped")],
         test_normality.test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu,
         id="flip-filed-in-a-generated-ambient"),
     pytest.param(
@@ -142,6 +166,22 @@ MUTANTS = [
         [("_pairs[frozenset(map(involute, seeds))] = stop_targets, result",
           "_pairs[frozenset(seeds)] = stop_targets, result")],
         _memo, id="memo-filed-under-the-seeds"),
+    pytest.param(
+        closure.Saturator._partners,
+        [("orbit = (i - 1,) if involute(prev) == prev else (i - 2, i - 1)", "orbit = ()")],
+        _flip_root, id="flip-step-member-tests-no-pair-in-its-orbit"),
+    pytest.param(
+        closure.Saturator.add,
+        [("(prov[0], *map(flip, prov[1:]))", "prov")],
+        _flip_root, id="flip-step-keeps-the-unflipped-step"),
+    pytest.param(
+        normality.ad_closure,
+        [("sat.start_flip(FLIP_GRAFT)", "sat.start_flip(dict(reversed(FLIP_GRAFT.items())))")],
+        _flip_root, id="graft-100110-before-10"),
+    pytest.param(
+        normality.ad_closure,
+        [('\n            and (targets is None or not {*targets} <= {"", ROOT, "10"})', "")],
+        _graft_cases, id="graft-taken-for-targets-within-it"),
     pytest.param(
         closure.ClosureResult.to_json,
         [("len(w) <= self.config.report_len", "len(w) < self.config.report_len")],
@@ -169,3 +209,15 @@ def test_mutant_fails_its_oracle(monkeypatch, real, edits, check):
     _install(monkeypatch, real, _edited(real, *edits))
     with pytest.raises(AssertionError):
         check()
+
+
+def test_a_mutant_calls_monkeypatched_module_globals(monkeypatch):
+    # A check that counts a library call by patching its module global,
+    # after the mutant is installed, sees the mutant's calls too.
+    mutant = _edited(normality.find_invertibles, ('"all", max_len', '"all", max_len - 1'))
+    calls = []
+    mul_simple = normality.mul_simple
+    monkeypatch.setattr(normality, "mul_simple",
+                        lambda x, y: calls.append((x, y)) or mul_simple(x, y))
+    assert mutant(2) == [""]
+    assert calls == [("", ""), ("0", "1"), ("1", "0")]

@@ -39,6 +39,7 @@ from helpers import (
     direct_check,
     engine_ad_closure,
     flip,
+    flip_free_ad_closure,
     memo_terms,
     pairwise_ad_closure,
     recording,
@@ -1109,3 +1110,77 @@ def test_reachable_targets_are_computed_once_per_degree(monkeypatch):
     cfg = small_cfg(work_len=10, report_len=4, ad_len=8, seed_len=5)
     check_circle_corollary(cfg)
     assert len(asked) == 6 * len(balanced_words_up_to(4))
+
+
+# --------------------------------------------------------------------------
+# the flip step: the root's search grafts 10 and saturates modulo flip
+
+
+def _assert_orbits_contiguous(order):
+    """order runs through whole flip orbits {r, r*, flip r*, flip r}, each
+    in that order, shorter where r is self-dual or a palindrome."""
+    i = 0
+    while i < len(order):
+        r = order[i]
+        orbit = list(dict.fromkeys([r, involute(r), flip(involute(r)), flip(r)]))
+        assert order[i:i + len(orbit)] == orbit, (i, r)
+        i += len(orbit)
+
+
+@pytest.mark.parametrize("stop", [False, True], ids=["fixpoint", "targets"])
+@pytest.mark.parametrize("work_len", [6, 8, 10, 12])
+@pytest.mark.parametrize("kind", ["au", "pu"])
+def test_root_flip_step_reaches_the_flip_free_fixpoint(monkeypatch, kind, work_len, stop):
+    # The root's run from 01 takes the flip step.  It ends as the engine
+    # before the flip step does: at the same fixpoint, or holding every
+    # target, with fewer products.  Its order starts with the graft
+    # and runs through whole orbits, it equals the two-index engine's step
+    # by step, and every member's certificate replays from 01 alone.
+    ambient = Ambient.parse(kind)
+    cfg = small_cfg(work_len, report_len=4, ad_len=min(8, work_len), seed_len=0)
+    targets = set(balanced_words_up_to(4)) if stop else None
+    old = flip_free_ad_closure({ROOT}, ambient, cfg, targets)
+    traces = []
+    for engine in (Saturator, TwoIndexSaturator):
+        steps = []
+        monkeypatch.setattr(normality, "Saturator", recording(engine, steps))
+        new = ad_closure({ROOT}, ambient, cfg, stop_targets=targets)
+        traces.append((list(new.provenance.items()), new.stats, new.saturated, steps))
+    assert traces[0] == traces[1]
+    assert new.saturated == old.result(is_ad=True).saturated
+    if new.saturated:
+        assert new.members == old.members
+    else:
+        assert targets <= new.members and targets <= old.members
+    assert new.stats["products"] < old.stats["products"]
+    order = list(new.provenance)
+    assert order[:5] == ["", ROOT, "10", "100110", "011001"]
+    _assert_orbits_contiguous(order)
+    oracle = bench_oracle()
+    for w in order:
+        cert = certificate_to_json(witness(new, w))
+        assert oracle.certificate_word(cert, {ROOT}) == w, w
+
+
+_GRAFT_CASES = [
+    ("pu", {ROOT}, 6, 2, None, True),
+    ("au", {ROOT}, 6, 2, {"0011"}, True),
+    # The graft would derive every target: the run scans 01 instead.
+    ("pu", {ROOT}, 6, 2, {"", ROOT, "10"}, False),
+    ("pu", {ROOT}, 6, 2, {ROOT, "10"}, False),
+    ("pu", {ROOT}, 5, 2, None, False),  # 100110 exceeds work_len
+    ("pu", {ROOT}, 6, 1, None, False),  # 10 is no conjugator
+    ("gen:01,10", {ROOT}, 6, 2, None, False),
+    ("au", {"0011"}, 6, 2, None, False),
+    ("au", {ROOT, "0011"}, 6, 2, None, False),
+]
+
+
+@pytest.mark.parametrize("kind, seeds, work_len, ad_len, targets, grafts", _GRAFT_CASES)
+def test_only_a_search_from_the_root_grafts_10(kind, seeds, work_len, ad_len, targets,
+                                                grafts):
+    cfg = small_cfg(work_len, report_len=0, ad_len=ad_len, seed_len=0)
+    result = ad_closure(seeds, Ambient.parse(kind), cfg, stop_targets=targets)
+    assert (list(result.provenance)[:5] == ["", ROOT, "10", "100110", "011001"]) == grafts
+    if targets:  # a run to targets scans a member: the bench's tracer needs one
+        assert result.stats["ad_steps"] > 0

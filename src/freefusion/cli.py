@@ -35,7 +35,7 @@ from .normality import (
     check_circle_corollary,
     check_simplicity,
     find_invertibles,
-    witness_entry,
+    witness_entries,
 )
 from .words import degree, format_word, involute, parse_word, parse_words
 
@@ -103,83 +103,80 @@ def _resolve_bounds(args):
             setattr(args, name, min(default, args.work_len))
 
 
-class _Skipped:
-    """A subcommand's parser that argv does not invoke: its arguments are skipped."""
+_HELP = {
+    "mul": "fusion product of simples",
+    "dual": "dual of a word",
+    "degree": "degree of a word (#0 - #1)",
+    "enumerate": "list words in shortlex order",
+    "closure": "bounded closure of a generated sub-semiring",
+    "ad-closure": "ad-saturated closure of seeds",
+    "check-simple": "per-seed simplicity check",
+    "check-circle": "every nonempty seed reaches all balanced words",
+    "invertibles": "scan for invertible simples",
+    "verify-cert": "replay a certificate file",
+}
 
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: self
+
+def _add_arguments(name: str, p: _ArgumentParser) -> _ArgumentParser:
+    """Subcommand name's arguments, added to its parser p."""
+    if name == "mul":
+        p.add_argument("words", nargs="+")
+    elif name in ("dual", "degree"):
+        p.add_argument("word")
+    elif name == "enumerate":
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--all", dest="filter", action="store_const", const="all")
+        g.add_argument("--balanced", dest="filter", action="store_const",
+                       const="balanced")
+        p.set_defaults(filter="all")
+        p.add_argument("--max-len", type=int, required=True)
+    elif name == "closure":
+        p.add_argument("--gens", required=True, help="comma-separated words")
+        p.add_argument("--member", help="query membership of a word")
+        p.add_argument("--witness", help="emit a derivation certificate for a member")
+        p.add_argument("--no-dual-closure", action="store_true",
+                       help="do not close the generator set under duals")
+        _add_bound_flags(p)
+    elif name == "ad-closure":
+        p.add_argument("--seeds", required=True, help="comma-separated words")
+        p.add_argument("--ambient", default="au", help="au, pu, or gen:w1,w2,...")
+        p.add_argument("--member", help="query membership of a word")
+        p.add_argument("--witness", help="emit a derivation certificate for a member")
+        _add_bound_flags(p, ad_len=True)
+    elif name in ("check-simple", "check-circle"):
+        if name == "check-simple":
+            p.add_argument("--ambient", default="pu", help="au, pu, or gen:w1,w2,...")
+        p.add_argument("--cert-samples", type=int, default=3)
+        _add_bound_flags(p, seed_len=True, ad_len=True)
+    elif name == "invertibles":
+        p.add_argument("--max-len", type=int, required=True)
+    else:  # verify-cert
+        p.add_argument("file")
+    _add_output_flags(p)
+    return p
 
 
-def _build_parser(argv) -> _ArgumentParser:
-    """Every subcommand with its help, and arguments only for the one argv
-    invokes: the first token naming one, as the top level takes no argument."""
+def _build_parser() -> _ArgumentParser:
+    """The whole tree: every subcommand with its help and its arguments."""
     parser = _ArgumentParser(prog="freefusion")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    invoked = next((a for a in argv if a in _HANDLERS), None)
-
-    def add(name, help):
-        p = sub.add_parser(name, help=help)
-        return p if name == invoked else _Skipped()
-
-    p = add("mul", "fusion product of simples")
-    p.add_argument("words", nargs="+")
-    _add_output_flags(p)
-
-    p = add("dual", "dual of a word")
-    p.add_argument("word")
-    _add_output_flags(p)
-
-    p = add("degree", "degree of a word (#0 - #1)")
-    p.add_argument("word")
-    _add_output_flags(p)
-
-    p = add("enumerate", "list words in shortlex order")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--all", dest="filter", action="store_const", const="all")
-    g.add_argument("--balanced", dest="filter", action="store_const",
-                   const="balanced")
-    p.set_defaults(filter="all")
-    p.add_argument("--max-len", type=int, required=True)
-    _add_output_flags(p)
-
-    p = add("closure", "bounded closure of a generated sub-semiring")
-    p.add_argument("--gens", required=True, help="comma-separated words")
-    p.add_argument("--member", help="query membership of a word")
-    p.add_argument("--witness", help="emit a derivation certificate for a member")
-    p.add_argument("--no-dual-closure", action="store_true",
-                   help="do not close the generator set under duals")
-    _add_bound_flags(p)
-    _add_output_flags(p)
-
-    p = add("ad-closure", "ad-saturated closure of seeds")
-    p.add_argument("--seeds", required=True, help="comma-separated words")
-    p.add_argument("--ambient", default="au", help="au, pu, or gen:w1,w2,...")
-    p.add_argument("--member", help="query membership of a word")
-    p.add_argument("--witness", help="emit a derivation certificate for a member")
-    _add_bound_flags(p, ad_len=True)
-    _add_output_flags(p)
-
-    p = add("check-simple", "per-seed simplicity check")
-    p.add_argument("--ambient", default="pu", help="au, pu, or gen:w1,w2,...")
-    p.add_argument("--cert-samples", type=int, default=3)
-    _add_bound_flags(p, seed_len=True, ad_len=True)
-    _add_output_flags(p)
-
-    p = add("check-circle", "every nonempty seed reaches all balanced words")
-    p.add_argument("--cert-samples", type=int, default=3)
-    _add_bound_flags(p, seed_len=True, ad_len=True)
-    _add_output_flags(p)
-
-    p = add("invertibles", "scan for invertible simples")
-    p.add_argument("--max-len", type=int, required=True)
-    _add_output_flags(p)
-
-    p = add("verify-cert", "replay a certificate file")
-    p.add_argument("file")
-    _add_output_flags(p)
-
+    for name, help in _HELP.items():
+        _add_arguments(name, sub.add_parser(name, help=help))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the whole tree parses it, building one parser where
+    that suffices: the top level takes no argument but the subcommand, so
+    when argv[0] names one, it hands exactly argv[1:] to that subcommand's
+    parser.  Any other argv (help, version, an unknown, missing or later
+    subcommand) builds the whole tree."""
+    name = argv[0] if argv else None
+    if name not in _HELP:
+        return _build_parser().parse_args(argv)
+    parser = _add_arguments(name, _ArgumentParser(prog=f"freefusion {name}"))
+    return parser.parse_args(argv[1:], argparse.Namespace(subcommand=name))
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +246,7 @@ def _run_closure(args):
         lines += _membership_lines(w, m)
     if args.witness is not None:
         w = parse_word(args.witness)
-        wp = witness_entry(result, w)
+        wp = witness_entries(result, [w])[0]
         if wp is not None:
             wp = {"word": wp.pop("word"),
                   "generators": payload["closure"]["generators"], **wp}
@@ -351,9 +348,8 @@ def _invocation_echo(args) -> dict:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -140,26 +140,37 @@ Certificate = Unit | Generator | ProductTerm | AdStep
 _UNIT = Unit()
 
 
-def certificate_to_json(cert: Certificate) -> dict:
+def certificate_to_json(cert: Certificate, written: dict | None = None) -> dict:
+    """A certificate as a JSON tree.  With written, a memo by node id kept
+    no longer than the nodes it names, a node shared in a DAG is written as
+    one dict wherever it occurs; it serialises to the same bytes."""
+    if written is not None:
+        got = written.get(id(cert))
+        if got is not None:
+            return got
     if isinstance(cert, Unit):
-        return {"kind": "unit"}
-    if isinstance(cert, Generator):
-        return {"kind": "gen", "word": format_word(cert.word)}
-    if isinstance(cert, ProductTerm):
-        return {
+        out = {"kind": "unit"}
+    elif isinstance(cert, Generator):
+        out = {"kind": "gen", "word": format_word(cert.word)}
+    elif isinstance(cert, ProductTerm):
+        out = {
             "kind": "prod",
-            "left": certificate_to_json(cert.left),
-            "right": certificate_to_json(cert.right),
+            "left": certificate_to_json(cert.left, written),
+            "right": certificate_to_json(cert.right, written),
             "term": format_word(cert.word),
         }
-    if isinstance(cert, AdStep):
-        return {
+    elif isinstance(cert, AdStep):
+        out = {
             "kind": "ad",
             "conjugator": format_word(cert.conjugator),
-            "inner": certificate_to_json(cert.inner),
+            "inner": certificate_to_json(cert.inner, written),
             "result": format_word(cert.word),
         }
-    raise TypeError(f"not a certificate node: {cert!r}")
+    else:
+        raise TypeError(f"not a certificate node: {cert!r}")
+    if written is not None:
+        written[id(cert)] = out
+    return out
 
 
 def certificate_from_json(obj: dict) -> Certificate:
@@ -191,7 +202,7 @@ def certificate_from_json(obj: dict) -> Certificate:
     raise ValueError(f"unknown certificate node kind: {kind!r}")
 
 
-def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
+def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | None]:
     """Replay a certificate against the fusion rule only.
 
     A product node is checked at the one cut its word lengths fix
@@ -202,18 +213,28 @@ def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
     Returns (True, None) on success, otherwise (False, diagnostic path).
     The path is built only on failure: a node reports its own failure at
     "root", and its parent extends that to "root.left" and so on.
+
+    replayed, a set of the ids of product and ad nodes already replayed
+    valid against these gens, skips them and gains every such node that
+    passes, so a DAG replays each node once.  A node's validity depends
+    only on its subtree, so the answer is the tree replay's.  The caller
+    keeps the nodes alive as long as the set.
     """
     kind = type(cert)
     if kind is ProductTerm:
-        ok, why = verify_certificate_detailed(cert.left, gens)
+        if replayed is not None and id(cert) in replayed:
+            return True, None
+        ok, why = verify_certificate_detailed(cert.left, gens, replayed)
         if not ok:
             return ok, "root.left" + why[4:]
-        ok, why = verify_certificate_detailed(cert.right, gens)
+        ok, why = verify_certificate_detailed(cert.right, gens, replayed)
         if not ok:
             return ok, "root.right" + why[4:]
         lw = cert.left.word
         rw = cert.right.word
         if has_term(lw, rw, cert.word):
+            if replayed is not None:
+                replayed.add(id(cert))
             return True, None
         return False, (f"root: {format_word(cert.word)} does not occur in "
                        f"{format_word(lw)} * {format_word(rw)}")
@@ -222,7 +243,9 @@ def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
             return True, None
         return False, f"root: {format_word(cert.word)} is not a generator"
     if kind is AdStep:
-        ok, why = verify_certificate_detailed(cert.inner, gens)
+        if replayed is not None and id(cert) in replayed:
+            return True, None
+        ok, why = verify_certificate_detailed(cert.inner, gens, replayed)
         if not ok:
             return ok, "root.inner" + why[4:]
         y = cert.conjugator
@@ -230,6 +253,8 @@ def verify_certificate_detailed(cert, gens) -> tuple[bool, str | None]:
         first = mul_simple(y, x)
         if len(first) == 1 and (mul_many([first, {involute(y): 1}])
                                 == {cert.word: 1}):
+            if replayed is not None:
+                replayed.add(id(cert))
             return True, None
         return False, (f"root: {format_word(y)} * {format_word(x)} * "
                        f"{format_word(involute(y))} is not exactly the single "
@@ -611,11 +636,13 @@ def member(result: ClosureResult, w: str) -> Membership:
     return ABSENT_WITHIN_BOUND
 
 
-def witness(result: ClosureResult, w: str) -> Certificate | None:
-    """Derivation certificate for a member, or None for a non-member."""
+def witness(result: ClosureResult, w: str, _memo: dict | None = None) -> Certificate | None:
+    """Derivation certificate for a member, or None for a non-member.
+    _memo, word -> node, shared across calls on one result makes their
+    certificates one DAG."""
     if w not in result.members:
         return None
-    memo: dict[str, Certificate] = {}
+    memo: dict[str, Certificate] = {} if _memo is None else _memo
 
     def build(u: str) -> Certificate:
         got = memo.get(u)

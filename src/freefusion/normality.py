@@ -352,21 +352,31 @@ class SimplicityReport(_Value):
         }
 
 
-def witness_entry(result: ClosureResult, w: str) -> dict | None:
-    """The JSON entry for a derivation of w: its certificate, replayed
-    against the result's generators; None when w has no derivation."""
-    cert = witness(result, w)
-    if cert is None:
-        return None
-    ok, why = verify_certificate_detailed(cert, set(result.generators))
-    entry = {
-        "word": format_word(w),
-        "verified": ok,
-        "certificate": certificate_to_json(cert),
-    }
-    if why is not None:
-        entry["error"] = why
-    return entry
+def witness_entries(result: ClosureResult, words) -> list[dict | None]:
+    """The JSON entry for a derivation of each word: its certificate,
+    replayed against the result's generators; None for a word with no
+    derivation.  The words' certificates share one witness memo, so they
+    are one DAG: each node is replayed and written once, and a node's
+    validity and JSON depend only on its subtree, so every entry equals
+    the one a replay and write of its tree alone gives."""
+    gens = set(result.generators)
+    memo, replayed, written = {}, set(), {}  # live together: ids stay unique
+    entries = []
+    for w in words:
+        cert = witness(result, w, memo)
+        if cert is None:
+            entries.append(None)
+            continue
+        ok, why = verify_certificate_detailed(cert, gens, replayed)
+        entry = {
+            "word": format_word(w),
+            "verified": ok,
+            "certificate": certificate_to_json(cert, written),
+        }
+        if why is not None:
+            entry["error"] = why
+        entries.append(entry)
+    return entries
 
 
 def _status(fail: bool, inconclusive: bool) -> str:
@@ -446,7 +456,7 @@ def _check(name, view, config, targets, cert_samples):
             present = [t for t in targets if t in reach and t in cl.members]
             missing_within = [t for t in targets if t in reach and t not in cl.members]
             sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
-            certificates = [witness_entry(cl, w) for w in sample]
+            certificates = witness_entries(cl, sample)
             # A sample that does not replay is a failure, never a silent pass.
             unverified = not all(c["verified"] for c in certificates)
             fields = (_status(bool(missing_certified) or unverified,

@@ -15,7 +15,10 @@ from freefusion.closure import (
     ProductTerm,
     Saturator,
     Unit,
+    certificate_to_json,
     certified_absence,
+    verify_certificate_detailed,
+    witness,
 )
 from freefusion.normality import (
     FLIP_GRAFT,
@@ -28,7 +31,6 @@ from freefusion.normality import (
     _conjugations,
     _status,
     ad_closure,
-    witness_entry,
 )
 from freefusion.words import format_word, involute, shortlex_key
 
@@ -409,6 +411,25 @@ def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
     view = AmbientView(ambient, config.closure)
     engine = partial(PairwiseSaturator, ambient=view)
     return engine_ad_closure(engine, seeds, ambient, config, stop_targets)
+
+
+def witness_entry(result: ClosureResult, w: str) -> dict | None:
+    """The JSON entry for a derivation of w: its certificate, replayed
+    against the result's generators; None when w has no derivation.
+    normality's per-word sampling before witness_entries: each word's
+    certificate is replayed and written as a tree, with a memo of its own."""
+    cert = witness(result, w)
+    if cert is None:
+        return None
+    ok, why = verify_certificate_detailed(cert, set(result.generators))
+    entry = {
+        "word": format_word(w),
+        "verified": ok,
+        "certificate": certificate_to_json(cert),
+    }
+    if why is not None:
+        entry["error"] = why
+    return entry
 
 
 def direct_check(name, view, config, targets, cert_samples=3):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -269,7 +270,7 @@ def test_word_results_are_typed(capsys, schema, argv, key, bad):
 def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
     # A certificate that does not replay is a failed check, never a pass.
     monkeypatch.setattr(normality, "verify_certificate_detailed",
-                        lambda cert, gens: (False, "root: rejected"))
+                        lambda cert, gens, replayed: (False, "root: rejected"))
     code, out, _ = invoke(capsys, *argv, "--json")
     assert code == 1
     doc = json.loads(out)
@@ -291,27 +292,29 @@ def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
 # change that means to alter report bytes updates these prefixes.  The
 # counters are the engine stats that the benchmark fingerprints, summed
 # over the sweep's ad_closure calls: (calls, products, members, ad_steps).
-# The work done is (Saturator.run calls, witness_entry calls): a seed and
-# its dual share one run and one certificate replay, a generated ambient
-# saturates its own simple set once more, and a seed outside a saturated
-# root runs twice, to 01 and then from the root's fixpoint.  In pu its flip
-# (111000 for 000111) takes the flipped closure from the memo, with the
-# same stats and no run, and replays its own certificates.  A run to 01
-# that takes the closed-form route evaluates nothing, so its stats count no
-# product and no ad step.
+# The work done is (Saturator.run calls, words sampled by witness_entries):
+# a seed and its dual share one run and one certificate replay, a generated
+# ambient saturates its own simple set once more, and a seed outside a
+# saturated root runs twice, to 01 and then from the root's fixpoint.  In
+# pu its flip (111000 for 000111) takes the flipped closure from the memo,
+# with the same stats and no run, and replays its own certificates.  A run
+# to 01 that takes the closed-form route evaluates nothing, so its stats
+# count no product and no ad step.  The last figure counts has_term calls:
+# a seed's samples replay as one DAG, each product node once (a replay of
+# each sample's tree made 341, 282, 432 and 108).
 _CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
                     "--ad-len", "8"]
 _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 _AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
 _SWEEP_PINS = [
     (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-     "b815f58921d4", (28, 278, 919, 24), (21, 63)),
+     "b815f58921d4", (28, 278, 919, 24), (21, 63), 119),
     (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
-     "42df8497e250", (28, 40, 191, 18), (21, 63)),
-    (_AU_CIRCLE, 0, "fe6c1003914e", (62, 3, 305, 15), (34, 102)),
+     "42df8497e250", (28, 40, 191, 18), (21, 63), 100),
+    (_AU_CIRCLE, 0, "fe6c1003914e", (62, 3, 305, 15), (34, 102), 132),
     (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
       "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
-     "098b6fa22818", (14, 35, 105, 10), (12, 33)),
+     "098b6fa22818", (14, 35, 105, 10), (12, 33), 43),
 ]
 
 
@@ -323,18 +326,20 @@ def _run_sweep(tmp_path, argv) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize(
-    "argv,code,prefix,counters,work",
+    "argv,code,prefix,counters,work,terms",
     _SWEEP_PINS,
     ids=["pu-fixpoint", "pu-targets", "au-circle", "criterion-7"],
 )
 def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
-                                   counters, work):
+                                   counters, work, terms):
     stats = []
     runs = []
     witnessed = []
+    has_term_calls = []
     ad_closure = normality.ad_closure
     saturator_run = closure.Saturator.run
-    witness_entry = normality.witness_entry
+    witness_entries = normality.witness_entries
+    has_term = closure.has_term
 
     def counted(*args, **kwargs):
         result = ad_closure(*args, **kwargs)
@@ -345,17 +350,23 @@ def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
         runs.append(self.generators)
         return saturator_run(self, *args, **kwargs)
 
-    def counted_witness(result, w):
-        witnessed.append(w)
-        return witness_entry(result, w)
+    def counted_witnesses(result, words):
+        witnessed.extend(words)
+        return witness_entries(result, words)
+
+    def counted_has_term(*args):
+        has_term_calls.append(args)
+        return has_term(*args)
 
     monkeypatch.setattr(normality, "ad_closure", counted)
     monkeypatch.setattr(closure.Saturator, "run", counted_run)
-    monkeypatch.setattr(normality, "witness_entry", counted_witness)
+    monkeypatch.setattr(normality, "witness_entries", counted_witnesses)
+    monkeypatch.setattr(closure, "has_term", counted_has_term)
     assert _run_sweep(tmp_path, argv) == (code, prefix)
     assert (len(stats), *(sum(s[k] for s in stats)
                           for k in ("products", "members", "ad_steps"))) == counters
     assert (len(runs), len(witnessed)) == work
+    assert len(has_term_calls) == terms
 
 
 def test_sweeps_back_to_back_match_each_alone():
@@ -924,16 +935,17 @@ def test_random_invocations_never_escape(fuzz_dir, argv, document):
 
 
 # --------------------------------------------------------------------------
-# the lazy parser, against the eager one it replaced (helpers.build_parser)
+# the parser: one subcommand's parser alone where argv[0] names it, against
+# the eager tree (helpers.build_parser)
 
 
-def _parsed(parser, argv):
-    """What parsing argv gives: the namespace, the usage error or the exit
+def _parsed(parse, argv):
+    """What parse(argv) gives: the namespace, the usage error or the exit
     code, with everything printed to stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            got = ("args", vars(parser.parse_args(argv)))
+            got = ("args", vars(parse(argv)))
     except SystemExit as exc:
         got = ("exit", exc.code)
     except cli._UsageError as exc:
@@ -941,12 +953,16 @@ def _parsed(parser, argv):
     return got, out.getvalue(), err.getvalue()
 
 
+def _eager(argv):
+    return build_parser().parse_args(argv)
+
+
 @pytest.mark.parametrize("sub", [None, *cli._HANDLERS])
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_lazy_parser_help_matches_eager(sub, flag):
     argv = [flag] if sub is None else [sub, flag]
-    got = _parsed(cli._build_parser(argv), argv)
-    assert got == _parsed(build_parser(), argv)
+    got = _parsed(cli._parse_args, argv)
+    assert got == _parsed(_eager, argv)
     assert got[0] == ("exit", 0) and got[1].startswith("usage: freefusion")
 
 
@@ -956,7 +972,7 @@ def test_lazy_parser_help_matches_eager(sub, flag):
     ["verify-cert", "--json"], ["enumerate", "--all", "--balanced", "--max-len", "2"],
 ])
 def test_lazy_parser_matches_eager_on_edge_invocations(argv):
-    assert _parsed(cli._build_parser(argv), argv) == _parsed(build_parser(), argv)
+    assert _parsed(cli._parse_args, argv) == _parsed(_eager, argv)
 
 
 @settings(max_examples=200, deadline=None)
@@ -965,4 +981,26 @@ def test_lazy_parser_matches_eager_on_random_invocations(argv, prefix):
     # The corpus of test_random_invocations_never_escape, also behind a
     # token that comes before the subcommand.
     argv = prefix + argv
-    assert _parsed(cli._build_parser(argv), argv) == _parsed(build_parser(), argv)
+    assert _parsed(cli._parse_args, argv) == _parsed(_eager, argv)
+
+
+@pytest.mark.parametrize("argv,built", [
+    *(([name, "-h"], 1) for name in cli._HANDLERS),
+    (["dual", "01", "--json"], 1), (["-h"], 11), (["--version"], 11), (["nope"], 11),
+    ([], 11), (["--json", "dual", "01"], 11),
+])
+def test_a_subcommand_builds_its_parser_alone(monkeypatch, argv, built):
+    # One ArgumentParser for an invocation that names its subcommand first;
+    # the top level and all ten subcommands for any other.
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _parsed(cli._parse_args, argv)
+    assert len(inits) == built
+    if built == 1:
+        assert inits == [f"freefusion {argv[0]}"]

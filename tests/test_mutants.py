@@ -18,10 +18,11 @@ import sys
 import textwrap
 import types
 from contextlib import redirect_stdout
+from functools import partial
 
 import pytest
 
-from freefusion import closure, fusion, normality
+from freefusion import cli, closure, fusion, normality
 from freefusion.cli import run
 from freefusion.normality import Ambient
 
@@ -190,6 +191,28 @@ MUTANTS = [
         closure.verify_certificate_detailed,
         [("    kind = type(cert)\n", "    return True, None\n")],
         test_closure.test_verify_rejects_tampering, id="verifier-always-valid"),
+    pytest.param(
+        closure.verify_certificate_detailed,
+        [("        ok, why = verify_certificate_detailed(cert.left, gens, replayed)\n",
+          "        replayed is None or replayed.add(id(cert))\n"
+          "        ok, why = verify_certificate_detailed(cert.left, gens, replayed)\n")],
+        test_normality.test_shared_node_over_a_bad_step_fails_every_sample_through_it,
+        id="replay-marks-a-product-before-its-check"),
+    pytest.param(
+        closure.verify_certificate_detailed,
+        [("        ok, why = verify_certificate_detailed(cert.inner, gens, replayed)\n",
+          "        replayed is None or replayed.add(id(cert))\n"
+          "        ok, why = verify_certificate_detailed(cert.inner, gens, replayed)\n")],
+        test_normality.test_shared_node_over_a_bad_step_fails_every_sample_through_it,
+        id="replay-marks-an-ad-step-before-its-check"),
+    pytest.param(
+        cli._parse_args,
+        [("name = argv[0] if argv else None",
+          "name = next((a for a in argv if a in _HELP), None)"),
+         ("parse_args(argv[1:],", "parse_args(argv[argv.index(name) + 1:],")],
+        partial(test_cli.test_lazy_parser_matches_eager_on_edge_invocations,
+                ["--json", "dual", "01"]),
+        id="parser-fast-path-for-a-later-subcommand"),
     pytest.param(
         fusion.has_term,
         [("x.endswith(involute(y[:k])) and ", "")],

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from freefusion.closure import (
     ClosureConfig,
+    ClosureResult,
     Saturator,
     certificate_to_json,
     certified_absence,
@@ -47,6 +48,7 @@ from helpers import (
     search_ad_closure,
     search_check,
     unshared_check,
+    witness_entry,
     words_up_to,
 )
 
@@ -309,6 +311,47 @@ def test_ad_closure_members_certified():
     cl = ad_closure({"01"}, Ambient.full_au(), small_cfg())
     for w in sorted(cl.members)[:20]:
         assert verify_certificate(witness(cl, w), cl.generators)
+
+
+# One bad step, 0101 claimed from 01 * 10 (cut 0 gives 0110 only), under
+# a product node and an ad node that several samples share, and a second bad
+# step, 0011 claimed by conjugating 01 by 1 (1 * 01 has two terms).
+_BAD_PROVENANCE = {
+    "01": ("gen",), "10": ("gen",),
+    "0110": ("prod", "01", "10"), "011001": ("prod", "0110", "01"),
+    "0101": ("prod", "01", "10"),
+    "01010110": ("prod", "0101", "0110"),
+    "0101011001": ("prod", "01010110", "01"),
+    "1001010110": ("prod", "10", "01010110"),
+    "001011": ("ad", "0", "0101"),
+    "00101101": ("prod", "001011", "01"),
+    "0011": ("ad", "1", "01"), "001101": ("prod", "0011", "01"),
+    "100011": ("prod", "10", "0011"),
+}
+
+
+def test_shared_node_over_a_bad_step_fails_every_sample_through_it():
+    # witness_entries replays a seed's samples as one DAG; each entry must
+    # equal the tree replay and write of its word alone (helpers.witness_entry),
+    # in every order of the samples, however often a failing node recurs.
+    result = ClosureResult(frozenset({"01", "10"}), ClosureConfig(work_len=10),
+                           True, {}, _BAD_PROVENANCE, is_ad=True)
+    samples = ["0101011001", "1001010110", "00101101", "001011", "011001",
+               "001101", "100011", "0101", "0011", "111"]
+    for words in (samples, samples[::-1], samples[1::2] + samples[::2]):
+        entries = normality.witness_entries(result, words)
+        assert entries == [witness_entry(result, w) for w in words]
+    entries = dict(zip(samples, normality.witness_entries(result, samples)))
+    assert entries["111"] is None and entries["011001"]["verified"]
+    assert {w for w, e in entries.items() if e and e["verified"]} == {"011001"}
+    assert entries["0101011001"]["error"] == "root.left.left: 0101 does not occur in 01 * 10"
+    assert entries["1001010110"]["error"] == "root.right.left: 0101 does not occur in 01 * 10"
+    assert entries["00101101"]["error"] == "root.left.inner: 0101 does not occur in 01 * 10"
+    assert entries["100011"]["error"] == (
+        "root.right: 1 * 01 * 0 is not exactly the single simple 0011")
+    # A shared node is written as one dict wherever it occurs.
+    assert (entries["0101011001"]["certificate"]["left"]
+            is entries["1001010110"]["certificate"]["right"])
 
 
 def test_proof_milestones():
@@ -771,13 +814,13 @@ def test_a_record_is_shared_only_with_its_closure(monkeypatch):
     # replays its own record, which is the same as the shared one.
     cfg = small_cfg(work_len=8, report_len=4, ad_len=4, seed_len=3)
     witnessed = []
-    witness_entry = normality.witness_entry
+    witness_entries = normality.witness_entries
 
-    def counted(result, w):
-        witnessed.append(w)
-        return witness_entry(result, w)
+    def counted(result, words):
+        witnessed.extend(words)
+        return witness_entries(result, words)
 
-    monkeypatch.setattr(normality, "witness_entry", counted)
+    monkeypatch.setattr(normality, "witness_entries", counted)
     shared = check_circle_corollary(cfg).to_json()
     shared_witnessed = len(witnessed)
     ad_closure = normality.ad_closure

@@ -24,14 +24,9 @@ from .fusion import (
     trivial_multiplicity,
 )
 from .closure import (
-    AdStep,
-    Certificate,
     ClosureConfig,
     ClosureResult,
-    Generator,
     Membership,
-    ProductTerm,
-    Unit,
     enumerate_words,
     generate,
     member,
@@ -53,17 +48,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdConfig",
-    "AdStep",
     "Ambient",
-    "Certificate",
     "ClosureConfig",
     "ClosureResult",
     "Element",
-    "Generator",
     "Membership",
-    "ProductTerm",
     "SimplicityReport",
-    "Unit",
     "ad_candidates",
     "ad_closure",
     "check_circle_corollary",

@@ -103,20 +103,6 @@ def _resolve_bounds(args):
             setattr(args, name, min(default, args.work_len))
 
 
-_HELP = {
-    "mul": "fusion product of simples",
-    "dual": "dual of a word",
-    "degree": "degree of a word (#0 - #1)",
-    "enumerate": "list words in shortlex order",
-    "closure": "bounded closure of a generated sub-semiring",
-    "ad-closure": "ad-saturated closure of seeds",
-    "check-simple": "per-seed simplicity check",
-    "check-circle": "every nonempty seed reaches all balanced words",
-    "invertibles": "scan for invertible simples",
-    "verify-cert": "replay a certificate file",
-}
-
-
 def _add_arguments(name: str, p: _ArgumentParser) -> _ArgumentParser:
     """Subcommand name's arguments, added to its parser p."""
     if name == "mul":
@@ -161,7 +147,7 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="freefusion")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help in _HELP.items():
+    for name, (help, _) in _COMMANDS.items():
         _add_arguments(name, sub.add_parser(name, help=help))
     return parser
 
@@ -173,7 +159,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.  Any other argv (help, version, an unknown, missing or later
     subcommand) builds the whole tree."""
     name = argv[0] if argv else None
-    if name not in _HELP:
+    if name not in _COMMANDS:
         return _build_parser().parse_args(argv)
     parser = _add_arguments(name, _ArgumentParser(prog=f"freefusion {name}"))
     return parser.parse_args(argv[1:], argparse.Namespace(subcommand=name))
@@ -317,17 +303,17 @@ def _run_verify_cert(args):
     return payload, lines, EXIT_OK if ok else EXIT_FAIL
 
 
-_HANDLERS = {
-    "mul": _run_mul,
-    "dual": _run_dual,
-    "degree": _run_degree,
-    "enumerate": _run_enumerate,
-    "closure": _run_closure,
-    "ad-closure": _run_closure,
-    "check-simple": _run_check,
-    "check-circle": _run_check,
-    "invertibles": _run_invertibles,
-    "verify-cert": _run_verify_cert,
+_COMMANDS = {  # name -> (help, handler), in help order
+    "mul": ("fusion product of simples", _run_mul),
+    "dual": ("dual of a word", _run_dual),
+    "degree": ("degree of a word (#0 - #1)", _run_degree),
+    "enumerate": ("list words in shortlex order", _run_enumerate),
+    "closure": ("bounded closure of a generated sub-semiring", _run_closure),
+    "ad-closure": ("ad-saturated closure of seeds", _run_closure),
+    "check-simple": ("per-seed simplicity check", _run_check),
+    "check-circle": ("every nonempty seed reaches all balanced words", _run_check),
+    "invertibles": ("scan for invertible simples", _run_invertibles),
+    "verify-cert": ("replay a certificate file", _run_verify_cert),
 }
 
 # Flags that are contractually output-neutral are left out of the
@@ -357,7 +343,7 @@ def run(argv: list[str]) -> int:
 
     start = time.monotonic()
     try:
-        payload, lines, code = _HANDLERS[args.subcommand](args)
+        payload, lines, code = _COMMANDS[args.subcommand][1](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -90,91 +90,19 @@ class ClosureConfig(_Frozen):
 
 
 # --------------------------------------------------------------------------
-# certificates: immutable by contract, not by a guard, which would make
-# each node of a parsed replay about three times as costly to build
+# certificates: JSON trees, as reports and certificate files hold them.  A
+# node is {"kind": "unit"}, {"kind": "gen", "word"}, {"kind": "prod",
+# "left", "right", "term"} or {"kind": "ad", "conjugator", "inner",
+# "result"}, with its words in their text form ("e" for the unit)
 
 
-class Unit(_Value):
-    """Leaf deriving the trivial simple."""
-
-    __slots__ = _fields = ()
-    word = ""
+def _word(text: str) -> str:
+    """A word of a checked tree, from its text form."""
+    return "" if text == "e" else text
 
 
-class Generator(_Value):
-    """Leaf deriving a generator."""
-
-    __slots__ = _fields = ("word",)
-
-    def __init__(self, word: str):
-        self.word = word
-
-
-class ProductTerm(_Value):
-    """Internal node: term selected from the product of two derived simples."""
-
-    __slots__ = _fields = ("left", "right", "word")
-
-    def __init__(self, left: Certificate, right: Certificate, word: str):
-        self.left = left
-        self.right = right
-        self.word = word
-
-
-class AdStep(_Value):
-    """Internal node: conjugation of a derived simple by an ambient simple.
-
-    Valid only when conjugator * inner * involute(conjugator) is a single
-    simple with multiplicity one; that simple is `word`.
-    """
-
-    __slots__ = _fields = ("conjugator", "inner", "word")
-
-    def __init__(self, conjugator: str, inner: Certificate, word: str):
-        self.conjugator = conjugator
-        self.inner = inner
-        self.word = word
-
-
-Certificate = Unit | Generator | ProductTerm | AdStep
-_UNIT = Unit()
-
-
-def certificate_to_json(cert: Certificate, written: dict | None = None) -> dict:
-    """A certificate as a JSON tree.  With written, a memo by node id kept
-    no longer than the nodes it names, a node shared in a DAG is written as
-    one dict wherever it occurs; it serialises to the same bytes."""
-    if written is not None:
-        got = written.get(id(cert))
-        if got is not None:
-            return got
-    if isinstance(cert, Unit):
-        out = {"kind": "unit"}
-    elif isinstance(cert, Generator):
-        out = {"kind": "gen", "word": format_word(cert.word)}
-    elif isinstance(cert, ProductTerm):
-        out = {
-            "kind": "prod",
-            "left": certificate_to_json(cert.left, written),
-            "right": certificate_to_json(cert.right, written),
-            "term": format_word(cert.word),
-        }
-    elif isinstance(cert, AdStep):
-        out = {
-            "kind": "ad",
-            "conjugator": format_word(cert.conjugator),
-            "inner": certificate_to_json(cert.inner, written),
-            "result": format_word(cert.word),
-        }
-    else:
-        raise TypeError(f"not a certificate node: {cert!r}")
-    if written is not None:
-        written[id(cert)] = out
-    return out
-
-
-def certificate_from_json(obj: dict) -> Certificate:
-    """Parse a certificate tree; a malformed node raises ValueError."""
+def certificate_from_json(obj: dict) -> dict:
+    """Check a certificate tree and return it; a malformed node raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(
             f"certificate node must be an object, not {type(obj).__name__}"
@@ -182,28 +110,24 @@ def certificate_from_json(obj: dict) -> Certificate:
     kind = obj.get("kind")
     try:
         if kind == "prod":
-            return ProductTerm(
-                certificate_from_json(obj["left"]),
-                certificate_from_json(obj["right"]),
-                parse_word(obj["term"]),
-            )
-        if kind == "gen":
-            return Generator(parse_word(obj["word"]))
-        if kind == "ad":
-            return AdStep(
-                parse_word(obj["conjugator"]),
-                certificate_from_json(obj["inner"]),
-                parse_word(obj["result"]),
-            )
-        if kind == "unit":
-            return _UNIT
+            certificate_from_json(obj["left"])
+            certificate_from_json(obj["right"])
+            parse_word(obj["term"])
+        elif kind == "gen":
+            parse_word(obj["word"])
+        elif kind == "ad":
+            parse_word(obj["conjugator"])
+            certificate_from_json(obj["inner"])
+            parse_word(obj["result"])
+        elif kind != "unit":
+            raise ValueError(f"unknown certificate node kind: {kind!r}")
     except KeyError as exc:
         raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
-    raise ValueError(f"unknown certificate node kind: {kind!r}")
+    return obj
 
 
 def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | None]:
-    """Replay a certificate against the fusion rule only.
+    """Replay a certificate tree against the fusion rule only.
 
     A product node is checked at the one cut its word lengths fix
     (fusion.has_term).  An ad node multiplies by involute(y) only when
@@ -212,7 +136,8 @@ def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | 
 
     Returns (True, None) on success, otherwise (False, diagnostic path).
     The path is built only on failure: a node reports its own failure at
-    "root", and its parent extends that to "root.left" and so on.
+    "root", and its parent extends that to "root.left" and so on.  A node
+    that is not a dict, or lacks its kind or a key of its kind, is malformed.
 
     replayed, a set of the ids of product and ad nodes already replayed
     valid against these gens, skips them and gains every such node that
@@ -220,48 +145,55 @@ def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | 
     only on its subtree, so the answer is the tree replay's.  The caller
     keeps the nodes alive as long as the set.
     """
-    kind = type(cert)
-    if kind is ProductTerm:
-        if replayed is not None and id(cert) in replayed:
-            return True, None
-        ok, why = verify_certificate_detailed(cert.left, gens, replayed)
-        if not ok:
-            return ok, "root.left" + why[4:]
-        ok, why = verify_certificate_detailed(cert.right, gens, replayed)
-        if not ok:
-            return ok, "root.right" + why[4:]
-        lw = cert.left.word
-        rw = cert.right.word
-        if has_term(lw, rw, cert.word):
-            if replayed is not None:
-                replayed.add(id(cert))
-            return True, None
-        return False, (f"root: {format_word(cert.word)} does not occur in "
-                       f"{format_word(lw)} * {format_word(rw)}")
-    if kind is Generator:
-        if cert.word in gens:
-            return True, None
-        return False, f"root: {format_word(cert.word)} is not a generator"
-    if kind is AdStep:
-        if replayed is not None and id(cert) in replayed:
-            return True, None
-        ok, why = verify_certificate_detailed(cert.inner, gens, replayed)
-        if not ok:
-            return ok, "root.inner" + why[4:]
-        y = cert.conjugator
-        x = cert.inner.word
-        first = mul_simple(y, x)
-        if len(first) == 1 and (mul_many([first, {involute(y): 1}])
-                                == {cert.word: 1}):
-            if replayed is not None:
-                replayed.add(id(cert))
-            return True, None
-        return False, (f"root: {format_word(y)} * {format_word(x)} * "
-                       f"{format_word(involute(y))} is not exactly the single "
-                       f"simple {format_word(cert.word)}")
-    if kind is Unit:
-        return True, None
-    return False, f"root: malformed node {cert!r}"
+    why = _replay(cert, gens, replayed)[1]
+    return why is None, why
+
+
+def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
+    """(the word cert derives, None) if it replays, else (None, why)."""
+    try:
+        kind = cert["kind"]
+        if kind == "prod":
+            w = _word(cert["term"])
+            if replayed is not None and id(cert) in replayed:
+                return w, None
+            lw, why = _replay(cert["left"], gens, replayed)
+            if why is not None:
+                return None, "root.left" + why[4:]
+            rw, why = _replay(cert["right"], gens, replayed)
+            if why is not None:
+                return None, "root.right" + why[4:]
+            if has_term(lw, rw, w):
+                if replayed is not None:
+                    replayed.add(id(cert))
+                return w, None
+            return None, (f"root: {format_word(w)} does not occur in "
+                          f"{format_word(lw)} * {format_word(rw)}")
+        if kind == "gen":
+            w = _word(cert["word"])
+            if w in gens:
+                return w, None
+            return None, f"root: {format_word(w)} is not a generator"
+        if kind == "ad":
+            y, w = _word(cert["conjugator"]), _word(cert["result"])
+            if replayed is not None and id(cert) in replayed:
+                return w, None
+            x, why = _replay(cert["inner"], gens, replayed)
+            if why is not None:
+                return None, "root.inner" + why[4:]
+            first = mul_simple(y, x)
+            if len(first) == 1 and mul_many([first, {involute(y): 1}]) == {w: 1}:
+                if replayed is not None:
+                    replayed.add(id(cert))
+                return w, None
+            return None, (f"root: {format_word(y)} * {format_word(x)} * "
+                          f"{format_word(involute(y))} is not exactly the single "
+                          f"simple {format_word(w)}")
+        if kind == "unit":
+            return "", None
+    except (KeyError, TypeError):
+        pass
+    return None, f"root: malformed node {cert!r}"
 
 
 def verify_certificate(cert, gens) -> bool:
@@ -636,28 +568,30 @@ def member(result: ClosureResult, w: str) -> Membership:
     return ABSENT_WITHIN_BOUND
 
 
-def witness(result: ClosureResult, w: str, _memo: dict | None = None) -> Certificate | None:
-    """Derivation certificate for a member, or None for a non-member.
+def witness(result: ClosureResult, w: str, _memo: dict | None = None) -> dict | None:
+    """Derivation certificate tree for a member, or None for a non-member.
     _memo, word -> node, shared across calls on one result makes their
-    certificates one DAG."""
+    certificates one DAG: a shared node is one dict wherever it occurs."""
     if w not in result.members:
         return None
-    memo: dict[str, Certificate] = {} if _memo is None else _memo
+    memo: dict[str, dict] = {} if _memo is None else _memo
 
-    def build(u: str) -> Certificate:
+    def build(u: str) -> dict:
         got = memo.get(u)
         if got is not None:
             return got
         step = result.provenance[u]
         kind = step[0]
         if kind == "unit":
-            cert: Certificate = _UNIT
+            cert = {"kind": "unit"}
         elif kind == "gen":
-            cert = Generator(u)
+            cert = {"kind": "gen", "word": format_word(u)}
         elif kind == "prod":
-            cert = ProductTerm(build(step[1]), build(step[2]), u)
+            cert = {"kind": "prod", "left": build(step[1]), "right": build(step[2]),
+                    "term": format_word(u)}
         elif kind == "ad":
-            cert = AdStep(step[1], build(step[2]), u)
+            cert = {"kind": "ad", "conjugator": format_word(step[1]),
+                    "inner": build(step[2]), "result": format_word(u)}
         else:
             raise ValueError(f"unknown provenance step {step!r}")
         memo[u] = cert

@@ -18,7 +18,6 @@ from .closure import (
     Saturator,
     _Frozen,
     _Value,
-    certificate_to_json,
     certified_absence,
     enumerate_words,
     generate,
@@ -356,11 +355,11 @@ def witness_entries(result: ClosureResult, words) -> list[dict | None]:
     """The JSON entry for a derivation of each word: its certificate,
     replayed against the result's generators; None for a word with no
     derivation.  The words' certificates share one witness memo, so they
-    are one DAG: each node is replayed and written once, and a node's
-    validity and JSON depend only on its subtree, so every entry equals
-    the one a replay and write of its tree alone gives."""
+    are one DAG: each node is replayed once and is one dict wherever it
+    occurs, and a node's validity depends only on its subtree, so every
+    entry equals the one a replay of its tree alone gives."""
     gens = set(result.generators)
-    memo, replayed, written = {}, set(), {}  # live together: ids stay unique
+    memo, replayed = {}, set()  # live together: ids stay unique
     entries = []
     for w in words:
         cert = witness(result, w, memo)
@@ -368,11 +367,7 @@ def witness_entries(result: ClosureResult, words) -> list[dict | None]:
             entries.append(None)
             continue
         ok, why = verify_certificate_detailed(cert, gens, replayed)
-        entry = {
-            "word": format_word(w),
-            "verified": ok,
-            "certificate": certificate_to_json(cert, written),
-        }
+        entry = {"word": format_word(w), "verified": ok, "certificate": cert}
         if why is not None:
             entry["error"] = why
         entries.append(entry)

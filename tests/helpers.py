@@ -1,5 +1,7 @@
 """Shared test utilities, kept independent of the library's product path."""
 
+from __future__ import annotations
+
 import importlib.util
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
@@ -9,17 +11,13 @@ from pathlib import Path
 from freefusion import __version__
 from freefusion.cli import _add_bound_flags, _add_output_flags, _ArgumentParser
 from freefusion.closure import (
-    AdStep,
     ClosureResult,
-    Generator,
-    ProductTerm,
     Saturator,
-    Unit,
-    certificate_to_json,
+    _Value,
     certified_absence,
-    verify_certificate_detailed,
     witness,
 )
+from freefusion.fusion import has_term, mul_many, mul_simple
 from freefusion.normality import (
     FLIP_GRAFT,
     ROOT,
@@ -32,7 +30,7 @@ from freefusion.normality import (
     _status,
     ad_closure,
 )
-from freefusion.words import format_word, involute, shortlex_key
+from freefusion.words import format_word, involute, parse_word, shortlex_key
 
 
 @cache
@@ -416,11 +414,13 @@ def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
 def witness_entry(result: ClosureResult, w: str) -> dict | None:
     """The JSON entry for a derivation of w: its certificate, replayed
     against the result's generators; None when w has no derivation.
-    normality's per-word sampling before witness_entries: each word's
-    certificate is replayed and written as a tree, with a memo of its own."""
-    cert = witness(result, w)
-    if cert is None:
+    normality's per-word sampling before witness_entries, with the node
+    classes: each word's tree is built as nodes, replayed and written
+    back as a tree on its own."""
+    tree = witness(result, w)
+    if tree is None:
         return None
+    cert = certificate_from_json(tree)
     ok, why = verify_certificate_detailed(cert, set(result.generators))
     entry = {
         "word": format_word(w),
@@ -778,6 +778,181 @@ def search_check(name, view, config, targets, cert_samples):
 
 
 # --------------------------------------------------------------------------
+# certificates as node classes, before they were their JSON trees: the
+# classes, the tree parser and writer, and the replay, as the library had them
+
+
+class Unit(_Value):
+    """Leaf deriving the trivial simple."""
+
+    __slots__ = _fields = ()
+    word = ""
+
+
+class Generator(_Value):
+    """Leaf deriving a generator."""
+
+    __slots__ = _fields = ("word",)
+
+    def __init__(self, word: str):
+        self.word = word
+
+
+class ProductTerm(_Value):
+    """Internal node: term selected from the product of two derived simples."""
+
+    __slots__ = _fields = ("left", "right", "word")
+
+    def __init__(self, left: Certificate, right: Certificate, word: str):
+        self.left = left
+        self.right = right
+        self.word = word
+
+
+class AdStep(_Value):
+    """Internal node: conjugation of a derived simple by an ambient simple.
+
+    Valid only when conjugator * inner * involute(conjugator) is a single
+    simple with multiplicity one; that simple is `word`.
+    """
+
+    __slots__ = _fields = ("conjugator", "inner", "word")
+
+    def __init__(self, conjugator: str, inner: Certificate, word: str):
+        self.conjugator = conjugator
+        self.inner = inner
+        self.word = word
+
+
+Certificate = Unit | Generator | ProductTerm | AdStep
+_UNIT = Unit()
+
+
+def certificate_to_json(cert: Certificate, written: dict | None = None) -> dict:
+    """A certificate as a JSON tree.  With written, a memo by node id kept
+    no longer than the nodes it names, a node shared in a DAG is written as
+    one dict wherever it occurs; it serialises to the same bytes."""
+    if written is not None:
+        got = written.get(id(cert))
+        if got is not None:
+            return got
+    if isinstance(cert, Unit):
+        out = {"kind": "unit"}
+    elif isinstance(cert, Generator):
+        out = {"kind": "gen", "word": format_word(cert.word)}
+    elif isinstance(cert, ProductTerm):
+        out = {
+            "kind": "prod",
+            "left": certificate_to_json(cert.left, written),
+            "right": certificate_to_json(cert.right, written),
+            "term": format_word(cert.word),
+        }
+    elif isinstance(cert, AdStep):
+        out = {
+            "kind": "ad",
+            "conjugator": format_word(cert.conjugator),
+            "inner": certificate_to_json(cert.inner, written),
+            "result": format_word(cert.word),
+        }
+    else:
+        raise TypeError(f"not a certificate node: {cert!r}")
+    if written is not None:
+        written[id(cert)] = out
+    return out
+
+
+def certificate_from_json(obj: dict) -> Certificate:
+    """Parse a certificate tree; a malformed node raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"certificate node must be an object, not {type(obj).__name__}"
+        )
+    kind = obj.get("kind")
+    try:
+        if kind == "prod":
+            return ProductTerm(
+                certificate_from_json(obj["left"]),
+                certificate_from_json(obj["right"]),
+                parse_word(obj["term"]),
+            )
+        if kind == "gen":
+            return Generator(parse_word(obj["word"]))
+        if kind == "ad":
+            return AdStep(
+                parse_word(obj["conjugator"]),
+                certificate_from_json(obj["inner"]),
+                parse_word(obj["result"]),
+            )
+        if kind == "unit":
+            return _UNIT
+    except KeyError as exc:
+        raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
+    raise ValueError(f"unknown certificate node kind: {kind!r}")
+
+
+def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | None]:
+    """Replay a certificate against the fusion rule only.
+
+    A product node is checked at the one cut its word lengths fix
+    (fusion.has_term).  An ad node multiplies by involute(y) only when
+    y * x is a single simple: two terms there give y * x * involute(y)
+    total multiplicity at least 2, so it cannot be the simple claimed.
+
+    Returns (True, None) on success, otherwise (False, diagnostic path).
+    The path is built only on failure: a node reports its own failure at
+    "root", and its parent extends that to "root.left" and so on.
+
+    replayed, a set of the ids of product and ad nodes already replayed
+    valid against these gens, skips them and gains every such node that
+    passes, so a DAG replays each node once.  A node's validity depends
+    only on its subtree, so the answer is the tree replay's.  The caller
+    keeps the nodes alive as long as the set.
+    """
+    kind = type(cert)
+    if kind is ProductTerm:
+        if replayed is not None and id(cert) in replayed:
+            return True, None
+        ok, why = verify_certificate_detailed(cert.left, gens, replayed)
+        if not ok:
+            return ok, "root.left" + why[4:]
+        ok, why = verify_certificate_detailed(cert.right, gens, replayed)
+        if not ok:
+            return ok, "root.right" + why[4:]
+        lw = cert.left.word
+        rw = cert.right.word
+        if has_term(lw, rw, cert.word):
+            if replayed is not None:
+                replayed.add(id(cert))
+            return True, None
+        return False, (f"root: {format_word(cert.word)} does not occur in "
+                       f"{format_word(lw)} * {format_word(rw)}")
+    if kind is Generator:
+        if cert.word in gens:
+            return True, None
+        return False, f"root: {format_word(cert.word)} is not a generator"
+    if kind is AdStep:
+        if replayed is not None and id(cert) in replayed:
+            return True, None
+        ok, why = verify_certificate_detailed(cert.inner, gens, replayed)
+        if not ok:
+            return ok, "root.inner" + why[4:]
+        y = cert.conjugator
+        x = cert.inner.word
+        first = mul_simple(y, x)
+        if len(first) == 1 and (mul_many([first, {involute(y): 1}])
+                                == {cert.word: 1}):
+            if replayed is not None:
+                replayed.add(id(cert))
+            return True, None
+        return False, (f"root: {format_word(y)} * {format_word(x)} * "
+                       f"{format_word(involute(y))} is not exactly the single "
+                       f"simple {format_word(cert.word)}")
+    if kind is Unit:
+        return True, None
+    return False, f"root: malformed node {cert!r}"
+
+
+# --------------------------------------------------------------------------
 # the certificate replay before type dispatch and failure-only diagnostics
 
 
@@ -887,30 +1062,6 @@ class OldClosureConfig:
             raise ValueError("report_len must not exceed work_len")
         if self.report_len < 0:
             raise ValueError("report_len must be nonnegative")
-
-
-@dataclass(frozen=True)
-class OldUnit:
-    word = ""
-
-
-@dataclass(frozen=True)
-class OldGenerator:
-    word: str
-
-
-@dataclass(frozen=True)
-class OldProductTerm:
-    left: object
-    right: object
-    word: str
-
-
-@dataclass(frozen=True)
-class OldAdStep:
-    conjugator: str
-    inner: object
-    word: str
 
 
 @dataclass(frozen=True)

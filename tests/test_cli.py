@@ -957,7 +957,7 @@ def _eager(argv):
     return build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("sub", [None, *cli._HANDLERS])
+@pytest.mark.parametrize("sub", [None, *cli._COMMANDS])
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_lazy_parser_help_matches_eager(sub, flag):
     argv = [flag] if sub is None else [sub, flag]
@@ -985,7 +985,7 @@ def test_lazy_parser_matches_eager_on_random_invocations(argv, prefix):
 
 
 @pytest.mark.parametrize("argv,built", [
-    *(([name, "-h"], 1) for name in cli._HANDLERS),
+    *(([name, "-h"], 1) for name in cli._COMMANDS),
     (["dual", "01", "--json"], 1), (["-h"], 11), (["--version"], 11), (["nope"], 11),
     ([], 11), (["--json", "dual", "01"], 11),
 ])

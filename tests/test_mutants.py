@@ -189,26 +189,37 @@ MUTANTS = [
         _closure_pins, id="report-cut-strict"),
     pytest.param(
         closure.verify_certificate_detailed,
-        [("    kind = type(cert)\n", "    return True, None\n")],
+        [("    return why is None, why\n", "    return True, None\n")],
         test_closure.test_verify_rejects_tampering, id="verifier-always-valid"),
     pytest.param(
-        closure.verify_certificate_detailed,
-        [("        ok, why = verify_certificate_detailed(cert.left, gens, replayed)\n",
-          "        replayed is None or replayed.add(id(cert))\n"
-          "        ok, why = verify_certificate_detailed(cert.left, gens, replayed)\n")],
+        closure._replay,
+        [('            lw, why = _replay(cert["left"], gens, replayed)\n',
+          "            replayed is None or replayed.add(id(cert))\n"
+          '            lw, why = _replay(cert["left"], gens, replayed)\n')],
         test_normality.test_shared_node_over_a_bad_step_fails_every_sample_through_it,
         id="replay-marks-a-product-before-its-check"),
     pytest.param(
-        closure.verify_certificate_detailed,
-        [("        ok, why = verify_certificate_detailed(cert.inner, gens, replayed)\n",
-          "        replayed is None or replayed.add(id(cert))\n"
-          "        ok, why = verify_certificate_detailed(cert.inner, gens, replayed)\n")],
+        closure._replay,
+        [('            x, why = _replay(cert["inner"], gens, replayed)\n',
+          "            replayed is None or replayed.add(id(cert))\n"
+          '            x, why = _replay(cert["inner"], gens, replayed)\n')],
         test_normality.test_shared_node_over_a_bad_step_fails_every_sample_through_it,
         id="replay-marks-an-ad-step-before-its-check"),
     pytest.param(
+        closure._word,
+        [('return "" if text == "e" else text', "return text")],
+        test_closure.test_verify_reads_e_as_the_unit, id="replay-reads-e-as-a-word"),
+    pytest.param(
+        closure._replay,
+        [("{w: 1}:\n                if replayed is not None:\n"
+          "                    replayed.add(id(cert))\n                return w, None\n",
+          "{w: 1}:\n                if replayed is not None:\n"
+          "                    replayed.add(id(cert))\n                return y, None\n")],
+        test_closure.test_verify_ad_step, id="replay-reads-an-ad-child-from-its-conjugator"),
+    pytest.param(
         cli._parse_args,
         [("name = argv[0] if argv else None",
-          "name = next((a for a in argv if a in _HELP), None)"),
+          "name = next((a for a in argv if a in _COMMANDS), None)"),
          ("parse_args(argv[1:],", "parse_args(argv[argv.index(name) + 1:],")],
         partial(test_cli.test_lazy_parser_matches_eager_on_edge_invocations,
                 ["--json", "dual", "01"]),

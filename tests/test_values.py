@@ -6,39 +6,26 @@ from types import SimpleNamespace
 
 import pytest
 
-from freefusion.closure import (
-    AdStep,
-    ClosureConfig,
-    ClosureResult,
-    Generator,
-    Membership,
-    ProductTerm,
-    Unit,
-)
+from freefusion.closure import ClosureConfig, ClosureResult, Membership
 from freefusion.normality import AdConfig, Ambient, SeedRecord, SimplicityReport
 
 import helpers
 
-NAMES = ["ClosureConfig", "Unit", "Generator", "ProductTerm", "AdStep",
-         "Membership", "ClosureResult", "Ambient", "AdConfig", "SeedRecord",
-         "SimplicityReport"]
+NAMES = ["ClosureConfig", "Membership", "ClosureResult", "Ambient", "AdConfig",
+         "SeedRecord", "SimplicityReport"]
 NEW = SimpleNamespace(
-    ClosureConfig=ClosureConfig, Unit=Unit, Generator=Generator,
-    ProductTerm=ProductTerm, AdStep=AdStep, Membership=Membership,
-    ClosureResult=ClosureResult, Ambient=Ambient, AdConfig=AdConfig,
-    SeedRecord=SeedRecord, SimplicityReport=SimplicityReport,
+    ClosureConfig=ClosureConfig, Membership=Membership, ClosureResult=ClosureResult,
+    Ambient=Ambient, AdConfig=AdConfig, SeedRecord=SeedRecord,
+    SimplicityReport=SimplicityReport,
 )
 OLD = SimpleNamespace(**{name: getattr(helpers, "Old" + name) for name in NAMES})
-FROZEN = ["ClosureConfig", "Unit", "Generator", "ProductTerm", "AdStep",
-          "Membership", "Ambient", "AdConfig"]
+FROZEN = ["ClosureConfig", "Membership", "Ambient", "AdConfig"]
 GUARDED = ["ClosureConfig", "AdConfig", "Ambient", "Membership"]
 
 
 def samples(t):
     """Representative instances of every type, built from the classes of t,
     positionally, by keyword and with the defaults."""
-    g01, g10 = t.Generator("01"), t.Generator(word="10")
-    prod = t.ProductTerm(g01, g10, "0110")
     prov = {"": ("unit",), "01": ("gen",), "10": ("gen",)}
     record = t.SeedRecord("01", "pass", "targets", [], [], [{"word": "e"}])
     return [
@@ -47,16 +34,6 @@ def samples(t):
         t.ClosureConfig(8, 4, False),
         t.ClosureConfig(work_len=6, report_len=6),
         t.ClosureConfig(require_dual_closure=False),
-        t.Unit(),
-        g01,
-        g10,
-        t.Generator(""),
-        prod,
-        t.ProductTerm(left=g01, right=t.Unit(), word="01"),
-        t.ProductTerm(prod, prod, "01101001"),
-        t.AdStep("1", g01, "1010"),
-        t.AdStep(conjugator="0", inner=g10, word="0101"),
-        t.ProductTerm("1", g01, "1010"),  # the fields of an AdStep above
         t.Membership("present"),
         t.Membership("absent-certified", "degree"),
         t.Membership(status="absent-certified", reason="prefix-height"),
@@ -110,9 +87,7 @@ def test_equality_matches_dataclasses_across_types():
             assert (news[i] == news2[j]) == (olds[i] == olds2[j]), (i, j)
             assert (news[i] != news2[j]) == (olds[i] != olds2[j]), (i, j)
             assert (news[i] == news[j]) == (olds[i] == olds[j]), (i, j)
-    assert Unit() == Unit()
-    assert Generator("01") != ProductTerm(Unit(), Generator("01"), "01")
-    assert Generator("01") != helpers.OldGenerator("01")
+    assert ClosureConfig() != helpers.OldClosureConfig()
 
 
 def test_hash_matches_dataclasses():
@@ -163,9 +138,9 @@ def test_validation_messages_match_dataclasses(name, args, kwargs):
 @pytest.mark.parametrize(
     "name, args, kwargs",
     [
-        ("Unit", ("01",), {}),
-        ("Generator", (), {}),
-        ("ProductTerm", ("0", "1"), {}),
+        ("Ambient", (), {}),
+        ("AdConfig", (), {"closure_len": 3}),
+        ("SimplicityReport", ("simplicity",), {}),
         ("Membership", ("present",), {"status": "present"}),
         ("ClosureConfig", (), {"max_len": 3}),
         ("ClosureResult", (frozenset(), None, True, {}), {}),

@@ -120,8 +120,6 @@ def _add_arguments(name: str, p: _ArgumentParser) -> _ArgumentParser:
         p.add_argument("--gens", required=True, help="comma-separated words")
         p.add_argument("--member", help="query membership of a word")
         p.add_argument("--witness", help="emit a derivation certificate for a member")
-        p.add_argument("--no-dual-closure", action="store_true",
-                       help="do not close the generator set under duals")
         _add_bound_flags(p)
     elif name == "ad-closure":
         p.add_argument("--seeds", required=True, help="comma-separated words")
@@ -211,11 +209,7 @@ def _run_closure(args):
     """closure and ad-closure: the plain or the ad-saturated closure."""
     if args.subcommand == "closure":
         gens = parse_words(args.gens)
-        config = ClosureConfig(
-            work_len=args.work_len,
-            report_len=args.report_len,
-            require_dual_closure=not args.no_dual_closure,
-        )
+        config = ClosureConfig(work_len=args.work_len, report_len=args.report_len)
         result = generate(gens, config)
         payload = {}
     else:

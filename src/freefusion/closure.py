@@ -70,20 +70,18 @@ class ClosureConfig(_Frozen):
     """Bounds for saturation: words longer than work_len are discarded,
     answers are reported up to report_len."""
 
-    _fields = ("work_len", "report_len", "require_dual_closure")
+    _fields = ("work_len", "report_len")
     work_len = 12
     report_len = 6
-    require_dual_closure = True
 
-    def __init__(self, work_len: int = work_len, report_len: int = report_len,
-                 require_dual_closure: bool = require_dual_closure):
+    def __init__(self, work_len: int = work_len, report_len: int = report_len):
         if work_len < 0:
             raise ValueError("work_len must be nonnegative")
         if report_len > work_len:
             raise ValueError("report_len must not exceed work_len")
         if report_len < 0:
             raise ValueError("report_len must be nonnegative")
-        self._set(work_len, report_len, require_dual_closure)
+        self._set(work_len, report_len)
 
     def to_json(self) -> dict:
         return dict(zip(self._fields, self._key()))
@@ -99,6 +97,13 @@ class ClosureConfig(_Frozen):
 def _word(text: str) -> str:
     """A word of a checked tree, from its text form."""
     return "" if text == "e" else text
+
+
+def _shown(w) -> str:
+    """format_word of a word that failed its check; TypeError if it is no string."""
+    if not isinstance(w, str):
+        raise TypeError
+    return format_word(w)
 
 
 def certificate_from_json(obj: dict) -> dict:
@@ -137,7 +142,8 @@ def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | 
     Returns (True, None) on success, otherwise (False, diagnostic path).
     The path is built only on failure: a node reports its own failure at
     "root", and its parent extends that to "root.left" and so on.  A node
-    that is not a dict, or lacks its kind or a key of its kind, is malformed.
+    that is not a dict, lacks its kind or a key of its kind, or holds a word
+    that is not a string (tested only where its replay fails) is malformed.
 
     replayed, a set of the ids of product and ad nodes already replayed
     valid against these gens, skips them and gains every such node that
@@ -167,13 +173,13 @@ def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
                 if replayed is not None:
                     replayed.add(id(cert))
                 return w, None
-            return None, (f"root: {format_word(w)} does not occur in "
+            return None, (f"root: {_shown(w)} does not occur in "
                           f"{format_word(lw)} * {format_word(rw)}")
         if kind == "gen":
             w = _word(cert["word"])
             if w in gens:
                 return w, None
-            return None, f"root: {format_word(w)} is not a generator"
+            return None, f"root: {_shown(w)} is not a generator"
         if kind == "ad":
             y, w = _word(cert["conjugator"]), _word(cert["result"])
             if replayed is not None and id(cert) in replayed:
@@ -188,7 +194,7 @@ def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
                 return w, None
             return None, (f"root: {format_word(y)} * {format_word(x)} * "
                           f"{format_word(involute(y))} is not exactly the single "
-                          f"simple {format_word(w)}")
+                          f"simple {_shown(w)}")
         if kind == "unit":
             return "", None
     except (KeyError, TypeError):
@@ -244,9 +250,9 @@ ABSENT_WITHIN_BOUND = Membership("absent-within-bound")
 class ClosureResult(_Value):
     """Bounded closure of a generated sub-semiring.
 
-    `generators` is the effective generating set (dual-closed when the
-    config asks for it); `provenance` maps each derived simple of length at
-    most work_len to one derivation step, from which witness certificates
+    `generators` is the effective generating set: the given words and
+    their duals.  `provenance` maps each derived simple of length at most
+    work_len to one derivation step, from which witness certificates
     are rebuilt on demand, and `members` is a read-only view of its keys.
     to_json counts every member and lists those up to report_len.
     """
@@ -287,20 +293,20 @@ class ClosureResult(_Value):
 class Saturator:
     """Worklist fixpoint engine for fusion saturation.
 
-    The engine starts from the unit, then the given generators (which it
-    dual-closes under dual closure) in shortlex order; each must fit within
-    work_len.  Members are processed in discovery order (breadth-first over
-    the derivation DAG): processing a member multiplies it, in both orders,
-    with every member processed so far, and optionally scans its adjoint
-    conjugations.  Discovery order is itself deterministic, so the trace,
-    the member set and every certificate are reproducible.  An optional
-    target set allows stopping as soon as all targets have been derived (the
-    member set is then a sound under-approximation of the fixpoint).
+    The engine starts from the unit, then the given generators and their
+    duals in shortlex order; each must fit within work_len.  Members are
+    processed in discovery order (breadth-first over the derivation DAG):
+    processing a member multiplies it, in both orders, with every member
+    processed so far, and optionally scans its adjoint conjugations.
+    Discovery order is itself deterministic, so the trace, the member set
+    and every certificate are reproducible.  An optional target set allows
+    stopping as soon as all targets have been derived (the member set is
+    then a sound under-approximation of the fixpoint).
 
-    Under dual closure each member's dual is added right after it by the
-    dual step: x * y becomes y* * x*, y * m * y* becomes y * m* * y*, and a
-    generator stays a generator.  The duals of x, y and m were added right
-    after them, so the dual step only refers to earlier members.
+    The dual step adds each member's dual right after it, so every closure
+    is dual-closed: x * y becomes y* * x*, y * m * y* becomes y * m* * y*,
+    and a generator stays a generator.  The duals of x, y and m were added
+    right after them, so the dual step only refers to earlier members.
 
     Only products that can add a member are evaluated.  The terms of x * y
     are x[:|x| - k] + y[k:] over the valid cuts k = 0..K (fusion.mul_simple),
@@ -309,14 +315,13 @@ class Saturator:
     by head, then length, then tail.  For a new member m and a cut k, the
     partners o of m * o are one lookup, and all their terms within work_len
     are tested against the members in bulk.  The terms of o * m are the
-    duals of those of m* * o*, so the same query with m*, tested against the
-    members' duals, finds the duals p = o* of the partners of o * m: in the
-    one index under dual closure, where o sits next to p in order, and in a
-    second index of the duals without it.  After start_flip the flip step
-    adds each member's flip right after it and its dual, by its step flipped,
-    so an orbit {r, r*, flip r*, flip r} comes whole.  Only r queries: a later
-    word's products with earlier orbits are duals or flips of r's, so it tests
-    only its pairs with the orbit's earlier words (m* for the dual step's m).
+    duals of those of m* * o*, and the members are their own duals, so the
+    same query with m* finds each p = o*, next to o in order.  After
+    start_flip the flip step adds each member's flip right after it and its
+    dual, by its step flipped, so an orbit {r, r*, flip r*, flip r} comes
+    whole.  Only r queries: a later word's products with earlier orbits are
+    duals or flips of r's, so it tests only its pairs with the orbit's
+    earlier words (m* for the dual step's m).
     A pair is evaluated, in the usual order, only when one of its terms was
     not a member when the step began.  Any other pair would add nothing, and
     done() can only change after an add, so members, order and provenance
@@ -332,17 +337,14 @@ class Saturator:
     def __init__(self, config: ClosureConfig, generators=(), targets=None,
                  base=None):
         self.config = config
-        self._dual = dual = config.require_dual_closure
         gens = set(generators)
-        self.generators = frozenset(gens | {involute(g) for g in gens if dual})
+        self.generators = frozenset(gens | {involute(g) for g in gens})
         self.members: set[str] = set()
-        self._duals = self.members if dual else set()  # the members' duals
         self.order: list[str] = []
         self.provenance: dict[str, tuple] = {}
         self.remaining = None if targets is None else set(targets)
         self.stats = {"products": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
-        self._dual_tails = self._tails if dual else {}  # filed duals
         self._closed = 0
         self.add("", ("unit",))
         if base is not None:
@@ -360,12 +362,10 @@ class Saturator:
         of whose words count as processed: a copy of its members, order,
         provenance and index, with steps laid over it, then the generators."""
         sat = Saturator(self.config, generators, targets)  # checks the generators
-        copied = lambda index: {head: {n: {**group} for n, group in by_len.items()}
-                                for head, by_len in index.items()}
         sat.members, sat.order = set(self.members), self.order[:]
-        sat.provenance, sat._tails = dict(self.provenance), copied(self._tails)
-        sat._duals, sat._dual_tails = ((sat.members, sat._tails) if self._dual else
-                                       (set(self._duals), copied(self._dual_tails)))
+        sat.provenance = dict(self.provenance)
+        sat._tails = {head: {n: {**group} for n, group in by_len.items()}
+                      for head, by_len in self._tails.items()}
         sat.remaining = None if targets is None else set(targets) - sat.members
         sat._closed = len(self.order)
         for w, prov in steps.items():
@@ -384,9 +384,7 @@ class Saturator:
         if self.remaining:
             self.remaining.discard(w)
         d = involute(w)
-        if not self._dual:
-            self._duals.add(d)
-        elif d not in self.members:
+        if d not in self.members:
             kind = prov[0]
             self.add(d, ("prod", involute(prov[2]), involute(prov[1])) if kind == "prod"
                      else ("ad", prov[1], involute(prov[2])) if kind == "ad" else prov)
@@ -408,22 +406,20 @@ class Saturator:
 
     def _index(self, j: int):
         """Index the processed member order[j] = o at every split
-        o = head + tail as _tails[head][len(o)][tail] = j.  Without dual
-        closure its dual is filed the same way in _dual_tails."""
+        o = head + tail as _tails[head][len(o)][tail] = j."""
         o = self.order[j]
         if not o:
             return  # m * e = e * m = m is always a member
         n = len(o)
-        filed = ((self._tails, o), (self._dual_tails, involute(o)))
-        for index, w in filed[:1] if self._dual else filed:
-            for k in range(n + 1):
-                index.setdefault(w[:k], {}).setdefault(n, {})[w[k:]] = j
+        for k in range(n + 1):
+            self._tails.setdefault(o[:k], {}).setdefault(n, {})[o[k:]] = j
 
-    def _side(self, index, m: str, members) -> set[int]:
-        """The j of each o filed in index such that m * o has a term within
-        work_len not in members.  Cut k is valid when o starts with m*[:k];
-        its term m[:|m| - k] + o[k:] is within work_len when
+    def _side(self, m: str) -> set[int]:
+        """The j of each indexed o such that m * o has a term within work_len
+        that is not a member.  Cut k is valid when o starts with m*[:k]; its
+        term m[:|m| - k] + o[k:] is within work_len when
         |o| <= work_len - |m| + 2k."""
+        index, members = self._tails, self.members
         lm = len(m)
         d = involute(m)
         room = self.config.work_len - lm
@@ -451,16 +447,15 @@ class Saturator:
         prev = order[i - 1]
         # A later word of an orbit tests only its pairs with the earlier ones: m*
         # after the dual step; flip(m), and its dual if another word, after the flip step.
-        if self._dual and d == prev != m:
+        if d == prev != m:
             orbit = (i - 1,)
         elif self._flip and flip(m) == prev:
             orbit = (i - 1,) if involute(prev) == prev else (i - 2, i - 1)
         else:
-            left = self._side(self._tails, m, self.members)
-            right = self._side(self._dual_tails, d, self._duals)
-            if self._dual:  # a hit p is o*, next to o; o = m shows only in left
-                mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
-                right = {j for j in mates if j <= i} | (left & {i})
+            left = self._side(m)
+            right = self._side(d)  # a hit p is o*, next to o; o = m shows only in left
+            mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
+            right = {j for j in mates if j <= i} | (left & {i})
             return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
         return [(j, sides) for j in orbit
                 if (sides := self._fresh(m, order[j]) | 2 * self._fresh(order[j], m))]
@@ -523,7 +518,7 @@ class Saturator:
 
 def generate(gens, config: ClosureConfig = ClosureConfig()) -> ClosureResult:
     """Least fixpoint, within the length bound, of fusion generation from
-    the given simples (plus the unit, plus duals by default)."""
+    the given simples, plus the unit and their duals."""
     sat = Saturator(config, gens)
     sat.run()
     return sat.result(is_ad=False)

@@ -125,9 +125,6 @@ class AdConfig(_Frozen):
 
     def __init__(self, closure: ClosureConfig = closure, ad_len: int = ad_len,
                  seed_len: int = seed_len):
-        # Under dual closure no ad-closure leaves its ambient (see ad_closure).
-        if not closure.require_dual_closure:
-            raise ValueError("ad-closures require dual closure")
         if ad_len > closure.work_len:
             raise ValueError("ad_len must not exceed work_len")
         if ad_len < 0:

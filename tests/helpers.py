@@ -242,10 +242,37 @@ class IndexedSaturator(Saturator):
         return sorted(found.items())
 
 
-class TwoIndexSaturator(Saturator):
+class ThreeArgumentSide:
+    """Saturator._side before the engine kept one index, verbatim: the
+    index and the member set it tests against are arguments."""
+
+    def _side(self, index, m: str, members) -> set[int]:
+        """The j of each o filed in index such that m * o has a term within
+        work_len not in members.  Cut k is valid when o starts with m*[:k];
+        its term m[:|m| - k] + o[k:] is within work_len when
+        |o| <= work_len - |m| + 2k."""
+        lm = len(m)
+        d = involute(m)
+        room = self.config.work_len - lm
+        found: set[int] = set()
+        for k in range(lm + 1):
+            by_len = index.get(d[:k])
+            if by_len is None:
+                break  # every deeper cut extends this key
+            prepend = m[: lm - k].__add__
+            cap = room + 2 * k
+            for n, group in by_len.items():
+                if n <= cap and not members.issuperset(map(prepend, group)):
+                    found.update(
+                        j for tail, j in group.items() if prepend(tail) not in members
+                    )
+        return found
+
+
+class TwoIndexSaturator(ThreeArgumentSide, Saturator):
     """The library's saturation loop with a second partner index that holds
-    every processed member's dual, under dual closure too, and both product
-    orders queried at every step."""
+    every processed member's dual, and both product orders queried at every
+    step.  The members are dual-closed, so they are their own duals."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -269,7 +296,7 @@ class TwoIndexSaturator(Saturator):
         a member, by increasing j, where m = order[i]."""
         m = self.order[i]
         left = self._side(self._tails, m, self.members)
-        right = self._side(self._dual_tails, involute(m), self._duals)
+        right = self._side(self._dual_tails, involute(m), self.members)
         return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
 
 
@@ -281,17 +308,14 @@ class ReplaySaturator(Saturator):
 
     def __init__(self, config, generators=(), targets=None, base=None, closed=0):
         self.config = config
-        self._dual = dual = config.require_dual_closure
         gens = set(generators)
-        self.generators = frozenset(gens | {involute(g) for g in gens if dual})
+        self.generators = frozenset(gens | {involute(g) for g in gens})
         self.members: set[str] = set()
-        self._duals = self.members if dual else set()  # the members' duals
         self.order: list[str] = []
         self.provenance: dict[str, tuple] = {}
         self.remaining = None if targets is None else set(targets)
         self.stats = {"products": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
-        self._dual_tails = self._tails if dual else {}  # filed duals
         self.add("", ("unit",))
         if base is not None:
             for w, prov in base.items():
@@ -307,11 +331,11 @@ class ReplaySaturator(Saturator):
             self._index(j)
 
 
-class FlipFreeSaturator(Saturator):
-    """Saturator.add and _partners before the flip step, verbatim: each
-    member's dual is added right after it, and only the dual step's member
-    skips the partner query.  The flip step must reach this engine's
-    fixpoint from {01}."""
+class FlipFreeSaturator(ThreeArgumentSide, Saturator):
+    """Saturator.add and _partners before the flip step, verbatim but for
+    the branches of the removed no-dual mode: each member's dual is added
+    right after it, and only the dual step's member skips the partner
+    query.  The flip step must reach this engine's fixpoint from {01}."""
 
     def add(self, w: str, prov: tuple):
         if w in self.members:
@@ -322,9 +346,7 @@ class FlipFreeSaturator(Saturator):
         if self.remaining:
             self.remaining.discard(w)
         d = involute(w)
-        if not self._dual:
-            self._duals.add(d)
-        elif d not in self.members:
+        if d not in self.members:
             kind = prov[0]
             if kind == "prod":
                 prov = ("prod", involute(prov[2]), involute(prov[1]))
@@ -339,14 +361,14 @@ class FlipFreeSaturator(Saturator):
         order = self.order
         m = order[i]
         d = involute(m)
-        if self._dual and d == order[i - 1] != m:  # the dual step's member
+        if d == order[i - 1] != m:  # the dual step's member
             sides = self._fresh_square(m) | 2 * self._fresh_square(d)
             return [(i - 1, sides)] if sides else []
         left = self._side(self._tails, m, self.members)
-        right = self._side(self._dual_tails, d, self._duals)
-        if self._dual:  # a hit p is o*, next to o; o = m shows only in left
-            mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
-            right = {j for j in mates if j <= i} | (left & {i})
+        right = self._side(self._tails, d, self.members)
+        # a hit p is o*, next to o; o = m shows only in left
+        mates = (order.index(involute(order[p]), p - 1, p + 2) for p in right)
+        right = {j for j in mates if j <= i} | (left & {i})
         return [(j, (j in left) | 2 * (j in right)) for j in sorted(left | right)]
 
     def _fresh_square(self, x: str) -> bool:
@@ -1053,7 +1075,6 @@ def old_verify_certificate_detailed(cert, gens, path="root"):
 class OldClosureConfig:
     work_len: int = 12
     report_len: int = 6
-    require_dual_closure: bool = True
 
     def __post_init__(self):
         if self.work_len < 0:
@@ -1093,8 +1114,6 @@ class OldAdConfig:
     seed_len: int = 6
 
     def __post_init__(self):
-        if not self.closure.require_dual_closure:
-            raise ValueError("ad-closures require dual closure")
         if self.ad_len > self.closure.work_len:
             raise ValueError("ad_len must not exceed work_len")
         if self.ad_len < 0:
@@ -1158,8 +1177,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--gens", required=True, help="comma-separated words")
     p.add_argument("--member", help="query membership of a word")
     p.add_argument("--witness", help="emit a derivation certificate for a member")
-    p.add_argument("--no-dual-closure", action="store_true",
-                   help="do not close the generator set under duals")
     _add_bound_flags(p)
     _add_output_flags(p)
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -82,6 +83,51 @@ def test_usage_errors(capsys):
                   "--ad-len", "2")[0] == 2
     assert invoke(capsys, "closure", "--gens", "e", "--work-len", "2",
                   "--report-len", "2")[0] == 0
+    # Every closure is dual-closed: the removed option is refused.
+    code, out, err = invoke(capsys, "closure", "--gens", "01", "--no-dual-closure")
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --no-dual-closure\n"
+
+
+def _readme_invocations():
+    """(argv, printed) for each freefusion invocation in the sh block under
+    README "Command line", continued lines joined.  printed is the `# `
+    line that follows a one-line invocation, or None; also None for one
+    that reads a file a shell redirection of the block writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("\n```", 1)[0].split("\n")
+    found, written, i = [], set(), 0
+    while i < len(lines):
+        line, one_line = lines[i], True
+        while line.endswith("\\"):
+            i += 1
+            line, one_line = line[:-1] + lines[i], False
+        i += 1
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        if tokens[:1] != ["freefusion"]:
+            continue
+        ends = [k for k, t in enumerate(tokens) if set(t) <= set("();<>|&")]
+        argv = tokens[1:ends[0] if ends else None]
+        printed = (lines[i][2:] if one_line and i < len(lines)
+                   and lines[i].startswith("# ") else None)
+        found.append((argv, printed if written.isdisjoint(argv) else None))
+        written.update(tokens[k + 1] for k in ends if tokens[k] == ">")
+    return found
+
+
+def test_readme_command_line_examples(capsys):
+    # A README example that names a removed flag or subcommand fails here,
+    # and so does an example whose printed line has drifted.
+    invocations = _readme_invocations()
+    assert len(invocations) >= 6 and sum(p is not None for _, p in invocations) >= 3
+    for argv, printed in invocations:
+        cli._parse_args(argv)  # a usage error raises
+        if printed is not None:
+            code, out, err = invoke(capsys, *argv)
+            assert code != 2 and printed in out.splitlines(), (argv, err)
 
 
 def test_closure_member(capsys):
@@ -308,13 +354,13 @@ _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 _AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
 _SWEEP_PINS = [
     (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-     "b815f58921d4", (28, 278, 919, 24), (21, 63), 119),
+     "e77d74b67d30", (28, 278, 919, 24), (21, 63), 119),
     (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
-     "42df8497e250", (28, 40, 191, 18), (21, 63), 100),
-    (_AU_CIRCLE, 0, "fe6c1003914e", (62, 3, 305, 15), (34, 102), 132),
+     "090699dc010c", (28, 40, 191, 18), (21, 63), 100),
+    (_AU_CIRCLE, 0, "ce5e742f6a7d", (62, 3, 305, 15), (34, 102), 132),
     (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
       "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
-     "098b6fa22818", (14, 35, 105, 10), (12, 33), 43),
+     "876f71b57053", (14, 35, 105, 10), (12, 33), 43),
 ]
 
 
@@ -393,16 +439,14 @@ def test_sweeps_back_to_back_match_each_alone():
 
 CLOSURE_PINS = [
     (["closure", "--gens", "01,10", "--work-len", "8", "--witness", "100110"],
-     "e75d9babc359"),
-    (["closure", "--gens", "001,0110", "--work-len", "12", "--no-dual-closure",
-      "--witness", "0010110"], "cd3ed3ce54f6"),
+     "6b77abd3da62"),
     (["ad-closure", "--seeds", "0011", "--ambient", "pu", "--work-len", "10",
-      "--member", "01", "--witness", "0101"], "62971d78836b"),
+      "--member", "01", "--witness", "0101"], "ad06a9fe7034"),
 ]
 
 
 @pytest.mark.parametrize("argv,prefix", CLOSURE_PINS,
-                         ids=["closure", "no-dual-closure", "ad-closure"])
+                         ids=["closure", "ad-closure"])
 def test_closure_json_bytes_pinned(capsys, argv, prefix):
     # The closure payload (member cut and count) and the witness document.
     code, out, _ = invoke(capsys, *argv, "--json")
@@ -822,8 +866,7 @@ _FLAGS = {
     "enumerate": [("--all", None, False), ("--balanced", None, False),
                   ("--max-len", "size", True)],
     "closure": [("--gens", "words", True), ("--member", "word", False),
-                ("--witness", "word", False), ("--no-dual-closure", None, False),
-                ("--report-len", "bound", True)],
+                ("--witness", "word", False), ("--report-len", "bound", True)],
     "ad-closure": [("--seeds", "words", True), ("--ambient", "ambient", False),
                    ("--member", "word", False), ("--witness", "word", False),
                    *_BOUND_FLAGS],

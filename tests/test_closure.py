@@ -141,6 +141,18 @@ def test_verify_rejects_tampering():
         False, "root.inner: malformed node {'kind': 'gen'}")
 
 
+@pytest.mark.parametrize("word", [None, 7])
+def test_verify_calls_a_word_that_is_not_a_string_malformed(word):
+    # Read as a word, None would print as e and 7 as 7; the node is malformed.
+    for node in [{"kind": "gen", "word": word}, prod(gen("01"), gen("01"), word),
+                 ad("10", gen("01"), word)]:
+        assert verify_certificate_detailed(node, {"01"}) == (
+            False, f"root: malformed node {node!r}")
+    node = prod(gen("01"), {"kind": "gen", "word": word}, "01")
+    assert verify_certificate_detailed(node, {"01"}) == (
+        False, f"root.right: malformed node {node['right']!r}")
+
+
 def test_verify_ad_step():
     cert = ad("10", gen("01"), "100110")
     assert verify_certificate(cert, {"01", "10"})
@@ -387,14 +399,13 @@ def _small_generator_sets():
     )
 
 
-@pytest.mark.parametrize("dual", [True, False], ids=["dual", "no-dual"])
-def test_new_term_engine_matches_pairwise(dual):
+def test_new_term_engine_matches_pairwise():
     # The engine that evaluates only the products with a new term derives
     # the same members in the same order, by the same steps, as multiplying
     # every pair.  The pairwise run stops once every word within work_len
     # is a member, which changes neither order nor provenance: no step can
     # add anything then.
-    cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=dual)
+    cfg = ClosureConfig(work_len=6, report_len=6)
     # au holds every word, all 2**7 - 1 of them within work_len, so its
     # filter rejects nothing and only its full stop acts.
     au = AmbientView(Ambient.full_au(), cfg)
@@ -442,29 +453,24 @@ def _engine_trace(engine, gens, config):
     return sat.order, sat.provenance, sat.stats, steps
 
 
-@pytest.mark.parametrize("dual", [True, False], ids=["dual", "no-dual"])
-def test_one_index_engine_matches_two_index(dual):
-    # Under dual closure the engine files each member once, answers o * m
-    # from the same index with m*, and runs no query for a dual step's
-    # member; every step must still find the partners that a second index
-    # of the members' duals finds.
-    cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=dual)
+def test_one_index_engine_matches_two_index():
+    # The engine files each member once, answers o * m from the same index
+    # with m*, and runs no query for a dual step's member; every step must
+    # still find the partners that a second index of the members' duals
+    # finds.
+    cfg = ClosureConfig(work_len=6, report_len=6)
     for gens in _small_generator_sets():
         assert (_engine_trace(Saturator, gens, cfg)
                 == _engine_trace(TwoIndexSaturator, gens, cfg)), gens
-    sat = saturate(Saturator, {"001", "01"}, cfg)
-    assert (sat._dual_tails is sat._tails) == dual
 
 
 @settings(deadline=None, max_examples=60)
 @given(
     st.sets(st.text(alphabet="01", min_size=1, max_size=5), max_size=3),
-    st.booleans(),
     st.integers(min_value=5, max_value=9),
 )
-def test_one_index_engine_matches_two_index_random(gens, dual, work_len):
-    cfg = ClosureConfig(work_len=work_len, report_len=5,
-                        require_dual_closure=dual)
+def test_one_index_engine_matches_two_index_random(gens, work_len):
+    cfg = ClosureConfig(work_len=work_len, report_len=5)
     assert (_engine_trace(Saturator, gens, cfg)
             == _engine_trace(TwoIndexSaturator, gens, cfg))
 
@@ -543,13 +549,6 @@ def test_determinism_same_serialization():
     # with their derivation steps in discovery order.
     assert a.members == b.members
     assert list(a.provenance.items()) == list(b.provenance.items())
-
-
-def test_no_dual_closure_flag():
-    cfg = ClosureConfig(work_len=6, report_len=6, require_dual_closure=False)
-    c = generate({"001"}, cfg)
-    assert "011" not in c.members
-    assert c.generators == {"001"}
 
 
 @settings(deadline=None, max_examples=25)

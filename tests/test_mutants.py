@@ -172,6 +172,11 @@ MUTANTS = [
         [("orbit = (i - 1,) if involute(prev) == prev else (i - 2, i - 1)", "orbit = ()")],
         _flip_root, id="flip-step-member-tests-no-pair-in-its-orbit"),
     pytest.param(
+        closure.Saturator._partners,
+        [("right = self._side(d)", "right = set()")],
+        test_closure.test_one_index_engine_matches_two_index,
+        id="partners-without-the-dual-order-query"),
+    pytest.param(
         closure.Saturator.add,
         [("(prov[0], *map(flip, prov[1:]))", "prov")],
         _flip_root, id="flip-step-keeps-the-unflipped-step"),
@@ -209,6 +214,12 @@ MUTANTS = [
         closure._word,
         [('return "" if text == "e" else text', "return text")],
         test_closure.test_verify_reads_e_as_the_unit, id="replay-reads-e-as-a-word"),
+    pytest.param(
+        closure._shown,
+        [("    if not isinstance(w, str):\n        raise TypeError\n", "")],
+        partial(test_closure.test_verify_calls_a_word_that_is_not_a_string_malformed,
+                None),
+        id="replay-shows-a-word-that-is-not-a-string"),
     pytest.param(
         closure._replay,
         [("{w: 1}:\n                if replayed is not None:\n"

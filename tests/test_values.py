@@ -31,9 +31,8 @@ def samples(t):
     return [
         t.ClosureConfig(),
         t.ClosureConfig(8),
-        t.ClosureConfig(8, 4, False),
+        t.ClosureConfig(8, 4),
         t.ClosureConfig(work_len=6, report_len=6),
-        t.ClosureConfig(require_dual_closure=False),
         t.Membership("present"),
         t.Membership("absent-certified", "degree"),
         t.Membership(status="absent-certified", reason="prefix-height"),
@@ -115,7 +114,7 @@ def test_defaults_are_class_constants():
         ("ClosureConfig", (-1, -2), {}),
         ("ClosureConfig", (4, 5), {}),
         ("ClosureConfig", (), {"report_len": -1}),
-        ("AdConfig", (), {"closure": "NO_DUAL"}),
+        ("AdConfig", (), {"closure": "SHORT"}),
         ("AdConfig", ("SHORT", 6), {}),
         ("AdConfig", (), {"ad_len": -1}),
         ("AdConfig", (), {"seed_len": -1}),
@@ -124,8 +123,7 @@ def test_defaults_are_class_constants():
 )
 def test_validation_messages_match_dataclasses(name, args, kwargs):
     def build(t):
-        closures = {"NO_DUAL": t.ClosureConfig(require_dual_closure=False),
-                    "SHORT": t.ClosureConfig(4, 4)}
+        closures = {"SHORT": t.ClosureConfig(4, 4)}
         sub = [closures.get(a, a) for a in args]
         kw = {k: closures.get(v, v) for k, v in kwargs.items()}
         with pytest.raises(ValueError) as exc:
@@ -145,6 +143,9 @@ def test_validation_messages_match_dataclasses(name, args, kwargs):
         ("ClosureConfig", (), {"max_len": 3}),
         ("ClosureResult", (frozenset(), None, True, {}), {}),
         ("SeedRecord", ("01", "pass", "fixpoint", [], [], [], []), {}),
+        # Closures are always dual-closed: the option is gone, not ignored.
+        ("ClosureConfig", (), {"require_dual_closure": False}),
+        ("ClosureConfig", (8, 4, False), {}),
     ],
 )
 def test_bad_calls_raise_type_error_like_dataclasses(name, args, kwargs):

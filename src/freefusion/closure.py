@@ -14,6 +14,7 @@ from math import gcd
 
 from .fusion import has_term, mul_many, mul_simple
 from .words import (
+    all_words,
     degree,
     flip,
     format_word,
@@ -94,11 +95,6 @@ class ClosureConfig(_Frozen):
 # "result"}, with its words in their text form ("e" for the unit)
 
 
-def _word(text: str) -> str:
-    """A word of a checked tree, from its text form."""
-    return "" if text == "e" else text
-
-
 def _shown(w) -> str:
     """format_word of a word that failed its check; TypeError if it is no string."""
     if not isinstance(w, str):
@@ -108,6 +104,18 @@ def _shown(w) -> str:
 
 def certificate_from_json(obj: dict) -> dict:
     """Check a certificate tree and return it; a malformed node raises ValueError."""
+    ws: list = []
+    try:
+        _collect_words(obj, ws)
+    finally:  # parse one by one only for the first error, met before a malformed node too
+        if not all_words(ws):
+            for w in ws:
+                parse_word(w)
+    return obj
+
+
+def _collect_words(obj, words: list):
+    """Append obj's words to words in parse order; ValueError at a malformed node."""
     if not isinstance(obj, dict):
         raise ValueError(
             f"certificate node must be an object, not {type(obj).__name__}"
@@ -115,20 +123,19 @@ def certificate_from_json(obj: dict) -> dict:
     kind = obj.get("kind")
     try:
         if kind == "prod":
-            certificate_from_json(obj["left"])
-            certificate_from_json(obj["right"])
-            parse_word(obj["term"])
+            _collect_words(obj["left"], words)
+            _collect_words(obj["right"], words)
+            words.append(obj["term"])
         elif kind == "gen":
-            parse_word(obj["word"])
+            words.append(obj["word"])
         elif kind == "ad":
-            parse_word(obj["conjugator"])
-            certificate_from_json(obj["inner"])
-            parse_word(obj["result"])
+            words.append(obj["conjugator"])
+            _collect_words(obj["inner"], words)
+            words.append(obj["result"])
         elif kind != "unit":
             raise ValueError(f"unknown certificate node kind: {kind!r}")
     except KeyError as exc:
         raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
-    return obj
 
 
 def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | None]:
@@ -160,7 +167,7 @@ def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
     try:
         kind = cert["kind"]
         if kind == "prod":
-            w = _word(cert["term"])
+            w = "" if (t := cert["term"]) == "e" else t
             if replayed is not None and id(cert) in replayed:
                 return w, None
             lw, why = _replay(cert["left"], gens, replayed)
@@ -176,12 +183,13 @@ def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
             return None, (f"root: {_shown(w)} does not occur in "
                           f"{format_word(lw)} * {format_word(rw)}")
         if kind == "gen":
-            w = _word(cert["word"])
+            w = "" if (t := cert["word"]) == "e" else t
             if w in gens:
                 return w, None
             return None, f"root: {_shown(w)} is not a generator"
         if kind == "ad":
-            y, w = _word(cert["conjugator"]), _word(cert["result"])
+            y = "" if (t := cert["conjugator"]) == "e" else t
+            w = "" if (t := cert["result"]) == "e" else t
             if replayed is not None and id(cert) in replayed:
                 return w, None
             x, why = _replay(cert["inner"], gens, replayed)

@@ -9,7 +9,7 @@ Python integers are unbounded, so multiplicities can never wrap around.
 
 from __future__ import annotations
 
-from .words import format_word, involute, shortlex_key
+from .words import FLIP, format_word, involute, shortlex_key
 
 Element = dict[str, int]
 
@@ -40,13 +40,16 @@ def mul_simple(x: str, y: str) -> Element:
 
 def has_term(x: str, y: str, w: str) -> bool:
     """True iff w is a term of x * y.  The term at cut k has length
-    |x| + |y| - 2k, so only cut k = (|x| + |y| - |w|) / 2 can give w, and
-    that cut alone is checked: no loop, no other cut."""
+    |x| + |y| - 2k, so only cut k = (|x| + |y| - |w|) / 2 can give w, and that
+    cut alone is checked, with no loop: cut 0 is always valid, cut k > 0 when x
+    ends with involute(y[:k]), formed in place as y[k - 1::-1] flipped."""
     d = len(x) + len(y) - len(w)
     k = d >> 1
     if d < 0 or d & 1 or k > len(x) or k > len(y):
         return False
-    return x.endswith(involute(y[:k])) and w == x[:len(x) - k] + y[k:]
+    if not k:
+        return w == x + y
+    return x.endswith(y[k - 1::-1].translate(FLIP)) and w == x[:len(x) - k] + y[k:]
 
 
 def mul(a: Element, b: Element) -> Element:

@@ -9,7 +9,8 @@ everything is trivially thread-safe.
 
 from __future__ import annotations
 
-_FLIP = str.maketrans("01", "10")
+FLIP = str.maketrans("01", "10")
+_DELETE_01 = str.maketrans("", "", "01")
 
 
 def parse_word(text: str) -> str:
@@ -19,13 +20,21 @@ def parse_word(text: str) -> str:
     """
     if not isinstance(text, str):
         raise ValueError(f"a word must be a string, not {type(text).__name__}")
+    if text and not text.strip("01"):
+        return text
     if text == "e":
         return ""
     if not text:
         raise ValueError('empty word token; the unit is written "e"')
-    if text.strip("01"):
-        raise ValueError(f"invalid word {text!r}: only '0' and '1' allowed")
-    return text
+    raise ValueError(f"invalid word {text!r}: only '0' and '1' allowed")
+
+
+def all_words(texts: list) -> bool:
+    """True iff parse_word accepts every entry of texts, tested as one list."""
+    try:  # strings, none empty, and no letter but 0 and 1 outside whole "e"s
+        return "" not in texts and "".join(texts).translate(_DELETE_01) == "e" * texts.count("e")
+    except TypeError:  # join met an entry that is not a string
+        return False
 
 
 def parse_words(text: str) -> list[str]:
@@ -45,12 +54,12 @@ def involute(w: str) -> str:
     An involutive anti-automorphism: involute(involute(w)) == w and
     involute(x + y) == involute(y) + involute(x).
     """
-    return w[::-1].translate(_FLIP)
+    return w[::-1].translate(FLIP)
 
 
 def flip(w: str) -> str:
     """Swap 0 and 1 letter by letter, without reversing (README "Flip pairs")."""
-    return w.translate(_FLIP)
+    return w.translate(FLIP)
 
 
 def degree(w: str) -> int:

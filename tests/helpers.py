@@ -1066,6 +1066,148 @@ def old_verify_certificate_detailed(cert, gens, path="root"):
 
 
 # --------------------------------------------------------------------------
+# the certificate parser and replay before one word check per tree: every
+# word parsed where the walk meets it, each replayed word read through a
+# call, parse_word without its fast path and has_term forming the dual of
+# y[:k] by a call to involute
+
+
+def per_node_parse_word(text: str) -> str:
+    """Parse the textual form: "e" for the unit, otherwise a '0'/'1' string.
+
+    The empty string is rejected as ambiguous; the unit must be spelled "e".
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"a word must be a string, not {type(text).__name__}")
+    if text == "e":
+        return ""
+    if not text:
+        raise ValueError('empty word token; the unit is written "e"')
+    if text.strip("01"):
+        raise ValueError(f"invalid word {text!r}: only '0' and '1' allowed")
+    return text
+
+
+def per_node_has_term(x: str, y: str, w: str) -> bool:
+    """True iff w is a term of x * y.  The term at cut k has length
+    |x| + |y| - 2k, so only cut k = (|x| + |y| - |w|) / 2 can give w, and
+    that cut alone is checked: no loop, no other cut."""
+    d = len(x) + len(y) - len(w)
+    k = d >> 1
+    if d < 0 or d & 1 or k > len(x) or k > len(y):
+        return False
+    return x.endswith(involute(y[:k])) and w == x[:len(x) - k] + y[k:]
+
+
+def _per_node_word(text: str) -> str:
+    """A word of a checked tree, from its text form."""
+    return "" if text == "e" else text
+
+
+def _per_node_shown(w) -> str:
+    """format_word of a word that failed its check; TypeError if it is no string."""
+    if not isinstance(w, str):
+        raise TypeError
+    return format_word(w)
+
+
+def per_node_certificate_from_json(obj: dict) -> dict:
+    """Check a certificate tree and return it; a malformed node raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"certificate node must be an object, not {type(obj).__name__}"
+        )
+    kind = obj.get("kind")
+    try:
+        if kind == "prod":
+            per_node_certificate_from_json(obj["left"])
+            per_node_certificate_from_json(obj["right"])
+            per_node_parse_word(obj["term"])
+        elif kind == "gen":
+            per_node_parse_word(obj["word"])
+        elif kind == "ad":
+            per_node_parse_word(obj["conjugator"])
+            per_node_certificate_from_json(obj["inner"])
+            per_node_parse_word(obj["result"])
+        elif kind != "unit":
+            raise ValueError(f"unknown certificate node kind: {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
+    return obj
+
+
+def per_node_verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | None]:
+    """Replay a certificate tree against the fusion rule only.
+
+    A product node is checked at the one cut its word lengths fix
+    (fusion.has_term).  An ad node multiplies by involute(y) only when
+    y * x is a single simple: two terms there give y * x * involute(y)
+    total multiplicity at least 2, so it cannot be the simple claimed.
+
+    Returns (True, None) on success, otherwise (False, diagnostic path).
+    The path is built only on failure: a node reports its own failure at
+    "root", and its parent extends that to "root.left" and so on.  A node
+    that is not a dict, lacks its kind or a key of its kind, or holds a word
+    that is not a string (tested only where its replay fails) is malformed.
+
+    replayed, a set of the ids of product and ad nodes already replayed
+    valid against these gens, skips them and gains every such node that
+    passes, so a DAG replays each node once.  A node's validity depends
+    only on its subtree, so the answer is the tree replay's.  The caller
+    keeps the nodes alive as long as the set.
+    """
+    why = _per_node_replay(cert, gens, replayed)[1]
+    return why is None, why
+
+
+def _per_node_replay(cert, gens, replayed) -> tuple[str | None, str | None]:
+    """(the word cert derives, None) if it replays, else (None, why)."""
+    try:
+        kind = cert["kind"]
+        if kind == "prod":
+            w = _per_node_word(cert["term"])
+            if replayed is not None and id(cert) in replayed:
+                return w, None
+            lw, why = _per_node_replay(cert["left"], gens, replayed)
+            if why is not None:
+                return None, "root.left" + why[4:]
+            rw, why = _per_node_replay(cert["right"], gens, replayed)
+            if why is not None:
+                return None, "root.right" + why[4:]
+            if per_node_has_term(lw, rw, w):
+                if replayed is not None:
+                    replayed.add(id(cert))
+                return w, None
+            return None, (f"root: {_per_node_shown(w)} does not occur in "
+                          f"{format_word(lw)} * {format_word(rw)}")
+        if kind == "gen":
+            w = _per_node_word(cert["word"])
+            if w in gens:
+                return w, None
+            return None, f"root: {_per_node_shown(w)} is not a generator"
+        if kind == "ad":
+            y, w = _per_node_word(cert["conjugator"]), _per_node_word(cert["result"])
+            if replayed is not None and id(cert) in replayed:
+                return w, None
+            x, why = _per_node_replay(cert["inner"], gens, replayed)
+            if why is not None:
+                return None, "root.inner" + why[4:]
+            first = mul_simple(y, x)
+            if len(first) == 1 and mul_many([first, {involute(y): 1}]) == {w: 1}:
+                if replayed is not None:
+                    replayed.add(id(cert))
+                return w, None
+            return None, (f"root: {format_word(y)} * {format_word(x)} * "
+                          f"{format_word(involute(y))} is not exactly the single "
+                          f"simple {_per_node_shown(w)}")
+        if kind == "unit":
+            return "", None
+    except (KeyError, TypeError):
+        pass
+    return None, f"root: malformed node {cert!r}"
+
+
+# --------------------------------------------------------------------------
 # the value types as dataclasses, before they became plain classes; only
 # construction, validation, ==, hash and repr are kept, the methods they
 # share with the library's classes are left out

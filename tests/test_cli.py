@@ -828,6 +828,25 @@ def test_benchmark_replay_hooks_record(tmp_path):
     assert json.loads(out.read_text())["verdicts"] == expected
 
 
+def test_benchmark_untraced_replay_gets_the_built_verdicts(tmp_path):
+    # The benchmark's timed replay runs untraced, through the library's
+    # parser and verifier with nothing wrapped: 100 of its documents get
+    # the verdicts they were built to get, one timed operation each.
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    bench_docs, expected = bench_oracle().synth_documents(1, 100, 8)
+    docs, out = tmp_path / "docs.json", tmp_path / "out.json"
+    docs.write_text(json.dumps(bench_docs))
+    proc = subprocess.run(
+        [sys.executable, str(child), "--mode", "replay", "--trace", "0",
+         "--t0", "0", "--out", str(out), "--docs", str(docs)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["verdicts"] == expected and expected.count(False) == 12
+    assert len(result["ops_s"]) == 100 and "trace" not in result
+
+
 # --------------------------------------------------------------------------
 # random invocations, run in process: no input may end in a traceback
 

@@ -1,6 +1,7 @@
 import itertools
 import json
-from functools import lru_cache, partial, reduce
+import random
+from functools import cache, lru_cache, partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,9 @@ from helpers import (
     old_certificate_from_json,
     old_verify_certificate_detailed,
     one_runs,
+    per_node_certificate_from_json,
+    per_node_parse_word,
+    per_node_verify_certificate_detailed,
     recording,
     saturate,
     words_up_to,
@@ -153,6 +157,19 @@ def test_verify_calls_a_word_that_is_not_a_string_malformed(word):
         False, f"root.right: malformed node {node['right']!r}")
 
 
+@pytest.mark.parametrize("word", [None, []])
+def test_verify_calls_a_conjugator_or_term_of_the_wrong_type_malformed(word):
+    # An ad node whose conjugator is no string stays malformed even when its
+    # result is its inner word, the answer a conjugator of length 0 would
+    # give; so does a product whose term is an empty list.
+    node = ad(word, gen("01"), "01")
+    assert verify_certificate_detailed(node, {"01"}) == (
+        False, f"root: malformed node {node!r}")
+    node = prod(UNIT, gen("01"), [])
+    assert verify_certificate_detailed(node, {"01"}) == (
+        False, f"root: malformed node {node!r}")
+
+
 def test_verify_ad_step():
     cert = ad("10", gen("01"), "100110")
     assert verify_certificate(cert, {"01", "10"})
@@ -213,6 +230,34 @@ MALFORMED_NODES = [
 def test_certificate_from_json_rejects_malformed(obj):
     with pytest.raises(ValueError):
         certificate_from_json(obj)
+
+
+FIRST_ERRORS = [
+    (gen(""), 'empty word token; the unit is written "e"'),
+    (gen("ee"), "invalid word 'ee': only '0' and '1' allowed"),
+    (prod(gen("0e1"), gen(None), "ee"), "invalid word '0e1': only '0' and '1' allowed"),
+    (prod(gen("01"), gen(None), "012"), "a word must be a string, not NoneType"),
+    (ad("012", "e", "01"), "invalid word '012': only '0' and '1' allowed"),
+    (ad("10", "e", "0x"), "certificate node must be an object, not str"),
+    (prod(gen(""), {"kind": "nope"}, "01"), 'empty word token; the unit is written "e"'),
+    (prod(gen("01"), {"kind": "gen"}, ""), "certificate node 'gen' lacks key 'word'"),
+    (prod(gen("e"), ad("e", UNIT, "e"), {}), "a word must be a string, not dict"),
+]
+
+
+@pytest.mark.parametrize("obj, message", FIRST_ERRORS)
+def test_certificate_from_json_raises_the_first_error_in_parse_order(obj, message):
+    # One test over all of a tree's words must raise the error a node-by-node
+    # parse meets first (left, right, term; conjugator, inner, result); a
+    # malformed node raises only when every word before it is a word.
+    try:
+        certificate_from_json(obj)
+    except ValueError as exc:
+        assert str(exc) == message
+    else:
+        raise AssertionError(f"{obj!r} parsed")
+    valid = prod(gen("e"), ad("e", UNIT, "e"), "e")
+    assert certificate_from_json(valid) is valid
 
 
 def _replay(parse, verify, obj, gens):
@@ -280,12 +325,19 @@ def test_replay_matches_old_replay():
     assert failures > len(cases) // 2
 
 
+@cache
+def _bench_documents():
+    """The replay benchmark's 2,000 documents and their verdicts, built once
+    for the tests below, which do not change them."""
+    return _bench_oracle().synth_documents(1, 2000, 8)
+
+
 def test_replay_matches_old_replay_at_bench_shape():
     # The replay benchmark's documents, with words of 16 to 40 letters and
     # every 8th one corrupted in one node, get the (ok, why) of the node
-    # classes' replay and the verdict they were built to get; the first 100
-    # also get the old replay's.
-    docs, expected = _bench_oracle().synth_documents(1, 2000, 8)
+    # classes' replay, of the per-node parse and replay, and the verdict
+    # they were built to get; the first 100 also get the old replay's.
+    docs, expected = _bench_documents()
     assert expected.count(False) == 250
     for i, (doc, valid) in enumerate(zip(docs, expected)):
         gens = {parse_word(g) for g in doc["generators"]}
@@ -294,11 +346,65 @@ def test_replay_matches_old_replay_at_bench_shape():
         nodes = _replay(helpers.certificate_from_json,
                         helpers.verify_certificate_detailed, obj, gens)
         assert new == nodes, doc
+        assert new == _replay(per_node_certificate_from_json,
+                              per_node_verify_certificate_detailed, obj, gens), doc
         assert new[0] is valid, doc
         if i < 100:
             old = _replay(old_certificate_from_json, old_verify_certificate_detailed,
                           obj, gens)
             assert new == old, doc
+
+
+_BAD_WORDS = [None, 5, "", "0e1", "012", "ee", [], {}]
+_KINDS = ["unit", "gen", "prod", "ad", "nope", None]
+_NOT_OBJECTS = ["e", "01", None, 5, []]
+
+
+def _faulted(obj, rng, faults):
+    """A copy of a certificate JSON tree with `faults` faults, each at a
+    random node: a word field set to a value that is no word, a key
+    deleted, the kind changed, or a child replaced by a non-object.  Each
+    fault is made in a fresh copy, whose objects are the candidate nodes."""
+    for _ in range(faults):
+        nodes = []
+        obj = json.loads(json.dumps(obj), object_hook=lambda d: nodes.append(d) or d)
+        node = rng.choice(nodes)
+        words = [k for k in ("word", "term", "conjugator", "result") if k in node]
+        children = [k for k in ("left", "right", "inner") if k in node]
+        fault = rng.randrange(4)
+        if fault == 0 and words:
+            node[rng.choice(words)] = rng.choice(_BAD_WORDS)
+        elif fault == 1 and node:
+            del node[rng.choice(sorted(node))]
+        elif fault == 2 or not children:
+            node["kind"] = rng.choice(_KINDS)
+        else:
+            node[rng.choice(children)] = rng.choice(_NOT_OBJECTS)
+    return obj
+
+
+def test_replay_matches_per_node_replay_on_faults():
+    # One- and two-fault copies of the replay benchmark's documents get the
+    # per-node parser's error text, or its replay's (ok, why), and a replay
+    # of the unchecked copy gets the per-node replay's (ok, why).
+    rng = random.Random(2012)
+    docs = _bench_documents()[0][:600]
+    seen = set()
+    for doc in docs:
+        gens = {per_node_parse_word(g) for g in doc["generators"]}
+        for faults in (1, 1, 2, 2, 2, 2):
+            bad = _faulted(doc["certificate"], rng, faults)
+            new = _replay(certificate_from_json, verify_certificate_detailed, bad, gens)
+            old = _replay(per_node_certificate_from_json,
+                          per_node_verify_certificate_detailed, bad, gens)
+            assert new == old, bad
+            assert (verify_certificate_detailed(bad, gens)
+                    == per_node_verify_certificate_detailed(bad, gens)), bad
+            verdict, detail = new
+            seen.add(detail.split()[0] if verdict is ValueError else verdict)
+    # Trees that parse and replay valid or invalid occur, and so do parse
+    # errors of every kind, named by their first word.
+    assert {True, False, "a", "empty", "invalid", "certificate", "unknown"} <= seen, seen
 
 
 _WORD_KEY = {"gen": "word", "prod": "term", "ad": "result"}

@@ -22,7 +22,7 @@ from functools import partial
 
 import pytest
 
-from freefusion import cli, closure, fusion, normality
+from freefusion import cli, closure, fusion, normality, words
 from freefusion.cli import run
 from freefusion.normality import Ambient
 
@@ -30,6 +30,7 @@ import test_cli
 import test_closure
 import test_fusion
 import test_normality
+import test_words
 from helpers import bench_oracle
 from test_normality import small_cfg
 
@@ -211,9 +212,26 @@ MUTANTS = [
         test_normality.test_shared_node_over_a_bad_step_fails_every_sample_through_it,
         id="replay-marks-an-ad-step-before-its-check"),
     pytest.param(
-        closure._word,
-        [('return "" if text == "e" else text', "return text")],
+        closure._replay,
+        [(f'"" if (t := cert["{key}"]) == "e" else t', f'cert["{key}"]')
+         for key in ("term", "word", "conjugator", "result")],
         test_closure.test_verify_reads_e_as_the_unit, id="replay-reads-e-as-a-word"),
+    pytest.param(
+        words.all_words,
+        [('"" not in texts and ', "")],
+        partial(test_closure.test_certificate_from_json_raises_the_first_error_in_parse_order,
+                *test_closure.FIRST_ERRORS[0]),
+        id="parse-without-the-empty-word-test"),
+    pytest.param(
+        words.all_words,
+        [('"".join(texts).translate(_DELETE_01) == "e" * texts.count("e")', "True")],
+        partial(test_closure.test_certificate_from_json_raises_the_first_error_in_parse_order,
+                *test_closure.FIRST_ERRORS[1]),
+        id="parse-without-the-letter-test"),
+    pytest.param(
+        words.parse_word,
+        [('text and not text.strip("01")', 'not text.strip("01e")')],
+        test_words.test_parse_word, id="parse-word-takes-e-and-empty-as-words"),
     pytest.param(
         closure._shown,
         [("    if not isinstance(w, str):\n        raise TypeError\n", "")],
@@ -237,7 +255,7 @@ MUTANTS = [
         id="parser-fast-path-for-a-later-subcommand"),
     pytest.param(
         fusion.has_term,
-        [("x.endswith(involute(y[:k])) and ", "")],
+        [("x.endswith(y[k - 1::-1].translate(FLIP)) and ", "")],
         test_fusion.test_has_term_matches_brute_force_exhaustively,
         id="has-term-without-endswith"),
     pytest.param(

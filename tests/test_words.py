@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freefusion.words import (
+    all_words,
     degree,
     format_word,
     heights,
@@ -11,7 +12,7 @@ from freefusion.words import (
     shortlex_key,
 )
 
-from helpers import flip, one_runs, zero_runs
+from helpers import flip, one_runs, per_node_parse_word, zero_runs
 
 words = st.text(alphabet="01", max_size=8)
 
@@ -23,6 +24,40 @@ def test_parse_word():
         parse_word("01x")
     with pytest.raises(ValueError):
         parse_word("")
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("text", [
+    "e", "0", "0110", "", "ee", "0e1", "012", " 01", "01\n", "\u0660", None, 5, [],
+    {}, _Text("01"), _Text("e"), _Text(""),
+])
+def test_parse_word_matches_per_node_parse_word(text):
+    # Valid words are returned first, before the checks that name a fault;
+    # every input still gets the per-node parser's value or error text.
+    def parsed(parse):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+    assert parsed(parse_word) == parsed(per_node_parse_word)
+
+
+@pytest.mark.parametrize("texts", [
+    [], ["e"], ["0", "e", "10"], ["e", "e"], [""], ["0", ""], ["ee"], ["e0"],
+    ["0e", "e"], ["012"], ["0", None], [5], [[]], ["0", "\u0660"],
+])
+def test_all_words_is_parse_word_on_every_entry(texts):
+    def parses(t):
+        try:
+            return parse_word(t) is not None
+        except ValueError:
+            return False
+
+    assert all_words(texts) == all(parses(t) for t in texts)
 
 
 def test_format_word():

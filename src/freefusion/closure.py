@@ -366,9 +366,9 @@ class Saturator:
             self.add(g, ("gen",))
 
     def fork(self, generators, targets, steps: dict) -> Saturator:
-        """A run from generators that resumes after this saturated run, all
-        of whose words count as processed: a copy of its members, order,
-        provenance and index, with steps laid over it, then the generators."""
+        """A run from generators resuming after this saturated run, all of whose
+        words count as processed: a copy of its members, order, provenance and
+        index, with steps laid over it that must hold every generator."""
         sat = Saturator(self.config, generators, targets)  # checks the generators
         sat.members, sat.order = set(self.members), self.order[:]
         sat.provenance = dict(self.provenance)
@@ -379,8 +379,6 @@ class Saturator:
         for w, prov in steps.items():
             sat.add(w, prov)
         sat.provenance.update(steps)  # laid over: a word this run holds keeps its place
-        for g in sorted(sat.generators, key=shortlex_key):
-            sat.add(g, ("gen",))
         return sat
 
     def add(self, w: str, prov: tuple):

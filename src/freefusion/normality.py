@@ -42,6 +42,8 @@ class Ambient(_Frozen):
     _fields = ("kind", "gens")
 
     def __init__(self, kind: str, gens: frozenset[str] = frozenset()):
+        if kind not in ("au", "pu", "gen"):
+            raise ValueError(f"unknown ambient kind {kind!r}; expected au, pu or gen")
         self._set(kind, gens)
 
     @staticmethod
@@ -226,15 +228,14 @@ def ad_closure(
     grafts 10 and takes the flip step where the graft fits and some target
     lies past it (README "Flip step").
 
-    _pairs, one sweep's memo over one view and config, keeps the result
-    of seeds that are not dual-closed for a later call with their duals,
-    which start the same run; that call takes it out and returns it when
-    its stop targets are equal; after a search in au or pu to flip-closed
-    stop targets, also the flipped result for the seeds' flip and its dual,
-    unless that is the seeds or their dual.  _base, a saturated ad-closure
-    over the same view and config whose generators the stop targets hold,
-    stops the run at them; if it derived them, a fork of the base's run
-    (kept as _engine) resumes from the base's fixpoint.  stats count both.
+    _pairs, one sweep's memo over one view and config, files the result
+    under its generators, the seeds' dual closure, for a later call from the
+    same generators to equal stop targets; after a run in au or pu to
+    flip-closed stop targets, also the flipped result under the flipped
+    generators where they differ.  _base, a saturated ad-closure over the
+    same view and config whose generators the stop targets hold, stops the
+    run at them; if it derived them, a fork of the base's run (kept as
+    _engine) resumes from the base's fixpoint.  stats count both.
     """
     if _base is not None and not _base.saturated:
         raise ValueError("a base closure must be saturated")
@@ -244,17 +245,16 @@ def ad_closure(
     for s in sorted(seeds, key=shortlex_key):
         if not view.contains(s):
             raise ValueError(f"{format_word(s)} is not an ambient simple")
-    if _pairs is not None:
-        shared = _pairs.pop(frozenset(seeds), None)
-        if shared is not None and shared[0] == stop_targets:
-            return shared[1]
+    gens = frozenset({*seeds, *map(involute, seeds)})  # the run's generators
+    shared = _pairs.get(gens) if _pairs is not None else None
+    if shared is not None and shared[0] == stop_targets:
+        return shared[1]
     by_last = view.conjugators_by_last(config.ad_len)
     scan = lambda x: _conjugations(x, by_last, work_len)
     targets = _base.generators if _base else stop_targets
-    route = None if targets is None or {*targets} != {ROOT} else _route(
-        {*seeds, *map(involute, seeds)}, by_last, work_len)
+    route = None if targets is None or {*targets} != {ROOT} else _route(gens, by_last, work_len)
     sat = Saturator(config.closure, seeds, targets, route)
-    if (route is None and _base is None and {*seeds} == {ROOT} and work_len >= 6
+    if (_base is None and {*seeds} == {ROOT} and work_len >= 6
             and view.ambient.kind != "gen" and "10" in by_last["0"]
             and (targets is None or not {*targets} <= {"", ROOT, "10"})):
         sat.start_flip(FLIP_GRAFT)
@@ -266,14 +266,12 @@ def ad_closure(
         sat.stats = {key: n + first[key] for key, n in sat.stats.items()}
     result = sat.result(is_ad=True)
     result._engine = sat  # what a fork of a saturated result copies
-    if _pairs is not None and sat.generators != seeds:  # else no dual to share
-        _pairs[frozenset(map(involute, seeds))] = stop_targets, result
-    if _pairs is not None and (route is None or _base is not None):  # a search ran
-        flipped = frozenset(map(flip, seeds))
-        if (view.ambient.kind != "gen" and flipped not in (seeds, frozenset(map(involute, seeds)))
-                and all(flip(t) in stop_targets for t in stop_targets or ())):
-            _pairs[flipped] = _pairs[frozenset(map(involute, flipped))] = (
-                stop_targets, _flipped(result))
+    if _pairs is not None:
+        _pairs[gens] = stop_targets, result
+        if (view.ambient.kind != "gen"
+                and (stop_targets is None or stop_targets.issuperset(map(flip, stop_targets)))
+                and (flipped := frozenset(map(flip, gens))) != gens):
+            _pairs[flipped] = stop_targets, _flipped(result)
     return result
 
 
@@ -388,9 +386,9 @@ def _check(name, view, config, targets, cert_samples):
     Any other seed starts from a saturated root's fixpoint (ad_closure's _base).
 
     Dual pairs: a seed and its dual reach the same targets, descend alike
-    (the root's members are dual-closed) and start the same run, so their
-    records differ only in seed.  The second of a pair gets the first's
-    closure back from ad_closure's memo, and with it the first's record.
+    (the root's members are dual-closed) and run from the same generators,
+    so their records differ only in seed: ad_closure's memo and the record
+    table share both by generators, a record only with the same closure.
     """
     # The longest seed, seed_len in au and even in pu, must fit within
     # work_len to be a generator; every simple of a generated ambient does.
@@ -424,7 +422,7 @@ def _check(name, view, config, targets, cert_samples):
             {ROOT}, view.ambient, config, stop_targets=reachable(ROOT), _view=view
         )
     pairs = {}  # ad_closure's memo
-    unpaired = {}  # dual -> (closure, record fields) of a seed before it
+    made = {}  # generators -> (closure, record fields) of a seed before it
     records = []
     for seed in seeds:
         reach = reachable(seed)
@@ -436,8 +434,8 @@ def _check(name, view, config, targets, cert_samples):
             stop_targets={ROOT} if descend else reach, _view=view, _pairs=pairs,
             _base=None if descend or root is None or not root.saturated else root,
         )
-        dual_own, fields = unpaired.pop(seed, (None, None))
-        if own is not dual_own:
+        made_own, fields = made.get(own.generators, (None, None))
+        if own is not made_own:
             # A descent that never derives 01 ran to its fixpoint: exact as is.
             end = "fixpoint" if cl.saturated else "descent" if descend else "targets"
             if end == "descent":
@@ -454,8 +452,7 @@ def _check(name, view, config, targets, cert_samples):
             fields = (_status(bool(missing_certified) or unverified,
                               bool(missing_within)),
                       end, missing_certified, missing_within, certificates)
-            if involute(seed) != seed:
-                unpaired[involute(seed)] = own, fields
+            made[own.generators] = own, fields
         records.append(SeedRecord(seed, *fields))
     statuses = {r.status for r in records}
     return SimplicityReport(

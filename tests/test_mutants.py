@@ -126,6 +126,16 @@ def _memo():
         test_normality.test_memo_shares_one_run_per_dual_pair(mp)
 
 
+def _memo_flip():
+    with pytest.MonkeyPatch.context() as mp:
+        test_normality.test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu(mp)
+
+
+def _record_sharing():
+    with pytest.MonkeyPatch.context() as mp:
+        test_normality.test_a_record_is_shared_only_with_its_closure(mp)
+
+
 MUTANTS = [
     pytest.param(
         normality._route,
@@ -154,20 +164,25 @@ MUTANTS = [
         _forks, id="fork-resumes-one-word-late"),
     pytest.param(
         normality.ad_closure,
-        [("\n                and all(flip(t) in stop_targets for t in stop_targets or ())",
-          "")],
-        test_normality.test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu,
-        id="flip-filed-for-targets-not-flip-closed"),
+        [("\n                and (stop_targets is None"
+          " or stop_targets.issuperset(map(flip, stop_targets)))", "")],
+        _memo_flip, id="flip-filed-for-targets-not-flip-closed"),
     pytest.param(
         normality.ad_closure,
-        [('(view.ambient.kind != "gen" and flipped', "(True and flipped")],
-        test_normality.test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu,
-        id="flip-filed-in-a-generated-ambient"),
+        [('if (view.ambient.kind != "gen"\n', "if (True\n")],
+        _memo_flip, id="flip-filed-in-a-generated-ambient"),
     pytest.param(
         normality.ad_closure,
-        [("_pairs[frozenset(map(involute, seeds))] = stop_targets, result",
-          "_pairs[frozenset(seeds)] = stop_targets, result")],
+        [("_pairs[gens] = stop_targets, result", "_pairs[frozenset(seeds)] = stop_targets, result")],
         _memo, id="memo-filed-under-the-seeds"),
+    pytest.param(
+        normality.ad_closure,
+        [(") != gens):", ")):")],
+        _memo_flip, id="flip-filed-over-its-own-generators"),
+    pytest.param(
+        normality._check,
+        [("if own is not made_own:", "if made_own is None:")],
+        _record_sharing, id="record-shared-without-its-closure"),
     pytest.param(
         closure.Saturator._partners,
         [("orbit = (i - 1,) if involute(prev) == prev else (i - 2, i - 1)", "orbit = ()")],

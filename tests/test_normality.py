@@ -66,10 +66,20 @@ def test_ambient_parse_and_describe():
     a = Ambient.parse("gen:01,10")
     assert a.gens == {"01", "10"}
     assert a.describe() == "gen:01,10"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown ambient 'zz'; expected au, pu or gen:"):
         Ambient.parse("zz")
     with pytest.raises(ValueError):
         Ambient.parse("gen:")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_simplicity(Ambient("xx")),
+    lambda: ad_closure({"01"}, Ambient("xx")),
+], ids=["check_simplicity", "ad_closure"])
+def test_an_unknown_ambient_kind_is_refused_when_built(call):
+    # It used to be built, then fail in AmbientView with a TypeError.
+    with pytest.raises(ValueError, match="unknown ambient kind 'xx'; expected au, pu or gen$"):
+        call()
 
 
 def test_ambient_views():
@@ -746,6 +756,9 @@ def test_ad_closure_without_memo_builds_a_saturator_per_call(monkeypatch):
 
 
 def test_memo_shares_one_run_per_dual_pair(monkeypatch):
+    # The memo files a run under its generators, the seeds' dual closure:
+    # a call from the same generators to the same stop targets builds no
+    # Saturator, and other stop targets run and file in its place.
     built = _count_saturators(monkeypatch)
     cfg = small_cfg(work_len=8)
     view = AmbientView(Ambient.full_au(), cfg.closure)
@@ -756,21 +769,25 @@ def test_memo_shares_one_run_per_dual_pair(monkeypatch):
                           _view=view, _pairs=pairs)
 
     first = run("0110", {"01"})
-    assert len(pairs) == 1
-    assert run("1001", {"01"}) is first  # its dual: no Saturator, entry used
-    assert len(built) == 1 and pairs == {}
-    run("0011", {"01"})  # self-dual: nothing to share
-    assert len(built) == 2 and pairs == {}
-    first = run("0110", {"01"})
+    pair = frozenset({"0110", "1001"})
+    assert pairs == {pair: ({"01"}, first)}
+    assert run("1001", {"01"}) is first  # its dual
+    assert run("0110", {"01"}) is first  # the entry stays
+    assert len(built) == 1
+    # Without the memo, a call never shares.
+    assert ad_closure({"1001"}, Ambient.full_au(), cfg, stop_targets={"01"},
+                      _view=view) is not first
+    assert len(built) == 2
+    own = run("0011", {"01"})  # self-dual: filed under its own generators
+    assert len(built) == 3 and pairs[frozenset({"0011"})] == ({"01"}, own)
     other = run("1001", {"01", "0011"})  # other stop targets: a run of its own
     assert len(built) == 4 and other is not first
-    assert [r for _, r in pairs.values()] == [other]  # filed for a later dual
+    assert pairs == {pair: ({"01", "0011"}, other), frozenset({"0011"}): ({"01"}, own)}
 
 
-def test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu():
-    # The memo files the flipped closure for the seeds' flip and that flip's
-    # dual only after a search in au or pu to flip-closed stop targets, and
-    # only when the flip is neither the seeds nor their dual.
+def test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu(monkeypatch):
+    # After a run in au or pu to flip-closed stop targets, the memo files the
+    # flipped closure once, under the flipped generators, where they differ.
     cfg = small_cfg(work_len=6, report_len=2, ad_len=0, seed_len=3)
     both = {"01", "10"}
 
@@ -781,26 +798,30 @@ def test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu():
 
     au = Ambient.full_au()
     result, pairs = memo(au, {"001"}, both)
-    assert set(pairs) == {frozenset({"011"}), frozenset({"110"}), frozenset({"100"})}
-    assert pairs[frozenset({"011"})] == (both, result)
-    stop, flipped = pairs[frozenset({"110"})]
-    assert stop == both and pairs[frozenset({"100"})][1] is flipped
+    gens, flips = frozenset({"001", "011"}), frozenset({"110", "100"})
+    assert set(pairs) == {gens, flips}
+    assert pairs[gens] == (both, result)
+    stop, flipped = pairs[flips]
+    assert stop == both
     assert set(flipped.members) == {flip(w) for w in result.members}
-    assert flipped.generators == {"110", "100"}
+    assert flipped.generators == flips
     assert (flipped.saturated, flipped.stats) == (result.saturated, result.stats)
-    # A stop that is not flip-closed, a run that takes the route to 01, and a
-    # generated ambient (gen:01,10 is flip-closed, but not by kind) file no flip.
+    # The flip and its dual both get the one flipped closure, and run nothing.
+    built = _count_saturators(monkeypatch)
+    for seed in ("110", "100"):
+        assert ad_closure({seed}, au, cfg, stop_targets=both, _pairs=pairs) is flipped
+    assert built == []
+    # A stop that is not flip-closed, a run that takes the route to 01, a
+    # generated ambient (gen:01,10 is flip-closed, but not by kind), a
+    # palindrome, whose flip is its dual, and a seed set that flip keeps
+    # file the run alone.
     for ambient, seeds, stop in [(au, {"001"}, {"0011"}), (au, {"001"}, {"01"}),
-                                 (Ambient.generated(both), {"0101"}, both)]:
+                                 (Ambient.generated(both), {"0101"}, both),
+                                 (au, {"010"}, both), (au, {"0011", "1100"}, both)]:
         result, pairs = memo(ambient, seeds, stop)
-        duals = frozenset(map(involute, seeds))
-        assert pairs == ({} if duals == seeds else {duals: (stop, result)}), seeds
-    # A palindrome's flip is its dual: the dual entry, the run's own result.
-    result, pairs = memo(au, {"010"}, both)
-    assert pairs == {frozenset({"101"}): (both, result)}
-    # A seed set that flip keeps: nothing to file but its dual.
-    result, pairs = memo(au, {"0011", "1100"}, both)
-    assert pairs == {}
+        gens = frozenset({*seeds, *map(involute, seeds)})
+        assert list(pairs) == [gens] and pairs[gens][0] == stop, seeds
+        assert pairs[gens][1] is result, seeds  # not an equal flipped closure
 
 
 def test_a_record_is_shared_only_with_its_closure(monkeypatch):
@@ -826,6 +847,48 @@ def test_a_record_is_shared_only_with_its_closure(monkeypatch):
     witnessed.clear()
     assert check_circle_corollary(cfg).to_json() == shared
     assert len(witnessed) > shared_witnessed
+
+
+def _ad_closure_ends(monkeypatch) -> list:
+    """(seed, end) for each ad_closure call, in call order: "dual" when it
+    returns an earlier call's closure, "flip" for a flipped closure in
+    closed form (no Saturator run made it: no _engine), "fork" for a run
+    that forked its base's run, else "run"."""
+    ends, results, forks = [], [], []
+    ad_closure, fork = normality.ad_closure, Saturator.fork
+
+    def recorded(seeds, *args, **kwargs):
+        forks.clear()
+        result = ad_closure(seeds, *args, **kwargs)
+        end = ("dual" if any(result is r for r in results)
+               else "flip" if not hasattr(result, "_engine") else "fork" if forks else "run")
+        results.append(result)
+        ends.append((next(iter(seeds)), end))  # a sweep calls with one seed
+        return result
+
+    monkeypatch.setattr(normality, "ad_closure", recorded)
+    monkeypatch.setattr(Saturator, "fork", lambda *args: forks.append(1) or fork(*args))
+    return ends
+
+
+@pytest.mark.parametrize(
+    "ambient, work_len, report_len, seed_len, calls, shared, forked, flipped",
+    [pytest.param(Ambient.projective_pu(), 10, 6, 6, 28, 8, ["000111"], ["111000"],
+                  id="pu-fixpoint"),
+     pytest.param(Ambient.projective_pu(), 12, 4, 6, 28, 7, [], [], id="pu-targets"),
+     pytest.param(None, 10, 4, 5, 62, 28, [], [], id="au-circle")],
+)
+def test_bench_sweeps_share_their_runs(monkeypatch, ambient, work_len, report_len,
+                                       seed_len, calls, shared, forked, flipped):
+    # The benchmark's three sweep shapes (perfbench/run.py at ad_len 8): how
+    # each ad_closure call ends, the root's included.  A change that stops
+    # sharing runs fails here, not only in bench time.
+    ends = _ad_closure_ends(monkeypatch)
+    _library_sweep(ambient, small_cfg(work_len, report_len, ad_len=8, seed_len=seed_len))
+    assert len(ends) == calls
+    assert sum(end in ("dual", "flip") for _, end in ends) == shared
+    assert [seed for seed, end in ends if end == "fork"] == forked
+    assert [seed for seed, end in ends if end == "flip"] == flipped
 
 
 # --------------------------------------------------------------------------

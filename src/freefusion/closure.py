@@ -337,13 +337,12 @@ class Saturator:
     of fusion's product that fit within work_len.  stats["products"] counts
     the products evaluated: those with a term that was not a member when
     their step began (fewer if the run stops early).
-    A base provenance is replayed through add after the unit.
+    Steps derived elsewhere enter a run only through lay.
     """
 
     _flip = False  # see start_flip
 
-    def __init__(self, config: ClosureConfig, generators=(), targets=None,
-                 base=None):
+    def __init__(self, config: ClosureConfig, generators=(), targets=None):
         self.config = config
         gens = set(generators)
         self.generators = frozenset(gens | {involute(g) for g in gens})
@@ -355,9 +354,6 @@ class Saturator:
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
         self._closed = 0
         self.add("", ("unit",))
-        if base is not None:
-            for w, prov in base.items():
-                self.add(w, prov)
         for g in sorted(self.generators, key=shortlex_key):
             if len(g) > config.work_len:
                 raise ValueError(
@@ -368,7 +364,7 @@ class Saturator:
     def fork(self, generators, targets, steps: dict) -> Saturator:
         """A run from generators resuming after this saturated run, all of whose
         words count as processed: a copy of its members, order, provenance and
-        index, with steps laid over it that must hold every generator."""
+        index, with steps that must hold every generator laid over it by lay."""
         sat = Saturator(self.config, generators, targets)  # checks the generators
         sat.members, sat.order = set(self.members), self.order[:]
         sat.provenance = dict(self.provenance)
@@ -376,10 +372,15 @@ class Saturator:
                       for head, by_len in self._tails.items()}
         sat.remaining = None if targets is None else set(targets) - sat.members
         sat._closed = len(self.order)
-        for w, prov in steps.items():
-            sat.add(w, prov)
-        sat.provenance.update(steps)  # laid over: a word this run holds keeps its place
+        sat.lay(steps)
         return sat
+
+    def lay(self, steps: dict):
+        """Add steps derived elsewhere through add, in their order; a word this
+        run already holds keeps its place and takes the step."""
+        for w, prov in steps.items():
+            self.add(w, prov)
+        self.provenance.update(steps)
 
     def add(self, w: str, prov: tuple):
         if w in self.members:
@@ -398,11 +399,10 @@ class Saturator:
             self.add(flip(w), (prov[0], *map(flip, prov[1:])))
 
     def start_flip(self, steps: dict):
-        """Take the flip step from here on, then add steps: they must derive
+        """Take the flip step from here on, then lay steps: they must derive
         the flips of the members so far, as the flip of a generator is none."""
         self._flip = True
-        for w, prov in steps.items():
-            self.add(w, prov)
+        self.lay(steps)
 
     def done(self) -> bool:
         """True once every target is derived; it answers and writes nothing.

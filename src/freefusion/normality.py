@@ -41,9 +41,11 @@ class Ambient(_Frozen):
 
     _fields = ("kind", "gens")
 
-    def __init__(self, kind: str, gens: frozenset[str] = frozenset()):
+    def __init__(self, kind: str, gens=frozenset()):
         if kind not in ("au", "pu", "gen"):
             raise ValueError(f"unknown ambient kind {kind!r}; expected au, pu or gen")
+        if (gens := frozenset(gens)) and kind != "gen":
+            raise ValueError(f"ambient {kind} takes no generators")
         self._set(kind, gens)
 
     @staticmethod
@@ -56,7 +58,7 @@ class Ambient(_Frozen):
 
     @staticmethod
     def generated(gens) -> "Ambient":
-        return Ambient("gen", frozenset(gens))
+        return Ambient("gen", gens)
 
     def describe(self) -> str:
         if self.kind == "gen":
@@ -79,23 +81,19 @@ class AmbientView:
 
     def __init__(self, ambient: Ambient, config: ClosureConfig):
         self.ambient = ambient
-        self._members: frozenset[str] | None = None
         self._conjugators: dict[int, dict[str, list[str]]] = {}
-        if ambient.kind == "gen":  # its own set, so the view holds no derivations
+        self._closed_form = {"au": "all", "pu": "balanced"}.get(ambient.kind)
+        if not self._closed_form:  # a generated set: its members, not their derivations
             self._members = frozenset(generate(ambient.gens, config).members)
 
     def contains(self, w: str) -> bool:
-        if self.ambient.kind == "au":
-            return True
-        if self.ambient.kind == "pu":
-            return is_balanced(w)
+        if self._closed_form:
+            return self._closed_form == "all" or is_balanced(w)
         return w in self._members
 
     def simples(self, max_len: int) -> list[str]:
-        if self.ambient.kind == "au":
-            return enumerate_words("all", max_len)
-        if self.ambient.kind == "pu":
-            return enumerate_words("balanced", max_len)
+        if self._closed_form:
+            return enumerate_words(self._closed_form, max_len)
         return sorted((w for w in self._members if len(w) <= max_len), key=shortlex_key)
 
     def count(self, max_len: int) -> int:
@@ -222,7 +220,7 @@ def ad_closure(
 
     With stop_targets, saturation halts as soon as every target word has
     been derived; the member set is then a sound under-approximation and
-    the result is marked unsaturated.  A run stopping at {01} alone replays
+    the result is marked unsaturated.  A run stopping at {01} alone lays
     _route where it fits, evaluating nothing: a fixpoint then holds 01 too.
     A search from {01} in au or pu, whose conjugators are flip-closed,
     grafts 10 and takes the flip step where the graft fits and some target
@@ -253,9 +251,10 @@ def ad_closure(
     scan = lambda x: _conjugations(x, by_last, work_len)
     targets = _base.generators if _base else stop_targets
     route = None if targets is None or {*targets} != {ROOT} else _route(gens, by_last, work_len)
-    sat = Saturator(config.closure, seeds, targets, route)
+    sat = Saturator(config.closure, seeds, targets)
+    sat.lay(route or {})
     if (_base is None and {*seeds} == {ROOT} and work_len >= 6
-            and view.ambient.kind != "gen" and "10" in by_last["0"]
+            and view._closed_form and "10" in by_last["0"]
             and (targets is None or not {*targets} <= {"", ROOT, "10"})):
         sat.start_flip(FLIP_GRAFT)
     sat.run(ad_scan=scan)
@@ -268,7 +267,7 @@ def ad_closure(
     result._engine = sat  # what a fork of a saturated result copies
     if _pairs is not None:
         _pairs[gens] = stop_targets, result
-        if (view.ambient.kind != "gen"
+        if (view._closed_form
                 and (stop_targets is None or stop_targets.issuperset(map(flip, stop_targets)))
                 and (flipped := frozenset(map(flip, gens))) != gens):
             _pairs[flipped] = stop_targets, _flipped(result)

@@ -304,7 +304,9 @@ class ReplaySaturator(Saturator):
     """Saturator.__init__ before forks, verbatim: a base provenance is
     replayed through add after the unit, and its first `closed` words, a
     fixpoint at the same bounds, are indexed as processed.  The warm start
-    rebuilt the root's run this way; a fork must equal it."""
+    rebuilt the root's run this way; a fork must equal it.  A run to 01
+    replayed its route as the base; the run that lays it (Saturator.lay)
+    must equal that one but for order."""
 
     def __init__(self, config, generators=(), targets=None, base=None, closed=0):
         self.config = config

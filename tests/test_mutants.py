@@ -169,8 +169,17 @@ MUTANTS = [
         _memo_flip, id="flip-filed-for-targets-not-flip-closed"),
     pytest.param(
         normality.ad_closure,
-        [('if (view.ambient.kind != "gen"\n', "if (True\n")],
+        [("if (view._closed_form\n", "if (True\n")],
         _memo_flip, id="flip-filed-in-a-generated-ambient"),
+    pytest.param(
+        closure.Saturator.lay,
+        [("    self.provenance.update(steps)\n", "")],
+        test_normality.test_two_forks_leave_their_root_untouched,
+        id="lay-without-the-overlay"),
+    pytest.param(
+        normality.AmbientView.__init__,
+        [('{"au": "all", "pu": "balanced"}', '{"au": "all", "pu": "balanced", "gen": "all"}')],
+        test_normality.test_ambient_views, id="generated-ambient-taken-as-closed-form"),
     pytest.param(
         normality.ad_closure,
         [("_pairs[gens] = stop_targets, result", "_pairs[frozenset(seeds)] = stop_targets, result")],

@@ -82,6 +82,20 @@ def test_an_unknown_ambient_kind_is_refused_when_built(call):
         call()
 
 
+@pytest.mark.parametrize("kind", ["au", "pu"])
+def test_a_closed_form_ambient_refuses_generators(kind):
+    # Built, it would describe itself as the bare kind and compare unequal to it.
+    with pytest.raises(ValueError, match=f"^ambient {kind} takes no generators$"):
+        Ambient(kind, frozenset({"01"}))
+
+
+def test_a_generated_ambient_freezes_its_words():
+    # Ambients are shared as defaults and hash, whatever collection the words came in.
+    built, generated = Ambient("gen", {"01", "10"}), Ambient.generated({"01", "10"})
+    assert built == generated and hash(built) == hash(generated)
+    assert type(built.gens) is frozenset and built.gens == {"01", "10"}
+
+
 def test_ambient_views():
     au = AmbientView(Ambient.full_au(), ClosureConfig(work_len=6, report_len=4))
     pu = AmbientView(Ambient.projective_pu(), ClosureConfig(work_len=6, report_len=4))
@@ -736,9 +750,9 @@ def _count_saturators(monkeypatch) -> list:
     built = []
 
     class Counted(Saturator):
-        def __init__(self, config, generators=(), targets=None, base=None):
+        def __init__(self, config, generators=(), targets=None):
             built.append(set(generators))
-            super().__init__(config, generators, targets, base)
+            super().__init__(config, generators, targets)
 
     monkeypatch.setattr(normality, "Saturator", Counted)
     return built
@@ -1165,9 +1179,45 @@ def _assert_route(seed, ambient, work_len, ad_len):
     result = ad_closure({seed}, ambient, cfg, stop_targets={ROOT}, _view=view)
     stats = result.stats
     assert (stats["products"], stats["ad_steps"], result.saturated) == (0, 0, False)
+    _assert_route_run_matches_replay(seed, view, cfg, route, result._engine)
     cert = witness(result, ROOT)
     assert verify_certificate(cert, gens), seed
     assert bench_oracle().certificate_word(cert, gens) == ROOT
+
+
+def _assert_route_run_matches_replay(seed, view, cfg, route, sat):
+    """The run of ad_closure({seed}) to {01}, which lays the route after the
+    generators, equals the run that replayed it as a base before them
+    (ReplaySaturator) in members, generators, provenance, stats and remaining.
+    Only order may differ: the route's words now follow the generators."""
+    replay = ReplaySaturator(cfg.closure, {seed}, {ROOT}, base=route, closed=0)
+    replay.run(ad_scan=partial(normality._conjugations, max_len=cfg.closure.work_len,
+                               by_last=view.conjugators_by_last(cfg.ad_len)))
+    assert sat.members == replay.members and sat.generators == replay.generators, seed
+    assert sat.provenance == replay.provenance, seed
+    assert (sat.stats, sat.remaining) == (replay.stats, replay.remaining), seed
+
+
+@pytest.mark.parametrize("ambient, routes", [
+    (Ambient.full_au(), 2227), (Ambient.projective_pu(), 429),
+    (Ambient.generated({"01", "10"}), 366), (Ambient.generated({"0011"}), 225),
+], ids=["au", "pu", "gen-01-10", "gen-0011"])
+def test_route_run_matches_replay_on_the_sweep_grid(ambient, routes):
+    # Every seed of every small sweep bound (_small_cfgs) whose route fits.
+    done = 0
+    for cfg in _small_cfgs():
+        try:
+            view = AmbientView(ambient, cfg.closure)
+        except ValueError:  # a generator beyond work_len
+            continue
+        by_last = view.conjugators_by_last(cfg.ad_len)
+        for seed in view.simples(min(cfg.seed_len, cfg.closure.work_len))[1:]:
+            route = normality._route({seed, involute(seed)}, by_last, cfg.closure.work_len)
+            if route is not None:
+                result = ad_closure({seed}, ambient, cfg, stop_targets={ROOT}, _view=view)
+                _assert_route_run_matches_replay(seed, view, cfg, route, result._engine)
+                done += 1
+    assert done == routes
 
 
 _AU_SEEDS = st.text("01", min_size=1, max_size=64).map(lambda s: ("au", s))

@@ -110,15 +110,17 @@ def test_defaults_are_class_constants():
 @pytest.mark.parametrize(
     "name, args, kwargs",
     [
-        ("ClosureConfig", (-1,), {}),
-        ("ClosureConfig", (-1, -2), {}),
-        ("ClosureConfig", (4, 5), {}),
-        ("ClosureConfig", (), {"report_len": -1}),
-        ("AdConfig", (), {"closure": "SHORT"}),
-        ("AdConfig", ("SHORT", 6), {}),
-        ("AdConfig", (), {"ad_len": -1}),
-        ("AdConfig", (), {"seed_len": -1}),
-        ("AdConfig", ("SHORT",), {"ad_len": 5, "seed_len": -1}),
+        pytest.param("ClosureConfig", (-1,), {}, id="ClosureConfig-args0-kwargs0"),
+        pytest.param("ClosureConfig", (-1, -2), {}, id="ClosureConfig-args1-kwargs1"),
+        pytest.param("ClosureConfig", (4, 5), {}, id="ClosureConfig-args2-kwargs2"),
+        pytest.param("ClosureConfig", (), {"report_len": -1},
+                     id="ClosureConfig-args3-kwargs3"),
+        pytest.param("AdConfig", (), {"closure": "SHORT"}, id="AdConfig-args4-kwargs4"),
+        pytest.param("AdConfig", ("SHORT", 6), {}, id="AdConfig-args5-kwargs5"),
+        pytest.param("AdConfig", (), {"ad_len": -1}, id="AdConfig-args6-kwargs6"),
+        pytest.param("AdConfig", (), {"seed_len": -1}, id="AdConfig-args7-kwargs7"),
+        pytest.param("AdConfig", ("SHORT",), {"ad_len": 5, "seed_len": -1},
+                     id="AdConfig-args8-kwargs8"),
     ],
 )
 def test_validation_messages_match_dataclasses(name, args, kwargs):
@@ -136,16 +138,23 @@ def test_validation_messages_match_dataclasses(name, args, kwargs):
 @pytest.mark.parametrize(
     "name, args, kwargs",
     [
-        ("Ambient", (), {}),
-        ("AdConfig", (), {"closure_len": 3}),
-        ("SimplicityReport", ("simplicity",), {}),
-        ("Membership", ("present",), {"status": "present"}),
-        ("ClosureConfig", (), {"max_len": 3}),
-        ("ClosureResult", (frozenset(), None, True, {}), {}),
-        ("SeedRecord", ("01", "pass", "fixpoint", [], [], [], []), {}),
+        pytest.param("Ambient", (), {}, id="Ambient-args0-kwargs0"),
+        pytest.param("AdConfig", (), {"closure_len": 3}, id="AdConfig-args1-kwargs1"),
+        pytest.param("SimplicityReport", ("simplicity",), {},
+                     id="SimplicityReport-args2-kwargs2"),
+        pytest.param("Membership", ("present",), {"status": "present"},
+                     id="Membership-args3-kwargs3"),
+        pytest.param("ClosureConfig", (), {"max_len": 3},
+                     id="ClosureConfig-args4-kwargs4"),
+        pytest.param("ClosureResult", (frozenset(), None, True, {}), {},
+                     id="ClosureResult-args5-kwargs5"),
+        pytest.param("SeedRecord", ("01", "pass", "fixpoint", [], [], [], []), {},
+                     id="SeedRecord-args6-kwargs6"),
         # Closures are always dual-closed: the option is gone, not ignored.
-        ("ClosureConfig", (), {"require_dual_closure": False}),
-        ("ClosureConfig", (8, 4, False), {}),
+        pytest.param("ClosureConfig", (), {"require_dual_closure": False},
+                     id="ClosureConfig-args7-kwargs7"),
+        pytest.param("ClosureConfig", (8, 4, False), {},
+                     id="ClosureConfig-args8-kwargs8"),
     ],
 )
 def test_bad_calls_raise_type_error_like_dataclasses(name, args, kwargs):

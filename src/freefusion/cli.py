@@ -20,6 +20,7 @@ import time
 
 from . import __version__
 from .closure import (
+    CLOSED_FORMS,
     ClosureConfig,
     certificate_from_json,
     enumerate_words,
@@ -31,6 +32,7 @@ from .fusion import element_to_json, mul_many
 from .normality import (
     AdConfig,
     Ambient,
+    AmbientView,
     ad_closure,
     check_circle_corollary,
     check_simplicity,
@@ -211,12 +213,13 @@ def _run_closure(args):
         gens = parse_words(args.gens)
         config = ClosureConfig(work_len=args.work_len, report_len=args.report_len)
         result = generate(gens, config)
-        payload = {}
+        view, payload = None, {}
     else:
         seeds = parse_words(args.seeds)
-        ambient = Ambient.parse(args.ambient)
-        result = ad_closure(seeds, ambient, _ad_config(args))
-        payload = {"ambient": ambient.describe()}
+        config = _ad_config(args)
+        view = AmbientView(Ambient.parse(args.ambient), config.closure)
+        result = ad_closure(seeds, view.ambient, config, _view=view)
+        payload = {"ambient": view.name}
     payload["closure"] = result.to_json()
     lines = [f"members: {len(result.members)} (saturated: {result.saturated})"]
     if args.member is not None:
@@ -226,7 +229,7 @@ def _run_closure(args):
         lines += _membership_lines(w, m)
     if args.witness is not None:
         w = parse_word(args.witness)
-        wp = witness_entries(result, [w])[0]
+        wp = witness_entries(result, [w], view)[0]
         if wp is not None:
             wp = {"word": wp.pop("word"),
                   "generators": payload["closure"]["generators"], **wp}
@@ -286,8 +289,13 @@ def _run_verify_cert(args):
         if not isinstance(generators, list):
             raise ValueError('"generators" must be a list of words')
         gens = {parse_word(g) for g in generators}
+        # No ambient means au, where every word is a simple: nothing to test.
+        kind = doc.get("ambient")
+        if kind not in (None, *CLOSED_FORMS):
+            raise ValueError(f'"ambient" must be {" or ".join(CLOSED_FORMS)}, not {kind!r}')
+        view = None if kind is None else AmbientView(Ambient(kind), ClosureConfig())
         cert = certificate_from_json(doc["certificate"])
-        ok, why = verify_certificate_detailed(cert, gens)
+        ok, why = verify_certificate_detailed(cert, gens, ambient=view)
     except RecursionError:
         raise ValueError("the certificate document is nested too deeply") from None
     payload = {"file": args.file, "valid": ok}

@@ -138,7 +138,8 @@ def _collect_words(obj, words: list):
         raise ValueError(f"certificate node {kind!r} lacks key {exc}") from None
 
 
-def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | None]:
+def verify_certificate_detailed(cert, gens, replayed=None,
+                                ambient=None) -> tuple[bool, str | None]:
     """Replay a certificate tree against the fusion rule only.
 
     A product node is checked at the one cut its word lengths fix
@@ -153,16 +154,27 @@ def verify_certificate_detailed(cert, gens, replayed=None) -> tuple[bool, str | 
     that is not a string (tested only where its replay fails) is malformed.
 
     replayed, a set of the ids of product and ad nodes already replayed
-    valid against these gens, skips them and gains every such node that
-    passes, so a DAG replays each node once.  A node's validity depends
-    only on its subtree, so the answer is the tree replay's.  The caller
-    keeps the nodes alive as long as the set.
+    valid against these gens and ambient, skips them and gains every such
+    node that passes, so a DAG replays each node once.  A node's validity
+    depends only on its subtree, so the answer is the tree replay's.  The
+    caller keeps the nodes alive as long as the set.
+
+    ambient, when given, is a view of the semiring the proof lives in
+    (normality.AmbientView): every generator and every conjugator of a valid
+    ad node must be one of its simples.  The first that is not fails as
+    "generators: w is not a pu simple" or at its node's path.  Without one
+    every word is a simple (au), tested nowhere.
     """
-    why = _replay(cert, gens, replayed)[1]
+    if ambient is not None:
+        foreign = [g for g in gens if not ambient.contains(g)]
+        if foreign:
+            first = format_word(min(foreign, key=shortlex_key))
+            return False, f"generators: {first} is not a {ambient.name} simple"
+    why = _replay(cert, gens, replayed, ambient)[1]
     return why is None, why
 
 
-def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
+def _replay(cert, gens, replayed, ambient) -> tuple[str | None, str | None]:
     """(the word cert derives, None) if it replays, else (None, why)."""
     try:
         kind = cert["kind"]
@@ -170,10 +182,10 @@ def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
             w = "" if (t := cert["term"]) == "e" else t
             if replayed is not None and id(cert) in replayed:
                 return w, None
-            lw, why = _replay(cert["left"], gens, replayed)
+            lw, why = _replay(cert["left"], gens, replayed, ambient)
             if why is not None:
                 return None, "root.left" + why[4:]
-            rw, why = _replay(cert["right"], gens, replayed)
+            rw, why = _replay(cert["right"], gens, replayed, ambient)
             if why is not None:
                 return None, "root.right" + why[4:]
             if has_term(lw, rw, w):
@@ -192,11 +204,13 @@ def _replay(cert, gens, replayed) -> tuple[str | None, str | None]:
             w = "" if (t := cert["result"]) == "e" else t
             if replayed is not None and id(cert) in replayed:
                 return w, None
-            x, why = _replay(cert["inner"], gens, replayed)
+            x, why = _replay(cert["inner"], gens, replayed, ambient)
             if why is not None:
                 return None, "root.inner" + why[4:]
             first = mul_simple(y, x)
             if len(first) == 1 and mul_many([first, {involute(y): 1}]) == {w: 1}:
+                if ambient is not None and not ambient.contains(y):
+                    return None, f"root: {format_word(y)} is not a {ambient.name} simple"
                 if replayed is not None:
                     replayed.add(id(cert))
                 return w, None
@@ -602,22 +616,36 @@ def witness(result: ClosureResult, w: str, _memo: dict | None = None) -> dict | 
 
 
 # --------------------------------------------------------------------------
-# enumeration
+# enumeration and the closed-form ambients
+
+
+class ClosedForm(_Frozen):
+    """An ambient in closed form: `in` tests its simples, enumerate_words lists
+    them under filter, and longest(n) is the length of the longest of <= n letters."""
+
+    _fields = ("filter",)
+
+    def __init__(self, filter: str):
+        self._set(filter)
+
+    def __contains__(self, w: str) -> bool:
+        return self.filter == "all" or is_balanced(w)
+
+    def longest(self, n: int) -> int:
+        return n if self.filter == "all" else n - n % 2
+
+
+# The one definition: au, the full free unitary semiring, and pu, its projective quotient.
+CLOSED_FORMS = {"au": ClosedForm("all"), "pu": ClosedForm("balanced")}
 
 
 def enumerate_words(which: str = "all", max_len: int = 0) -> list[str]:
-    """All words (or all balanced words) of length <= max_len, shortlex."""
-    if which not in ("all", "balanced"):
+    """All words, or all balanced words, of length <= max_len, shortlex."""
+    form = next((f for f in CLOSED_FORMS.values() if f.filter == which), None)
+    if form is None:
         raise ValueError(f"unknown word filter {which!r}")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    out = []
-    for n in range(max_len + 1):
-        if which == "balanced" and n % 2:
-            continue
-        for t in itertools.product("01", repeat=n):
-            w = "".join(t)
-            if which == "balanced" and not is_balanced(w):
-                continue
-            out.append(w)
-    return out
+    # longest(n) == n exactly when some simple has length n.
+    return [w for n in range(max_len + 1) if form.longest(n) == n
+            for w in map("".join, itertools.product("01", repeat=n)) if w in form]

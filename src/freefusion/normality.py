@@ -13,6 +13,7 @@ projective quotient has no proper normal quantum subgroups.
 from __future__ import annotations
 
 from .closure import (
+    CLOSED_FORMS,
     ClosureConfig,
     ClosureResult,
     Saturator,
@@ -25,7 +26,7 @@ from .closure import (
     witness,
 )
 from .fusion import mul_simple
-from .words import degree, flip, format_word, involute, is_balanced, parse_words, shortlex_key
+from .words import degree, flip, format_word, involute, parse_words, shortlex_key
 
 # --------------------------------------------------------------------------
 # ambients
@@ -34,31 +35,20 @@ from .words import degree, flip, format_word, involute, is_balanced, parse_words
 class Ambient(_Frozen):
     """Which semiring the simples live in.
 
-    kind "au": all binary words (the full free unitary semiring).
-    kind "pu": balanced words only (the projective quotient).
-    kind "gen": the bounded closure of a finite generating set.
+    kind "au" or "pu": a closed form (closure.CLOSED_FORMS), with no gens.
+    kind "gen": the bounded closure of gens, a collection of words, never one str.
     """
 
     _fields = ("kind", "gens")
 
     def __init__(self, kind: str, gens=frozenset()):
-        if kind not in ("au", "pu", "gen"):
+        if kind != "gen" and kind not in CLOSED_FORMS:
             raise ValueError(f"unknown ambient kind {kind!r}; expected au, pu or gen")
+        if isinstance(gens, str):
+            raise ValueError(f"ambient generators must be words, not the string {gens!r}")
         if (gens := frozenset(gens)) and kind != "gen":
             raise ValueError(f"ambient {kind} takes no generators")
         self._set(kind, gens)
-
-    @staticmethod
-    def full_au() -> "Ambient":
-        return Ambient("au")
-
-    @staticmethod
-    def projective_pu() -> "Ambient":
-        return Ambient("pu")
-
-    @staticmethod
-    def generated(gens) -> "Ambient":
-        return Ambient("gen", gens)
 
     def describe(self) -> str:
         if self.kind == "gen":
@@ -67,34 +57,32 @@ class Ambient(_Frozen):
 
     @staticmethod
     def parse(text: str) -> "Ambient":
-        if text in ("au", "pu"):
+        if text in CLOSED_FORMS:
             return Ambient(text)
         if text.startswith("gen:"):
-            return Ambient.generated(parse_words(text[4:]))
+            return Ambient("gen", parse_words(text[4:]))
         raise ValueError(f"unknown ambient {text!r}; expected au, pu or gen:...")
 
 
 class AmbientView:
     """An ambient resolved against a length bound, answering membership and
-    enumeration queries.  For a generated ambient the simple set is the
-    bounded plain closure of its generators."""
+    enumeration queries.  Its simples are a closed form, which tests its own,
+    or the members of its generators' bounded plain closure, not their steps."""
 
     def __init__(self, ambient: Ambient, config: ClosureConfig):
         self.ambient = ambient
+        self.name = ambient.describe()
         self._conjugators: dict[int, dict[str, list[str]]] = {}
-        self._closed_form = {"au": "all", "pu": "balanced"}.get(ambient.kind)
-        if not self._closed_form:  # a generated set: its members, not their derivations
-            self._members = frozenset(generate(ambient.gens, config).members)
+        self.closed_form = CLOSED_FORMS.get(ambient.kind)
+        self._simples = self.closed_form or frozenset(generate(ambient.gens, config).members)
 
     def contains(self, w: str) -> bool:
-        if self._closed_form:
-            return self._closed_form == "all" or is_balanced(w)
-        return w in self._members
+        return w in self._simples
 
     def simples(self, max_len: int) -> list[str]:
-        if self._closed_form:
-            return enumerate_words(self._closed_form, max_len)
-        return sorted((w for w in self._members if len(w) <= max_len), key=shortlex_key)
+        if self.closed_form is not None:
+            return enumerate_words(self.closed_form.filter, max_len)
+        return sorted((w for w in self._simples if len(w) <= max_len), key=shortlex_key)
 
     def count(self, max_len: int) -> int:
         return len(self.simples(max_len))
@@ -205,7 +193,7 @@ FLIP_GRAFT = {"10": ("prod", "100110", "100110"), "100110": ("ad", "10", ROOT)}
 
 def ad_closure(
     seeds,
-    ambient: Ambient = Ambient.full_au(),
+    ambient: Ambient = Ambient("au"),
     config: AdConfig = AdConfig(),
     stop_targets=None,
     _view: AmbientView | None = None,
@@ -254,7 +242,7 @@ def ad_closure(
     sat = Saturator(config.closure, seeds, targets)
     sat.lay(route or {})
     if (_base is None and {*seeds} == {ROOT} and work_len >= 6
-            and view._closed_form and "10" in by_last["0"]
+            and view.closed_form and "10" in by_last["0"]
             and (targets is None or not {*targets} <= {"", ROOT, "10"})):
         sat.start_flip(FLIP_GRAFT)
     sat.run(ad_scan=scan)
@@ -267,7 +255,7 @@ def ad_closure(
     result._engine = sat  # what a fork of a saturated result copies
     if _pairs is not None:
         _pairs[gens] = stop_targets, result
-        if (view._closed_form
+        if (view.closed_form
                 and (stop_targets is None or stop_targets.issuperset(map(flip, stop_targets)))
                 and (flipped := frozenset(map(flip, gens))) != gens):
             _pairs[flipped] = stop_targets, _flipped(result)
@@ -345,9 +333,11 @@ class SimplicityReport(_Value):
         }
 
 
-def witness_entries(result: ClosureResult, words) -> list[dict | None]:
+def witness_entries(result: ClosureResult, words,
+                    view: AmbientView | None = None) -> list[dict | None]:
     """The JSON entry for a derivation of each word: its certificate,
-    replayed against the result's generators; None for a word with no
+    replayed against the result's generators and, given the view of the
+    result's ambient, against its simples; None for a word with no
     derivation.  The words' certificates share one witness memo, so they
     are one DAG: each node is replayed once and is one dict wherever it
     occurs, and a node's validity depends only on its subtree, so every
@@ -360,7 +350,7 @@ def witness_entries(result: ClosureResult, words) -> list[dict | None]:
         if cert is None:
             entries.append(None)
             continue
-        ok, why = verify_certificate_detailed(cert, gens, replayed)
+        ok, why = verify_certificate_detailed(cert, gens, replayed, view)
         entry = {"word": format_word(w), "verified": ok, "certificate": cert}
         if why is not None:
             entry["error"] = why
@@ -389,10 +379,9 @@ def _check(name, view, config, targets, cert_samples):
     so their records differ only in seed: ad_closure's memo and the record
     table share both by generators, a record only with the same closure.
     """
-    # The longest seed, seed_len in au and even in pu, must fit within
-    # work_len to be a generator; every simple of a generated ambient does.
+    # The longest seed must fit within work_len to be a generator, as every gen: simple does.
     n, work_len = config.seed_len, config.closure.work_len
-    if {"au": n, "pu": n - n % 2}.get(view.ambient.kind, 0) > work_len:
+    if view.closed_form is not None and view.closed_form.longest(n) > work_len:
         raise ValueError(f"seed_len {n} exceeds work_len {work_len}")
     seeds = [s for s in view.simples(config.seed_len) if s]
     # An empty sweep would pass without checking anything.
@@ -445,7 +434,7 @@ def _check(name, view, config, targets, cert_samples):
             present = [t for t in targets if t in reach and t in cl.members]
             missing_within = [t for t in targets if t in reach and t not in cl.members]
             sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
-            certificates = witness_entries(cl, sample)
+            certificates = witness_entries(cl, sample, view)
             # A sample that does not replay is a failure, never a silent pass.
             unverified = not all(c["verified"] for c in certificates)
             fields = (_status(bool(missing_certified) or unverified,
@@ -456,7 +445,7 @@ def _check(name, view, config, targets, cert_samples):
     statuses = {r.status for r in records}
     return SimplicityReport(
         check=name,
-        ambient=view.ambient.describe(),
+        ambient=view.name,
         config=config,
         seeds=records,
         verdict=_status("fail" in statuses, "inconclusive" in statuses),
@@ -488,8 +477,8 @@ def check_circle_corollary(
     """For every nonempty word up to seed_len, check that its ad-closure in
     the full ambient contains every balanced word up to report_len: any
     nontrivial ad-invariant sub-semiring contains the projective quotient's."""
-    view = AmbientView(Ambient.full_au(), config.closure)
-    targets = enumerate_words("balanced", config.closure.report_len)
+    view = AmbientView(Ambient("au"), config.closure)
+    targets = enumerate_words(CLOSED_FORMS["pu"].filter, config.closure.report_len)
     return _check("circle-corollary", view, config, targets, cert_samples)
 
 

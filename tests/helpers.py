@@ -660,7 +660,7 @@ def cold_check(name, view, config, targets, cert_samples=3):
 
 def search_ad_closure(
     seeds,
-    ambient: Ambient = Ambient.full_au(),
+    ambient: Ambient = Ambient("au"),
     config: AdConfig = AdConfig(),
     stop_targets=None,
     _view: AmbientView | None = None,

@@ -100,7 +100,7 @@ def test_criterion_6_theorem_desk_scale():
     cfg = AdConfig(
         closure=ClosureConfig(work_len=12, report_len=6), ad_len=8, seed_len=6
     )
-    report = check_simplicity(Ambient.projective_pu(), cfg)
+    report = check_simplicity(Ambient("pu"), cfg)
     dt = time.perf_counter() - t0
     sampled = [c for r in report.seeds for c in r.certificates]
     ok = (
@@ -121,7 +121,7 @@ def test_criterion_6_supplement_sufficient_bounds():
     cfg = AdConfig(
         closure=ClosureConfig(work_len=14, report_len=6), ad_len=8, seed_len=6
     )
-    report = check_simplicity(Ambient.projective_pu(), cfg)
+    report = check_simplicity(Ambient("pu"), cfg)
     dt = time.perf_counter() - t0
     sampled = [c for r in report.seeds for c in r.certificates]
     ok = (
@@ -140,7 +140,7 @@ def test_criterion_7_proposition_desk_scale():
     cfg = AdConfig(
         closure=ClosureConfig(work_len=12, report_len=6), ad_len=8, seed_len=6
     )
-    report = check_simplicity(Ambient.generated({"01", "10"}), cfg)
+    report = check_simplicity(Ambient("gen", {"01", "10"}), cfg)
     ambient_closure = generate({"01", "10"}, cfg.closure)
     m = member(ambient_closure, "0011")
     ok = (
@@ -188,7 +188,7 @@ def test_criterion_10_invertibles():
 
 def test_criterion_11_property_f_counterexample():
     plain = generate({"01"}, ClosureConfig(work_len=12, report_len=6))
-    cands = ad_candidates("01", Ambient.generated({"01", "10"}), 6)
+    cands = ad_candidates("01", Ambient("gen", {"01", "10"}), 6)
     outside = sorted(z for _, z in cands if z not in plain.members)
     _verdict(11, bool(outside), f"results outside the plain closure: {outside[:3]}")
 

@@ -316,7 +316,7 @@ def test_word_results_are_typed(capsys, schema, argv, key, bad):
 def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
     # A certificate that does not replay is a failed check, never a pass.
     monkeypatch.setattr(normality, "verify_certificate_detailed",
-                        lambda cert, gens, replayed: (False, "root: rejected"))
+                        lambda cert, gens, replayed, ambient: (False, "root: rejected"))
     code, out, _ = invoke(capsys, *argv, "--json")
     assert code == 1
     doc = json.loads(out)
@@ -396,9 +396,9 @@ def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
         runs.append(self.generators)
         return saturator_run(self, *args, **kwargs)
 
-    def counted_witnesses(result, words):
+    def counted_witnesses(result, words, view):
         witnessed.extend(words)
-        return witness_entries(result, words)
+        return witness_entries(result, words, view)
 
     def counted_has_term(*args):
         has_term_calls.append(args)
@@ -642,6 +642,30 @@ def test_negative_max_len_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ambient, expected",
+    [
+        (None, (0, "valid\n", "")),
+        ("au", (0, "valid\n", "")),
+        ("pu", (1, "invalid: root: 00 is not a pu simple\n", "")),
+        ("gen:01", (2, "", "error: \"ambient\" must be au or pu, not 'gen:01'\n")),
+        (["pu"], (2, "", "error: \"ambient\" must be au or pu, not ['pu']\n")),
+    ],
+    ids=["none", "au", "pu", "gen", "list"],
+)
+def test_verify_cert_checks_conjugators_against_the_document_ambient(
+        tmp_path, capsys, ambient, expected):
+    # Conjugating 01 by 00 gives 000111 in au; 00 is no pu simple.
+    doc = {"generators": ["01"],
+           "certificate": {"kind": "ad", "conjugator": "00",
+                           "inner": {"kind": "gen", "word": "01"}, "result": "000111"}}
+    if ambient is not None:
+        doc["ambient"] = ambient
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert invoke(capsys, "verify-cert", str(path)) == expected
 
 
 def test_verify_cert_missing_file(capsys, tmp_path):

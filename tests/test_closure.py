@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freefusion.closure import (
+    CLOSED_FORMS,
     ABSENT_WITHIN_BOUND,
     ClosureConfig,
     Saturator,
@@ -180,6 +181,30 @@ def test_verify_ad_step():
     assert verify_certificate(ad("1", cert, "11001100"), {"01"})
 
 
+# The proof that criterion 6's bounds rule out: 00 is an au simple, not a pu one.
+CONJUGATED_BY_00 = ad("00", gen("01"), "000111")
+
+
+def test_verify_checks_generators_and_conjugators_against_the_ambient():
+    au, pu = (AmbientView(Ambient(kind), ClosureConfig()) for kind in ("au", "pu"))
+    assert verify_certificate_detailed(CONJUGATED_BY_00, {"01"}) == (True, None)
+    assert verify_certificate_detailed(CONJUGATED_BY_00, {"01"}, ambient=au) == (True, None)
+    assert verify_certificate_detailed(CONJUGATED_BY_00, {"01"}, ambient=pu) == (
+        False, "root: 00 is not a pu simple")
+    # The first offender in replay order, at its path; then the generators, first of all.
+    outer = ad("10", CONJUGATED_BY_00, "1000011110")
+    assert verify_certificate_detailed(outer, {"01"}, ambient=pu) == (
+        False, "root.inner: 00 is not a pu simple")
+    assert verify_certificate_detailed(gen("01"), {"0", "01", "1"}, ambient=pu) == (
+        False, "generators: 0 is not a pu simple")
+    # Generated ambients too.
+    view = AmbientView(Ambient("gen", {"01", "10"}), ClosureConfig(work_len=8, report_len=4))
+    conjugated_by_0110 = ad("0110", gen("01"), "0110011001")
+    assert verify_certificate_detailed(conjugated_by_0110, {"01"}, ambient=view) == (True, None)
+    assert verify_certificate_detailed(CONJUGATED_BY_00, {"01"}, ambient=view) == (
+        False, "root: 00 is not a gen:01,10 simple")
+
+
 def test_verify_reads_e_as_the_unit():
     # The text e is the empty word wherever the replay reads a word: a term,
     # a generator, and the word of a unit factor.
@@ -193,9 +218,9 @@ def test_dual_step_witness_verifies():
     # refers to the duals of the members the step used.
     closures = [
         generate({"001"}, ClosureConfig(work_len=8, report_len=8)),
-        ad_closure({"0011"}, Ambient.full_au(), AdConfig(
+        ad_closure({"0011"}, Ambient("au"), AdConfig(
             closure=ClosureConfig(work_len=9, report_len=4), ad_len=4)),
-        ad_closure({"01"}, Ambient.projective_pu(), AdConfig(
+        ad_closure({"01"}, Ambient("pu"), AdConfig(
             closure=ClosureConfig(work_len=10, report_len=4), ad_len=4)),
     ]
     steps = {step[0] for c in closures for step in c.provenance.values()}
@@ -302,9 +327,9 @@ def test_replay_matches_old_replay():
     closures = [
         generate({"01", "10"}, ClosureConfig(work_len=8, report_len=8)),
         generate({"001"}, ClosureConfig(work_len=8, report_len=8)),
-        ad_closure({"0011"}, Ambient.full_au(), AdConfig(
+        ad_closure({"0011"}, Ambient("au"), AdConfig(
             closure=ClosureConfig(work_len=9, report_len=4), ad_len=4)),
-        ad_closure({"01"}, Ambient.projective_pu(), AdConfig(
+        ad_closure({"01"}, Ambient("pu"), AdConfig(
             closure=ClosureConfig(work_len=10, report_len=4), ad_len=4)),
     ]
     cases = [(node, {"01"}) for node in MALFORMED_NODES]
@@ -460,9 +485,9 @@ def test_replay_refuses_terms_of_the_right_length(monkeypatch):
     closures = [
         generate({"01", "10"}, ClosureConfig(work_len=8, report_len=8)),
         generate({"001"}, ClosureConfig(work_len=8, report_len=8)),
-        ad_closure({"0011"}, Ambient.full_au(), AdConfig(
+        ad_closure({"0011"}, Ambient("au"), AdConfig(
             closure=ClosureConfig(work_len=9, report_len=4), ad_len=4)),
-        ad_closure({"01"}, Ambient.projective_pu(), AdConfig(
+        ad_closure({"01"}, Ambient("pu"), AdConfig(
             closure=ClosureConfig(work_len=10, report_len=4), ad_len=4)),
     ]
     docs = [
@@ -485,6 +510,19 @@ def test_replay_refuses_terms_of_the_right_length(monkeypatch):
             assert new[0] is False, bad
             cases += 1
     assert cases > 1000
+
+
+@pytest.mark.parametrize("name", ["au", "pu"])
+def test_closed_form_matches_brute_force(name):
+    # The one definition of au and pu: its membership test, its filter's list
+    # and its longest simple, for every word up to length 12.
+    form = CLOSED_FORMS[name]
+    words = words_up_to(12)
+    simples = words if name == "au" else balanced_words_up_to(12)
+    assert [w for w in words if w in form] == simples
+    assert enumerate_words(form.filter, 12) == simples
+    for n in range(13):
+        assert form.longest(n) == max(len(w) for w in simples if len(w) <= n), n
 
 
 def test_enumerate_words():
@@ -514,7 +552,7 @@ def test_new_term_engine_matches_pairwise():
     cfg = ClosureConfig(work_len=6, report_len=6)
     # au holds every word, all 2**7 - 1 of them within work_len, so its
     # filter rejects nothing and only its full stop acts.
-    au = AmbientView(Ambient.full_au(), cfg)
+    au = AmbientView(Ambient("au"), cfg)
     for gens in _small_generator_sets():
         try:
             old = saturate(partial(PairwiseSaturator, ambient=au), gens, cfg)
@@ -539,7 +577,7 @@ def test_a_done_override_stop_is_saturated():
     # The pairwise run stops once its members fill the ambient: a fixpoint,
     # which only its own done() override sees.
     cfg = ClosureConfig(work_len=4, report_len=4)
-    au = AmbientView(Ambient.full_au(), cfg)
+    au = AmbientView(Ambient("au"), cfg)
     try:
         sat = saturate(partial(PairwiseSaturator, ambient=au), {"0"}, cfg)
     finally:

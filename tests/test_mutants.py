@@ -83,7 +83,7 @@ def _sweeps():
     # descends in the circle check, and in au at ad_len 0 the seed 10 never
     # derives 01, so it runs to its fixpoint.
     oracle = bench_oracle()
-    for ambient, ad_len in [(None, 2), (Ambient.full_au(), 0)]:
+    for ambient, ad_len in [(None, 2), (Ambient("au"), 0)]:
         cfg = small_cfg(work_len=6, report_len=2, ad_len=ad_len, seed_len=2)
         assert test_normality._assert_route_matches_search(ambient, cfg, oracle)
 
@@ -93,7 +93,7 @@ def _forks():
     # two forks leave their root untouched and equal the rebuild.
     with pytest.MonkeyPatch.context() as mp:
         test_normality.test_warm_closure_matches_cold(
-            mp, Ambient.projective_pu(), "000111", 10, 8)
+            mp, Ambient("pu"), "000111", 10, 8)
     test_normality.test_two_forks_leave_their_root_untouched()
 
 
@@ -119,6 +119,14 @@ def _graft_cases():
     # test_only_a_search_from_the_root_grafts_10, every case.
     for case in test_normality._GRAFT_CASES:
         test_normality.test_only_a_search_from_the_root_grafts_10(*case)
+
+
+def _odd_pu_seed_len():
+    # test_an_odd_pu_seed_len_one_past_work_len_is_accepted; a refused sweep fails it.
+    try:
+        test_normality.test_an_odd_pu_seed_len_one_past_work_len_is_accepted()
+    except ValueError as exc:
+        raise AssertionError(exc) from exc
 
 
 def _memo():
@@ -169,7 +177,7 @@ MUTANTS = [
         _memo_flip, id="flip-filed-for-targets-not-flip-closed"),
     pytest.param(
         normality.ad_closure,
-        [("if (view._closed_form\n", "if (True\n")],
+        [("if (view.closed_form\n", "if (True\n")],
         _memo_flip, id="flip-filed-in-a-generated-ambient"),
     pytest.param(
         closure.Saturator.lay,
@@ -178,7 +186,7 @@ MUTANTS = [
         id="lay-without-the-overlay"),
     pytest.param(
         normality.AmbientView.__init__,
-        [('{"au": "all", "pu": "balanced"}', '{"au": "all", "pu": "balanced", "gen": "all"}')],
+        [("CLOSED_FORMS.get(ambient.kind)", 'CLOSED_FORMS.get(ambient.kind, CLOSED_FORMS["au"])')],
         test_normality.test_ambient_views, id="generated-ambient-taken-as-closed-form"),
     pytest.param(
         normality.ad_closure,
@@ -214,6 +222,17 @@ MUTANTS = [
         [('\n            and (targets is None or not {*targets} <= {"", ROOT, "10"})', "")],
         _graft_cases, id="graft-taken-for-targets-within-it"),
     pytest.param(
+        closure.ClosedForm.longest,
+        [("else n - n % 2", "else n")],
+        _odd_pu_seed_len, id="pu-longest-simple-odd"),
+    pytest.param(
+        closure._replay,
+        [("                if ambient is not None and not ambient.contains(y):\n"
+          '                    return None, f"root: {format_word(y)} is not a {ambient.name} simple"\n',
+          "")],
+        test_closure.test_verify_checks_generators_and_conjugators_against_the_ambient,
+        id="replay-skips-the-conjugator-ambient-check"),
+    pytest.param(
         closure.ClosureResult.to_json,
         [("len(w) <= self.config.report_len", "len(w) < self.config.report_len")],
         _closure_pins, id="report-cut-strict"),
@@ -223,16 +242,16 @@ MUTANTS = [
         test_closure.test_verify_rejects_tampering, id="verifier-always-valid"),
     pytest.param(
         closure._replay,
-        [('            lw, why = _replay(cert["left"], gens, replayed)\n',
+        [('            lw, why = _replay(cert["left"], gens, replayed, ambient)\n',
           "            replayed is None or replayed.add(id(cert))\n"
-          '            lw, why = _replay(cert["left"], gens, replayed)\n')],
+          '            lw, why = _replay(cert["left"], gens, replayed, ambient)\n')],
         test_normality.test_shared_node_over_a_bad_step_fails_every_sample_through_it,
         id="replay-marks-a-product-before-its-check"),
     pytest.param(
         closure._replay,
-        [('            x, why = _replay(cert["inner"], gens, replayed)\n',
+        [('            x, why = _replay(cert["inner"], gens, replayed, ambient)\n',
           "            replayed is None or replayed.add(id(cert))\n"
-          '            x, why = _replay(cert["inner"], gens, replayed)\n')],
+          '            x, why = _replay(cert["inner"], gens, replayed, ambient)\n')],
         test_normality.test_shared_node_over_a_bad_step_fails_every_sample_through_it,
         id="replay-marks-an-ad-step-before-its-check"),
     pytest.param(
@@ -264,10 +283,8 @@ MUTANTS = [
         id="replay-shows-a-word-that-is-not-a-string"),
     pytest.param(
         closure._replay,
-        [("{w: 1}:\n                if replayed is not None:\n"
-          "                    replayed.add(id(cert))\n                return w, None\n",
-          "{w: 1}:\n                if replayed is not None:\n"
-          "                    replayed.add(id(cert))\n                return y, None\n")],
+        [('                return w, None\n            return None, (f"root: {format_word(y)} * ',
+          '                return y, None\n            return None, (f"root: {format_word(y)} * ')],
         test_closure.test_verify_ad_step, id="replay-reads-an-ad-child-from-its-conjugator"),
     pytest.param(
         cli._parse_args,

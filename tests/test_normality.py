@@ -91,20 +91,27 @@ def test_a_closed_form_ambient_refuses_generators(kind):
 
 def test_a_generated_ambient_freezes_its_words():
     # Ambients are shared as defaults and hash, whatever collection the words came in.
-    built, generated = Ambient("gen", {"01", "10"}), Ambient.generated({"01", "10"})
-    assert built == generated and hash(built) == hash(generated)
+    built, listed = Ambient("gen", {"01", "10"}), Ambient("gen", ["10", "01"])
+    assert built == listed and hash(built) == hash(listed)
     assert type(built.gens) is frozenset and built.gens == {"01", "10"}
 
 
+def test_a_generated_ambient_refuses_a_bare_string():
+    # Read letter by letter, "0110" would build gen:0,1.
+    with pytest.raises(
+            ValueError, match="^ambient generators must be words, not the string '0110'$"):
+        Ambient("gen", "0110")
+
+
 def test_ambient_views():
-    au = AmbientView(Ambient.full_au(), ClosureConfig(work_len=6, report_len=4))
-    pu = AmbientView(Ambient.projective_pu(), ClosureConfig(work_len=6, report_len=4))
+    au = AmbientView(Ambient("au"), ClosureConfig(work_len=6, report_len=4))
+    pu = AmbientView(Ambient("pu"), ClosureConfig(work_len=6, report_len=4))
     assert au.contains("001") and not pu.contains("001")
     assert pu.simples(2) == ["", "01", "10"]
     assert au.count(4) == len(words_up_to(4))
     assert pu.count(6) == len(balanced_words_up_to(6))
     gen = AmbientView(
-        Ambient.generated({"01", "10"}), ClosureConfig(work_len=8, report_len=4)
+        Ambient("gen", {"01", "10"}), ClosureConfig(work_len=8, report_len=4)
     )
     assert gen.contains("1001") and not gen.contains("0011")
     assert gen.count(8) == len(gen.simples(8))
@@ -124,7 +131,7 @@ def test_ad_rule_matches_scan_exhaustively():
     # in x[0]: all words x up to length 7, conjugators up to length 5.
     conjugators = [y for y in words_up_to(5) if y]
     for x in words_up_to(7):
-        got = ad_candidates(x, Ambient.full_au(), 5)
+        got = ad_candidates(x, Ambient("au"), 5)
         assert got == set(scan_conjugations(x, conjugators)), x
         assert got == {
             (y, y + x + involute(y))
@@ -134,7 +141,7 @@ def test_ad_rule_matches_scan_exhaustively():
 
 
 def test_conjugator_table_built_once_per_sweep(monkeypatch):
-    view = AmbientView(Ambient.projective_pu(), ClosureConfig())
+    view = AmbientView(Ambient("pu"), ClosureConfig())
     table = view.conjugators_by_last(4)
     assert table == {"0": ["10", "0110", "1010", "1100"],
                      "1": ["01", "0011", "0101", "1001"]}
@@ -168,11 +175,11 @@ _GEN_ORACLE = AdConfig(
 @pytest.mark.parametrize(
     "ambient, cfg",
     [
-        (Ambient.projective_pu(), _PU_ORACLE),
-        (Ambient.full_au(), _AU_ORACLE),
-        (Ambient.generated({"01", "10"}), _GEN_ORACLE),
+        (Ambient("pu"), _PU_ORACLE),
+        (Ambient("au"), _AU_ORACLE),
+        (Ambient("gen", {"01", "10"}), _GEN_ORACLE),
         # Neither au nor pu: 32 of the 2,047 words within work_len 10.
-        (Ambient.generated({"0011"}), _GEN_ORACLE),
+        (Ambient("gen", {"0011"}), _GEN_ORACLE),
     ],
     ids=["pu", "au", "gen", "gen-0011"],
 )
@@ -197,7 +204,7 @@ def test_indexed_engine_matches_pairwise(ambient, cfg, stop):
 @pytest.mark.parametrize("stop", [False, True], ids=["fixpoint", "targets"])
 @pytest.mark.parametrize(
     "ambient",
-    [Ambient.projective_pu(), Ambient.full_au(), Ambient.generated({"01", "10"})],
+    [Ambient("pu"), Ambient("au"), Ambient("gen", {"01", "10"})],
     ids=["pu", "au", "gen"],
 )
 def test_one_index_engine_matches_two_index_ad_closure(ambient, stop, monkeypatch):
@@ -228,10 +235,10 @@ def test_indexed_engine_evaluates_fewer_products():
         closure=ClosureConfig(work_len=10, report_len=6), ad_len=8, seed_len=6
     )
     try:
-        old = pairwise_ad_closure({"001110"}, Ambient.projective_pu(), cfg)
+        old = pairwise_ad_closure({"001110"}, Ambient("pu"), cfg)
     finally:
         memo_terms.cache_clear()
-    new = ad_closure({"001110"}, Ambient.projective_pu(), cfg)
+    new = ad_closure({"001110"}, Ambient("pu"), cfg)
     assert new.stats["members"] == len(old.provenance)
     assert new.stats["products"] < old.stats["products"]
 
@@ -245,34 +252,34 @@ def test_new_term_engine_evaluates_fewer_products_than_indexed():
     )
     try:
         old = engine_ad_closure(
-            IndexedSaturator, {"001110"}, Ambient.projective_pu(), cfg
+            IndexedSaturator, {"001110"}, Ambient("pu"), cfg
         )
     finally:
         memo_terms.cache_clear()
-    new = ad_closure({"001110"}, Ambient.projective_pu(), cfg)
+    new = ad_closure({"001110"}, Ambient("pu"), cfg)
     assert new.members == old.members
     assert new.stats["members"] == len(old.provenance)
     assert new.stats["products"] < old.stats["products"]
 
 
 def test_ad_candidates_examples():
-    got = ad_candidates("01", Ambient.full_au(), 2)
+    got = ad_candidates("01", Ambient("au"), 2)
     assert ("10", "100110") in got
-    got1 = ad_candidates("01", Ambient.full_au(), 1)
+    got1 = ad_candidates("01", Ambient("au"), 1)
     assert ("0", "0011") in got1
-    assert ad_candidates("", Ambient.full_au(), 2) == set()
+    assert ad_candidates("", Ambient("au"), 2) == set()
 
 
 def test_ad_candidates_sound():
     for x in ("01", "0011", "0"):
-        for y, z in ad_candidates(x, Ambient.full_au(), 3):
+        for y, z in ad_candidates(x, Ambient("au"), 3):
             assert mul_many([{y: 1}, {x: 1}, {involute(y): 1}]) == {z: 1}
 
 
 def test_ad_candidates_right_orientation_covered():
     # involute(y) * x * y results appear as left conjugations by involute(y)
     x = "01"
-    got = ad_candidates(x, Ambient.full_au(), 3)
+    got = ad_candidates(x, Ambient("au"), 3)
     for y, _ in got:
         prod = mul_many([{involute(y): 1}, {x: 1}, {y: 1}])
         if len(prod) == 1 and set(prod.values()) == {1}:
@@ -281,28 +288,28 @@ def test_ad_candidates_right_orientation_covered():
 
 
 def test_ad_closure_examples():
-    cl = ad_closure({"01"}, Ambient.full_au(), small_cfg())
+    cl = ad_closure({"01"}, Ambient("au"), small_cfg())
     assert "100110" in cl.members
     assert "10" in cl.members
-    cl = ad_closure(set(), Ambient.full_au(), small_cfg())
+    cl = ad_closure(set(), Ambient("au"), small_cfg())
     assert cl.members == {""}
-    cl = ad_closure({"0011"}, Ambient.projective_pu(), small_cfg(work_len=10))
+    cl = ad_closure({"0011"}, Ambient("pu"), small_cfg(work_len=10))
     for w in balanced_words_up_to(4):
         assert w in cl.members
 
 
 def test_ad_closure_rejects_bad_seed():
     with pytest.raises(ValueError):
-        ad_closure({"001"}, Ambient.projective_pu(), small_cfg())
+        ad_closure({"001"}, Ambient("pu"), small_cfg())
     with pytest.raises(ValueError):
-        ad_closure({"0101010101"}, Ambient.full_au(), small_cfg(work_len=8))
+        ad_closure({"0101010101"}, Ambient("au"), small_cfg(work_len=8))
 
 
 def test_ad_closure_ambient_confined():
-    cl = ad_closure({"0011"}, Ambient.projective_pu(), small_cfg(work_len=10))
+    cl = ad_closure({"0011"}, Ambient("pu"), small_cfg(work_len=10))
     for w in cl.members:
         assert w.count("0") * 2 == len(w)
-    amb = Ambient.generated({"01", "10"})
+    amb = Ambient("gen", {"01", "10"})
     view = AmbientView(amb, ClosureConfig(work_len=10, report_len=4))
     cl = ad_closure({"01"}, amb, small_cfg(work_len=10))
     for w in cl.members:
@@ -310,23 +317,23 @@ def test_ad_closure_ambient_confined():
 
 
 def test_ad_closure_monotone():
-    base = ad_closure({"01"}, Ambient.projective_pu(), small_cfg(work_len=10))
+    base = ad_closure({"01"}, Ambient("pu"), small_cfg(work_len=10))
     more_seeds = ad_closure(
-        {"01", "0011"}, Ambient.projective_pu(), small_cfg(work_len=10)
+        {"01", "0011"}, Ambient("pu"), small_cfg(work_len=10)
     )
     assert base.members <= more_seeds.members
     longer_ad = ad_closure(
-        {"01"}, Ambient.projective_pu(), small_cfg(work_len=10, ad_len=6)
+        {"01"}, Ambient("pu"), small_cfg(work_len=10, ad_len=6)
     )
     assert base.members <= longer_ad.members
     longer_work = ad_closure(
-        {"01"}, Ambient.projective_pu(), small_cfg(work_len=12)
+        {"01"}, Ambient("pu"), small_cfg(work_len=12)
     )
     assert base.members <= longer_work.members
 
 
 def test_ad_closure_members_certified():
-    cl = ad_closure({"01"}, Ambient.full_au(), small_cfg())
+    cl = ad_closure({"01"}, Ambient("au"), small_cfg())
     for w in sorted(cl.members)[:20]:
         assert verify_certificate(witness(cl, w), cl.generators)
 
@@ -372,6 +379,21 @@ def test_shared_node_over_a_bad_step_fails_every_sample_through_it():
             is entries["1001010110"]["certificate"]["right"])
 
 
+def test_samples_replay_against_the_sweep_ambient():
+    # A sample conjugated by 00 replays in au, but neither in pu nor in gen:01,10.
+    result = ClosureResult(frozenset({"01", "10"}), ClosureConfig(work_len=8), True, {},
+                           {"": ("unit",), "01": ("gen",), "10": ("gen",),
+                            "000111": ("ad", "00", "01")}, is_ad=True)
+    errors = {}
+    for ambient in (Ambient("au"), Ambient("pu"), Ambient("gen", {"01", "10"})):
+        view = AmbientView(ambient, result.config)
+        entry, = normality.witness_entries(result, ["000111"], view)
+        errors[view.name] = entry.get("error")
+        assert entry["verified"] is (errors[view.name] is None)
+    assert errors == {"au": None, "pu": "root: 00 is not a pu simple",
+                      "gen:01,10": "root: 00 is not a gen:01,10 simple"}
+
+
 def test_proof_milestones():
     # any nontrivial balanced seed reaches 01 and 10, then the two-block
     # words, then every balanced word up to the report bound; the
@@ -382,7 +404,7 @@ def test_proof_milestones():
     targets = balanced_words_up_to(6)
     for seed in ("01", "0011", "010101"):
         cl = ad_closure(
-            {seed}, Ambient.projective_pu(), cfg, stop_targets=targets
+            {seed}, Ambient("pu"), cfg, stop_targets=targets
         )
         for w in ("01", "10", "0011", "1100", "000111", "111000"):
             assert w in cl.members, (seed, w)
@@ -401,7 +423,7 @@ def test_not_finitely_generated():
 
 def test_property_f_counterexample():
     plain = generate({"01"}, ClosureConfig(work_len=12, report_len=6))
-    cands = ad_candidates("01", Ambient.generated({"01", "10"}), 6)
+    cands = ad_candidates("01", Ambient("gen", {"01", "10"}), 6)
     assert any(z not in plain.members for _, z in cands)
 
 
@@ -414,7 +436,7 @@ def test_find_invertibles():
 
 def test_check_simplicity_generated_small():
     report = check_simplicity(
-        Ambient.generated({"01", "10"}),
+        Ambient("gen", {"01", "10"}),
         AdConfig(closure=ClosureConfig(work_len=10, report_len=4), ad_len=6,
                  seed_len=4),
     )
@@ -427,7 +449,7 @@ def test_check_simplicity_generated_small():
 
 def test_check_simplicity_full_au_fails_on_unbalanced_targets():
     report = check_simplicity(
-        Ambient.full_au(),
+        Ambient("au"),
         AdConfig(closure=ClosureConfig(work_len=8, report_len=2), ad_len=4,
                  seed_len=2),
     )
@@ -442,7 +464,7 @@ def test_check_simplicity_full_au_fails_on_unbalanced_targets():
 
 def test_check_simplicity_inconclusive_is_not_pass():
     report = check_simplicity(
-        Ambient.projective_pu(),
+        Ambient("pu"),
         AdConfig(closure=ClosureConfig(work_len=4, report_len=2), ad_len=2,
                  seed_len=2),
     )
@@ -465,7 +487,7 @@ def test_empty_seed_sweep_is_rejected():
         closure=ClosureConfig(work_len=8, report_len=4), ad_len=4, seed_len=0
     )
     with pytest.raises(ValueError, match="no seeds"):
-        check_simplicity(Ambient.projective_pu(), cfg)
+        check_simplicity(Ambient("pu"), cfg)
     with pytest.raises(ValueError, match="no seeds"):
         check_circle_corollary(cfg)
 
@@ -475,10 +497,26 @@ def test_cert_samples_must_be_nonnegative():
     with pytest.raises(ValueError, match="cert_samples"):
         check_circle_corollary(cfg, cert_samples=-1)
     with pytest.raises(ValueError, match="cert_samples"):
-        check_simplicity(Ambient.projective_pu(), small_cfg(seed_len=2),
+        check_simplicity(Ambient("pu"), small_cfg(seed_len=2),
                          cert_samples=-1)
     report = check_circle_corollary(cfg, cert_samples=0)
     assert report.seeds and all(r.certificates == [] for r in report.seeds)
+
+
+def test_an_odd_pu_seed_len_one_past_work_len_is_accepted():
+    # The longest pu simple of at most 7 letters has 6, which fits work_len 6,
+    # so the sweep at seed_len 7 is the sweep at seed_len 6.
+    sweeps = [check_simplicity(Ambient("pu"), small_cfg(work_len=6, report_len=2, ad_len=2,
+                                                        seed_len=n)) for n in (6, 7)]
+    assert sweeps[0].seeds == sweeps[1].seeds
+
+
+def test_circle_targets_are_the_pu_simples(monkeypatch):
+    cfg = small_cfg(work_len=8, report_len=4, ad_len=4, seed_len=2)
+    targets = []
+    monkeypatch.setattr(normality, "_check", lambda *args: targets.append(args[3]))
+    check_circle_corollary(cfg)
+    assert targets == [AmbientView(Ambient("pu"), cfg.closure).simples(4)]
 
 
 def test_seed_len_beyond_work_len_is_rejected_before_saturating(monkeypatch):
@@ -490,7 +528,7 @@ def test_seed_len_beyond_work_len_is_rejected_before_saturating(monkeypatch):
     monkeypatch.setattr(normality, "ad_closure", unreachable)
     cfg = small_cfg(work_len=6, report_len=2, ad_len=2, seed_len=8)
     with pytest.raises(ValueError, match="seed_len 8 exceeds work_len 6"):
-        check_simplicity(Ambient.projective_pu(), cfg)
+        check_simplicity(Ambient("pu"), cfg)
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +551,7 @@ def _oracle_sweep(ambient, cfg, oracle):
     """oracle(name, view, cfg, targets) for check_simplicity in ambient, or
     for check_circle_corollary when ambient is None."""
     if ambient is None:
-        view = AmbientView(Ambient.full_au(), cfg.closure)
+        view = AmbientView(Ambient("au"), cfg.closure)
         targets = enumerate_words("balanced", cfg.closure.report_len)
         return oracle("circle-corollary", view, cfg, targets)
     view = AmbientView(ambient, cfg.closure)
@@ -546,17 +584,17 @@ def _small_cfgs():
 _SMALL_SWEEPS = pytest.mark.parametrize(
     "ambient, sweeps",
     [
-        (Ambient.full_au(), 201),
-        (Ambient.projective_pu(), 151),
-        (Ambient.generated({"01", "10"}), 159),
-        (Ambient.generated({"0011"}), 135),
+        (Ambient("au"), 201),
+        (Ambient("pu"), 151),
+        (Ambient("gen", {"01", "10"}), 159),
+        (Ambient("gen", {"0011"}), 135),
         (None, 201),
     ],
     ids=["au", "pu", "gen-01-10", "gen-0011", "circle"],
 )
 _ACCEPTANCE_CASES = [
-    pytest.param(Ambient.projective_pu(), 12, 6, id="criterion-6"),
-    pytest.param(Ambient.projective_pu(), 14, 6, id="criterion-6-supplement"),
+    pytest.param(Ambient("pu"), 12, 6, id="criterion-6"),
+    pytest.param(Ambient("pu"), 14, 6, id="criterion-6-supplement"),
     pytest.param(None, 12, 5, id="criterion-8"),
 ]
 _ACCEPTANCE_SWEEPS = pytest.mark.parametrize(
@@ -594,7 +632,7 @@ def test_descent_record_ends():
     # run to their own fixpoints, each started from the root's (see
     # test_warm_start_matches_cold_check); every other seed descends.
     cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
-    report = check_simplicity(Ambient.projective_pu(), cfg)
+    report = check_simplicity(Ambient("pu"), cfg)
     own = {"01", "000111", "111000"}
     assert {r.seed: r.end for r in report.seeds} == {
         r.seed: "fixpoint" if r.seed in own else "descent" for r in report.seeds
@@ -624,7 +662,7 @@ def test_descent_that_never_derives_root_is_exact(
 
     monkeypatch.setattr(normality, "ad_closure", recorded)
     cfg = small_cfg(work_len=2, report_len=report_len, ad_len=0, seed_len=2)
-    report, direct = _sweep_and_direct(Ambient.full_au(), cfg)
+    report, direct = _sweep_and_direct(Ambient("au"), cfg)
     _assert_matches_direct(report, direct)
     assert stops["10"] == stop_10
     assert {r.seed: r.end for r in report.seeds}["10"] == "fixpoint"
@@ -761,8 +799,8 @@ def _count_saturators(monkeypatch) -> list:
 def test_ad_closure_without_memo_builds_a_saturator_per_call(monkeypatch):
     built = _count_saturators(monkeypatch)
     cfg = small_cfg(work_len=8)
-    view = AmbientView(Ambient.full_au(), cfg.closure)
-    runs = [ad_closure(seeds, Ambient.full_au(), cfg, stop_targets={"01"}, _view=view)
+    view = AmbientView(Ambient("au"), cfg.closure)
+    runs = [ad_closure(seeds, Ambient("au"), cfg, stop_targets={"01"}, _view=view)
             for seeds in ({"0110"}, {"1001"}, {"0110"})]
     assert built == [{"0110"}, {"1001"}, {"0110"}]
     assert runs[0] is not runs[1] and runs[0] is not runs[2]
@@ -775,11 +813,11 @@ def test_memo_shares_one_run_per_dual_pair(monkeypatch):
     # Saturator, and other stop targets run and file in its place.
     built = _count_saturators(monkeypatch)
     cfg = small_cfg(work_len=8)
-    view = AmbientView(Ambient.full_au(), cfg.closure)
+    view = AmbientView(Ambient("au"), cfg.closure)
     pairs = {}
 
     def run(seed, stop):
-        return ad_closure({seed}, Ambient.full_au(), cfg, stop_targets=stop,
+        return ad_closure({seed}, Ambient("au"), cfg, stop_targets=stop,
                           _view=view, _pairs=pairs)
 
     first = run("0110", {"01"})
@@ -789,7 +827,7 @@ def test_memo_shares_one_run_per_dual_pair(monkeypatch):
     assert run("0110", {"01"}) is first  # the entry stays
     assert len(built) == 1
     # Without the memo, a call never shares.
-    assert ad_closure({"1001"}, Ambient.full_au(), cfg, stop_targets={"01"},
+    assert ad_closure({"1001"}, Ambient("au"), cfg, stop_targets={"01"},
                       _view=view) is not first
     assert len(built) == 2
     own = run("0011", {"01"})  # self-dual: filed under its own generators
@@ -810,7 +848,7 @@ def test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu(monkeypatch):
         result = ad_closure(seeds, ambient, cfg, stop_targets=stop, _pairs=pairs)
         return result, pairs
 
-    au = Ambient.full_au()
+    au = Ambient("au")
     result, pairs = memo(au, {"001"}, both)
     gens, flips = frozenset({"001", "011"}), frozenset({"110", "100"})
     assert set(pairs) == {gens, flips}
@@ -830,7 +868,7 @@ def test_memo_files_a_flip_pair_only_after_a_search_in_au_or_pu(monkeypatch):
     # palindrome, whose flip is its dual, and a seed set that flip keeps
     # file the run alone.
     for ambient, seeds, stop in [(au, {"001"}, {"0011"}), (au, {"001"}, {"01"}),
-                                 (Ambient.generated(both), {"0101"}, both),
+                                 (Ambient("gen", both), {"0101"}, both),
                                  (au, {"010"}, both), (au, {"0011", "1100"}, both)]:
         result, pairs = memo(ambient, seeds, stop)
         gens = frozenset({*seeds, *map(involute, seeds)})
@@ -845,9 +883,9 @@ def test_a_record_is_shared_only_with_its_closure(monkeypatch):
     witnessed = []
     witness_entries = normality.witness_entries
 
-    def counted(result, words):
+    def counted(result, words, view):
         witnessed.extend(words)
-        return witness_entries(result, words)
+        return witness_entries(result, words, view)
 
     monkeypatch.setattr(normality, "witness_entries", counted)
     shared = check_circle_corollary(cfg).to_json()
@@ -887,9 +925,9 @@ def _ad_closure_ends(monkeypatch) -> list:
 
 @pytest.mark.parametrize(
     "ambient, work_len, report_len, seed_len, calls, shared, forked, flipped",
-    [pytest.param(Ambient.projective_pu(), 10, 6, 6, 28, 8, ["000111"], ["111000"],
+    [pytest.param(Ambient("pu"), 10, 6, 6, 28, 8, ["000111"], ["111000"],
                   id="pu-fixpoint"),
-     pytest.param(Ambient.projective_pu(), 12, 4, 6, 28, 7, [], [], id="pu-targets"),
+     pytest.param(Ambient("pu"), 12, 4, 6, 28, 7, [], [], id="pu-targets"),
      pytest.param(None, 10, 4, 5, 62, 28, [], [], id="au-circle")],
 )
 def test_bench_sweeps_share_their_runs(monkeypatch, ambient, work_len, report_len,
@@ -974,7 +1012,7 @@ def test_warm_start_matches_cold_check(ambient, sweeps):
 @pytest.mark.parametrize(
     "ambient, work_len, seed_len",
     _ACCEPTANCE_CASES
-    + [pytest.param(Ambient.projective_pu(), 10, 6, id="pu-fixpoint")],
+    + [pytest.param(Ambient("pu"), 10, 6, id="pu-fixpoint")],
 )
 def test_warm_start_matches_cold_check_at_acceptance_bounds(
     ambient, work_len, seed_len
@@ -1024,12 +1062,12 @@ def _recorded_runs(monkeypatch) -> tuple[list, list]:
 @pytest.mark.parametrize(
     "ambient, seed, work_len, ad_len",
     [
-        (Ambient.projective_pu(), "000111", 10, 8),
-        (Ambient.projective_pu(), "111000", 10, 8),
-        (Ambient.projective_pu(), "000111", 12, 8),
-        (Ambient.projective_pu(), "111000", 12, 8),
+        (Ambient("pu"), "000111", 10, 8),
+        (Ambient("pu"), "111000", 10, 8),
+        (Ambient("pu"), "000111", 12, 8),
+        (Ambient("pu"), "111000", 12, 8),
         # Without conjugators the closure of 10 never derives 01.
-        (Ambient.full_au(), "10", 8, 0),
+        (Ambient("au"), "10", 8, 0),
     ],
     ids=["pu-000111-10", "pu-111000-10", "pu-000111-12", "pu-111000-12",
          "au-10-never-derives-01"],
@@ -1072,7 +1110,7 @@ def test_two_forks_leave_their_root_untouched():
     # replays the graft through add and indexes the root's words) before and
     # after its run, and reaches its cold closure; the root's run is as it was.
     cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
-    pu = Ambient.projective_pu()
+    pu = Ambient("pu")
     view = AmbientView(pu, cfg.closure)
     targets = set(view.simples(6))
     root = ad_closure({"01"}, pu, cfg, stop_targets=targets, _view=view)
@@ -1104,7 +1142,7 @@ def test_two_forks_leave_their_root_untouched():
 def test_ad_closure_refuses_an_unsaturated_base():
     # Filing an open set as processed would drop the products of its pairs.
     cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
-    pu = Ambient.projective_pu()
+    pu = Ambient("pu")
     root = ad_closure({"01"}, pu, cfg, stop_targets={"0011"})
     assert not root.saturated
     with pytest.raises(ValueError, match="must be saturated"):
@@ -1143,12 +1181,12 @@ def test_route_matches_search_check(ambient, sweeps):
 @pytest.mark.parametrize(
     "ambient, work_len, report_len, seed_len",
     [
-        pytest.param(Ambient.projective_pu(), 12, 6, 6, id="criterion-6"),
-        pytest.param(Ambient.projective_pu(), 14, 6, 6, id="criterion-6-supplement"),
+        pytest.param(Ambient("pu"), 12, 6, 6, id="criterion-6"),
+        pytest.param(Ambient("pu"), 14, 6, 6, id="criterion-6-supplement"),
         pytest.param(None, 12, 6, 5, id="criterion-8"),
         # The benchmark's three sweeps (perfbench/run.py WORKLOADS argv).
-        pytest.param(Ambient.projective_pu(), 10, 6, 6, id="bench-pu-fixpoint"),
-        pytest.param(Ambient.projective_pu(), 12, 4, 6, id="bench-pu-targets"),
+        pytest.param(Ambient("pu"), 10, 6, 6, id="bench-pu-fixpoint"),
+        pytest.param(Ambient("pu"), 12, 4, 6, id="bench-pu-targets"),
         pytest.param(None, 10, 4, 5, id="bench-au-circle"),
     ],
 )
@@ -1199,8 +1237,8 @@ def _assert_route_run_matches_replay(seed, view, cfg, route, sat):
 
 
 @pytest.mark.parametrize("ambient, routes", [
-    (Ambient.full_au(), 2227), (Ambient.projective_pu(), 429),
-    (Ambient.generated({"01", "10"}), 366), (Ambient.generated({"0011"}), 225),
+    (Ambient("au"), 2227), (Ambient("pu"), 429),
+    (Ambient("gen", {"01", "10"}), 366), (Ambient("gen", {"0011"}), 225),
 ], ids=["au", "pu", "gen-01-10", "gen-0011"])
 def test_route_run_matches_replay_on_the_sweep_grid(ambient, routes):
     # Every seed of every small sweep bound (_small_cfgs) whose route fits.

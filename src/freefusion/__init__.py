@@ -36,7 +36,6 @@ from .closure import (
 from .normality import (
     AdConfig,
     Ambient,
-    SimplicityReport,
     ad_candidates,
     ad_closure,
     check_circle_corollary,
@@ -53,7 +52,6 @@ __all__ = [
     "ClosureResult",
     "Element",
     "Membership",
-    "SimplicityReport",
     "ad_candidates",
     "ad_closure",
     "check_circle_corollary",

@@ -244,15 +244,12 @@ def _run_closure(args):
 
 
 def _report_lines(report):
-    lines = [f"check: {report.check}", f"ambient: {report.ambient}",
-             f"seeds: {len(report.seeds)}", f"verdict: {report.verdict}"]
-    for r in report.seeds:
-        if r.status != "pass":
-            missing = ",".join(
-                format_word(w)
-                for w in r.missing_certified + r.missing_within_bound
-            )
-            lines.append(f"seed {format_word(r.seed)}: {r.status} missing {missing}")
+    lines = [f"check: {report['check']}", f"ambient: {report['ambient']}",
+             f"seeds: {len(report['seeds'])}", f"verdict: {report['verdict']}"]
+    for r in report["seeds"]:
+        if r["status"] != "pass":
+            missing = ",".join(r["missing_certified"] + r["missing_within_bound"])
+            lines.append(f"seed {r['seed']}: {r['status']} missing {missing}")
     return lines
 
 
@@ -267,8 +264,8 @@ def _run_check(args):
         report = check_circle_corollary(
             _ad_config(args), cert_samples=args.cert_samples
         )
-    code = {"pass": EXIT_OK, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INCONCLUSIVE)
-    return report.to_json(), _report_lines(report), code
+    code = {"pass": EXIT_OK, "fail": EXIT_FAIL}.get(report["verdict"], EXIT_INCONCLUSIVE)
+    return report, _report_lines(report), code
 
 
 def _run_invertibles(args):

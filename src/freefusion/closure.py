@@ -15,6 +15,7 @@ from math import gcd
 from .fusion import has_term, mul_many, mul_simple
 from .words import (
     all_words,
+    check_words,
     degree,
     flip,
     format_word,
@@ -358,7 +359,7 @@ class Saturator:
 
     def __init__(self, config: ClosureConfig, generators=(), targets=None):
         self.config = config
-        gens = set(generators)
+        gens = set(check_words(generators))
         self.generators = frozenset(gens | {involute(g) for g in gens})
         self.members: set[str] = set()
         self.order: list[str] = []
@@ -575,6 +576,7 @@ def certified_absence(generators, w: str, is_ad: bool) -> str | None:
 
 def member(result: ClosureResult, w: str) -> Membership:
     """Three-valued membership of a simple in the closure."""
+    check_words([w])
     if w in result.members:
         return PRESENT
     reason = certified_absence(result.generators, w, result.is_ad)

@@ -18,7 +18,6 @@ from .closure import (
     ClosureResult,
     Saturator,
     _Frozen,
-    _Value,
     certified_absence,
     enumerate_words,
     generate,
@@ -26,7 +25,7 @@ from .closure import (
     witness,
 )
 from .fusion import mul_simple
-from .words import degree, flip, format_word, involute, parse_words, shortlex_key
+from .words import check_words, degree, flip, format_word, involute, parse_words, shortlex_key
 
 # --------------------------------------------------------------------------
 # ambients
@@ -46,7 +45,7 @@ class Ambient(_Frozen):
             raise ValueError(f"unknown ambient kind {kind!r}; expected au, pu or gen")
         if isinstance(gens, str):
             raise ValueError(f"ambient generators must be words, not the string {gens!r}")
-        if (gens := frozenset(gens)) and kind != "gen":
+        if (gens := frozenset(check_words(gens))) and kind != "gen":
             raise ValueError(f"ambient {kind} takes no generators")
         self._set(kind, gens)
 
@@ -228,7 +227,7 @@ def ad_closure(
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
     # Every ambient is dual-closed: a seed is an ambient simple iff its dual is.
-    for s in sorted(seeds, key=shortlex_key):
+    for s in sorted(check_words(seeds), key=shortlex_key):
         if not view.contains(s):
             raise ValueError(f"{format_word(s)} is not an ambient simple")
     gens = frozenset({*seeds, *map(involute, seeds)})  # the run's generators
@@ -275,64 +274,6 @@ def _flipped(result: ClosureResult) -> ClosureResult:
 # reports
 
 
-class SeedRecord(_Value):
-    _fields = ("seed", "status", "end", "missing_certified",
-               "missing_within_bound", "certificates")
-    __hash__ = None  # mutable
-
-    def __init__(self, seed: str, status: str, end: str,
-                 missing_certified: list[str] | None = None,
-                 missing_within_bound: list[str] | None = None,
-                 certificates: list[dict] | None = None):
-        self.seed = seed
-        self.status = status  # "pass" | "fail" | "inconclusive"
-        self.end = end  # "descent" | "targets" | "fixpoint": how its closure ended
-        self.missing_certified = [] if missing_certified is None else missing_certified
-        self.missing_within_bound = (
-            [] if missing_within_bound is None else missing_within_bound)
-        self.certificates = [] if certificates is None else certificates
-
-    def to_json(self) -> dict:
-        return {
-            "seed": format_word(self.seed),
-            "status": self.status,
-            "end": self.end,
-            "missing_certified": [
-                format_word(w) for w in self.missing_certified
-            ],
-            "missing_within_bound": [
-                format_word(w) for w in self.missing_within_bound
-            ],
-            "certificates": self.certificates,
-        }
-
-
-class SimplicityReport(_Value):
-    _fields = ("check", "ambient", "config", "seeds", "verdict")
-    __hash__ = None  # mutable
-
-    def __init__(self, check: str, ambient: str, config: AdConfig,
-                 seeds: list[SeedRecord], verdict: str):
-        self.check = check  # "simplicity" | "circle-corollary"
-        self.ambient = ambient
-        self.config = config
-        self.seeds = seeds
-        self.verdict = verdict  # "pass" | "fail" | "inconclusive"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "ambient": self.ambient,
-            "config": self.config.to_json(),
-            "verdict": self.verdict,
-            "seeds": [r.to_json() for r in self.seeds],
-        }
-
-
 def witness_entries(result: ClosureResult, words,
                     view: AmbientView | None = None) -> list[dict | None]:
     """The JSON entry for a derivation of each word: its certificate,
@@ -367,7 +308,10 @@ def _check(name, view, config, targets, cert_samples):
     """Check every nontrivial ambient simple up to seed_len as a seed: its
     ad-closure must contain every target.  Each seed keeps verified
     certificates for its cert_samples shortlex-largest derived targets,
-    a spot-checkable sample rather than a full trace.
+    a spot-checkable sample rather than a full trace.  Returns the report:
+    {"check", "ambient", "config", "verdict", "seeds"}, one record
+    {"seed", "status", "end", "missing_certified", "missing_within_bound",
+    "certificates"} per seed, words in text form: the CLI's "result" as is.
 
     Descent: a closure deriving 01 contains the root closure of 01.  A seed
     whose targets the root holds, or that a saturated root holds, stops at 01,
@@ -377,7 +321,8 @@ def _check(name, view, config, targets, cert_samples):
     Dual pairs: a seed and its dual reach the same targets, descend alike
     (the root's members are dual-closed) and run from the same generators,
     so their records differ only in seed: ad_closure's memo and the record
-    table share both by generators, a record only with the same closure.
+    table share both by generators, a record's fields only with the same
+    closure, each seed getting a record dict of its own.
     """
     # The longest seed must fit within work_len to be a generator, as every gen: simple does.
     n, work_len = config.seed_len, config.closure.work_len
@@ -430,40 +375,38 @@ def _check(name, view, config, targets, cert_samples):
                 # Descent steps refer only to descent words: the graft is acyclic.
                 cl = ClosureResult(cl.generators, cl.config, cl.saturated, cl.stats,
                                    {**root.provenance, **cl.provenance}, cl.is_ad)
-            missing_certified = [t for t in targets if t not in reach]
+            missing_certified = [format_word(t) for t in targets if t not in reach]
             present = [t for t in targets if t in reach and t in cl.members]
-            missing_within = [t for t in targets if t in reach and t not in cl.members]
+            missing_within = [format_word(t) for t in targets
+                              if t in reach and t not in cl.members]
             sample = sorted(present, key=shortlex_key, reverse=True)[:cert_samples]
             certificates = witness_entries(cl, sample, view)
             # A sample that does not replay is a failure, never a silent pass.
             unverified = not all(c["verified"] for c in certificates)
-            fields = (_status(bool(missing_certified) or unverified,
-                              bool(missing_within)),
-                      end, missing_certified, missing_within, certificates)
+            fields = {"status": _status(bool(missing_certified) or unverified,
+                                        bool(missing_within)),
+                      "end": end, "missing_certified": missing_certified,
+                      "missing_within_bound": missing_within, "certificates": certificates}
             made[own.generators] = own, fields
-        records.append(SeedRecord(seed, *fields))
-    statuses = {r.status for r in records}
-    return SimplicityReport(
-        check=name,
-        ambient=view.name,
-        config=config,
-        seeds=records,
-        verdict=_status("fail" in statuses, "inconclusive" in statuses),
-    )
+        records.append({"seed": format_word(seed), **fields})
+    statuses = {r["status"] for r in records}
+    return {"check": name, "ambient": view.name, "config": config.to_json(),
+            "verdict": _status("fail" in statuses, "inconclusive" in statuses),
+            "seeds": records}
 
 
 def check_simplicity(
     ambient: Ambient,
     config: AdConfig = AdConfig(),
     cert_samples: int = 3,
-) -> SimplicityReport:
+) -> dict:
     """For every nontrivial ambient simple up to seed_len, check that its
     ad-closure contains every ambient simple up to report_len.
 
     A pass proves, at these bounds, that no proper nontrivial ad-invariant
     sub-semiring exists.  Targets whose absence is certified make the seed
     a genuine failure; targets merely not found within bounds make it
-    inconclusive, never a silent pass.
+    inconclusive, never a silent pass.  Returns the report (see _check).
     """
     view = AmbientView(ambient, config.closure)
     targets = view.simples(config.closure.report_len)
@@ -473,10 +416,11 @@ def check_simplicity(
 def check_circle_corollary(
     config: AdConfig = AdConfig(),
     cert_samples: int = 3,
-) -> SimplicityReport:
+) -> dict:
     """For every nonempty word up to seed_len, check that its ad-closure in
     the full ambient contains every balanced word up to report_len: any
-    nontrivial ad-invariant sub-semiring contains the projective quotient's."""
+    nontrivial ad-invariant sub-semiring contains the projective quotient's.
+    Returns the report (see _check)."""
     view = AmbientView(Ambient("au"), config.closure)
     targets = enumerate_words(CLOSED_FORMS["pu"].filter, config.closure.report_len)
     return _check("circle-corollary", view, config, targets, cert_samples)

@@ -37,6 +37,16 @@ def all_words(texts: list) -> bool:
         return False
 
 
+def check_words(ws) -> list:
+    """ws as a list, each entry a word as the library takes it: a str over '0'
+    and '1', "" the unit ("e" is only its text form); else a one-line ValueError."""
+    ws = list(ws)
+    for w in ws:
+        if not isinstance(w, str) or w.strip("01"):
+            raise ValueError(f"{w!r} is not a word: a word is a str over 0 and 1, '' the unit")
+    return ws
+
+
 def parse_words(text: str) -> list[str]:
     """Parse a comma-separated list of words.  Every token must be a word,
     so an empty list or an empty token is rejected like an empty word."""

@@ -24,8 +24,6 @@ from freefusion.normality import (
     AdConfig,
     Ambient,
     AmbientView,
-    SeedRecord,
-    SimplicityReport,
     _conjugations,
     _status,
     ad_closure,
@@ -41,6 +39,12 @@ def bench_oracle():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# Entries the library refuses as words, each with a one-line ValueError: a
+# letter other than 0 and 1, the unit's text form "e" ("" is the unit), a
+# newline, and values that are not strings.
+NOT_WORDS = ["0x", "abc", "e", "01 ", "0\n1", 1, None, ["0"]]
 
 
 def flip_reverse(w: str) -> str:
@@ -433,6 +437,69 @@ def pairwise_ad_closure(seeds, ambient, config, stop_targets=None):
     view = AmbientView(ambient, config.closure)
     engine = partial(PairwiseSaturator, ambient=view)
     return engine_ad_closure(engine, seeds, ambient, config, stop_targets)
+
+
+# --------------------------------------------------------------------------
+# the sweep's report before it was built as its JSON dict: the oracle sweeps
+# below build these, and the library's report must equal their to_json()
+
+
+class SeedRecord(_Value):
+    _fields = ("seed", "status", "end", "missing_certified",
+               "missing_within_bound", "certificates")
+    __hash__ = None  # mutable
+
+    def __init__(self, seed: str, status: str, end: str,
+                 missing_certified: list[str] | None = None,
+                 missing_within_bound: list[str] | None = None,
+                 certificates: list[dict] | None = None):
+        self.seed = seed
+        self.status = status  # "pass" | "fail" | "inconclusive"
+        self.end = end  # "descent" | "targets" | "fixpoint": how its closure ended
+        self.missing_certified = [] if missing_certified is None else missing_certified
+        self.missing_within_bound = (
+            [] if missing_within_bound is None else missing_within_bound)
+        self.certificates = [] if certificates is None else certificates
+
+    def to_json(self) -> dict:
+        return {
+            "seed": format_word(self.seed),
+            "status": self.status,
+            "end": self.end,
+            "missing_certified": [
+                format_word(w) for w in self.missing_certified
+            ],
+            "missing_within_bound": [
+                format_word(w) for w in self.missing_within_bound
+            ],
+            "certificates": self.certificates,
+        }
+
+
+class SimplicityReport(_Value):
+    _fields = ("check", "ambient", "config", "seeds", "verdict")
+    __hash__ = None  # mutable
+
+    def __init__(self, check: str, ambient: str, config: AdConfig,
+                 seeds: list[SeedRecord], verdict: str):
+        self.check = check  # "simplicity" | "circle-corollary"
+        self.ambient = ambient
+        self.config = config
+        self.seeds = seeds
+        self.verdict = verdict  # "pass" | "fail" | "inconclusive"
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+    def to_json(self) -> dict:
+        return {
+            "check": self.check,
+            "ambient": self.ambient,
+            "config": self.config.to_json(),
+            "verdict": self.verdict,
+            "seeds": [r.to_json() for r in self.seeds],
+        }
 
 
 def witness_entry(result: ClosureResult, w: str) -> dict | None:

@@ -102,15 +102,15 @@ def test_criterion_6_theorem_desk_scale():
     )
     report = check_simplicity(Ambient("pu"), cfg)
     dt = time.perf_counter() - t0
-    sampled = [c for r in report.seeds for c in r.certificates]
+    sampled = [c for r in report["seeds"] for c in r["certificates"]]
     ok = (
-        report.passed
+        report["verdict"] == "pass"
         and dt < 600
         and all(c["verified"] for c in sampled)
     )
     _verdict(
         6, ok,
-        f"verdict {report.verdict}, {len(report.seeds)} seeds, "
+        f"verdict {report['verdict']}, {len(report['seeds'])} seeds, "
         f"{len(sampled)} certificates, {dt:.1f}s",
     )
 
@@ -123,16 +123,16 @@ def test_criterion_6_supplement_sufficient_bounds():
     )
     report = check_simplicity(Ambient("pu"), cfg)
     dt = time.perf_counter() - t0
-    sampled = [c for r in report.seeds for c in r.certificates]
+    sampled = [c for r in report["seeds"] for c in r["certificates"]]
     ok = (
-        report.passed
-        and len(report.seeds) == len([w for w in balanced_words_up_to(6) if w])
+        report["verdict"] == "pass"
+        and len(report["seeds"]) == len([w for w in balanced_words_up_to(6) if w])
         and all(c["verified"] for c in sampled)
         and dt < 600
     )
     _verdict(
         "6-supplement", ok,
-        f"verdict {report.verdict}, {len(report.seeds)} seeds, {dt:.1f}s",
+        f"verdict {report['verdict']}, {len(report['seeds'])} seeds, {dt:.1f}s",
     )
 
 
@@ -144,13 +144,13 @@ def test_criterion_7_proposition_desk_scale():
     ambient_closure = generate({"01", "10"}, cfg.closure)
     m = member(ambient_closure, "0011")
     ok = (
-        report.passed
+        report["verdict"] == "pass"
         and m.status == "absent-certified"
         and m.reason == "prefix-height"
     )
     _verdict(
         7, ok,
-        f"verdict {report.verdict}, 0011 membership {m.status} ({m.reason})",
+        f"verdict {report['verdict']}, 0011 membership {m.status} ({m.reason})",
     )
 
 
@@ -163,13 +163,13 @@ def test_criterion_8_corollary_desk_scale():
     dt = time.perf_counter() - t0
     expected_seeds = [w for w in words_up_to(5) if w]
     ok = (
-        report.passed
-        and [r.seed for r in report.seeds] == expected_seeds
+        report["verdict"] == "pass"
+        and [r["seed"] for r in report["seeds"]] == expected_seeds
         and dt < 600
     )
     _verdict(
         8, ok,
-        f"verdict {report.verdict}, {len(report.seeds)} seeds, {dt:.1f}s",
+        f"verdict {report['verdict']}, {len(report['seeds'])} seeds, {dt:.1f}s",
     )
 
 

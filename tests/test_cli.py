@@ -206,6 +206,28 @@ def test_check_circle(capsys, schema):
         jsonschema.validate(doc, schema)
 
 
+@pytest.mark.parametrize("argv", [["check-simple", "--ambient", "pu"],
+                                  ["check-simple", "--ambient", "gen:01,10"],
+                                  ["check-circle"]],
+                         ids=["pu", "gen-01-10", "circle"])
+def test_the_sweep_dict_is_the_cli_result(capsys, schema, argv):
+    # The library's report validates as a sweep and is the --json "result",
+    # byte for byte in the compact encoding.
+    config = normality.AdConfig(closure.ClosureConfig(8, 4), ad_len=4, seed_len=3)
+    if argv[0] == "check-circle":
+        report = normality.check_circle_corollary(config)
+    else:
+        report = normality.check_simplicity(normality.Ambient.parse(argv[2]), config)
+    sweep = {"$schema": schema["$schema"], "$defs": schema["$defs"],
+             "$ref": "#/$defs/sweep"}
+    jsonschema.validate(report, sweep)
+    bounds = ["--work-len", "8", "--report-len", "4", "--ad-len", "4", "--seed-len", "3"]
+    code, out, _ = invoke(capsys, *argv, *bounds, "--json")
+    assert code == {"pass": 0, "fail": 1}.get(report["verdict"], 3)
+    assert json.loads(out)["result"] == report
+    assert f'"result":{json.dumps(report, separators=(",", ":"))},' in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -30,6 +30,7 @@ from freefusion.words import (
 
 import helpers
 from helpers import (
+    NOT_WORDS,
     PairwiseSaturator,
     TwoIndexSaturator,
     balanced_words_up_to,
@@ -69,6 +70,19 @@ def test_generate_rejects_long_generator():
         generate({"010101"}, ClosureConfig(work_len=4, report_len=4))
 
 
+def test_saturation_refuses_generators_that_are_not_words():
+    # generate, a Saturator and its fork: "" is the unit, "e" only its text form.
+    assert generate([""], ClosureConfig(4, 2)).members == {""}
+    base = Saturator(ClosureConfig(4, 2), ["01"])
+    base.run()
+    for bad in NOT_WORDS:
+        for call in (lambda: generate(["01", bad], ClosureConfig(4, 2)),
+                     lambda: Saturator(ClosureConfig(4, 2), [bad]),
+                     lambda: base.fork([bad], None, {})):
+            with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
+                call()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ClosureConfig(work_len=4, report_len=6)
@@ -87,6 +101,15 @@ def test_member_answers():
     assert m.status == "absent-certified" and m.reason == "prefix-height"
     m = member(c, "0")
     assert m.status == "absent-certified" and m.reason == "degree"
+
+
+def test_member_refuses_what_is_not_a_word():
+    # "abc" used to be answered absent-certified (degree).
+    c = generate({"01", "10"}, ClosureConfig(work_len=4, report_len=2))
+    assert member(c, "").present
+    for bad in NOT_WORDS:
+        with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
+            member(c, bad)
 
 
 def test_member_within_bound():

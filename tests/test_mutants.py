@@ -201,6 +201,17 @@ MUTANTS = [
         [("if own is not made_own:", "if made_own is None:")],
         _record_sharing, id="record-shared-without-its-closure"),
     pytest.param(
+        normality._check,
+        [('"fail" in statuses', "False")],
+        test_normality.test_check_simplicity_full_au_fails_on_unbalanced_targets,
+        id="verdict-ignores-failed-seeds"),
+    pytest.param(
+        normality._check,
+        [('records.append({"seed": format_word(seed), **fields})',
+          'fields["seed"] = format_word(seed)\n        records.append(fields)')],
+        test_normality.test_each_seed_has_a_record_of_its_own,
+        id="dual-pair-shares-one-record-dict"),
+    pytest.param(
         closure.Saturator._partners,
         [("orbit = (i - 1,) if involute(prev) == prev else (i - 2, i - 1)", "orbit = ()")],
         _flip_root, id="flip-step-member-tests-no-pair-in-its-orbit"),

@@ -31,6 +31,7 @@ from freefusion.words import degree, format_word, involute
 
 from helpers import (
     IndexedSaturator,
+    NOT_WORDS,
     ReplaySaturator,
     TwoIndexSaturator,
     balanced_words_up_to,
@@ -103,6 +104,21 @@ def test_a_generated_ambient_refuses_a_bare_string():
         Ambient("gen", "0110")
 
 
+def test_a_generated_ambient_refuses_what_is_not_a_word():
+    # gen:0x used to build, and its sweep to fail with KeyError: 'x'.
+    for bad in NOT_WORDS:
+        with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
+            Ambient("gen", ["01", bad])
+
+
+@pytest.mark.parametrize("kind", ["au", "pu"])
+def test_ad_closure_refuses_seeds_that_are_not_words(kind):
+    # ad_closure({"0x"}, Ambient("au")) used to fail with KeyError: 'x'.
+    for bad in NOT_WORDS:
+        with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
+            ad_closure([bad], Ambient(kind), small_cfg())
+
+
 def test_ambient_views():
     au = AmbientView(Ambient("au"), ClosureConfig(work_len=6, report_len=4))
     pu = AmbientView(Ambient("pu"), ClosureConfig(work_len=6, report_len=4))
@@ -156,7 +172,7 @@ def test_conjugator_table_built_once_per_sweep(monkeypatch):
 
     monkeypatch.setattr(AmbientView, "simples", counted)
     report = check_circle_corollary(small_cfg(seed_len=3))
-    assert len(report.seeds) == 14
+    assert len(report["seeds"]) == 14
     assert calls == [3, 4]  # the seeds, then one table for all 14 seeds
 
 
@@ -440,10 +456,10 @@ def test_check_simplicity_generated_small():
         AdConfig(closure=ClosureConfig(work_len=10, report_len=4), ad_len=6,
                  seed_len=4),
     )
-    assert report.passed
-    assert all(r.status == "pass" for r in report.seeds)
-    for r in report.seeds:
-        for entry in r.certificates:
+    assert report["verdict"] == "pass"
+    assert all(r["status"] == "pass" for r in report["seeds"])
+    for r in report["seeds"]:
+        for entry in r["certificates"]:
             assert entry["verified"]
 
 
@@ -453,13 +469,13 @@ def test_check_simplicity_full_au_fails_on_unbalanced_targets():
         AdConfig(closure=ClosureConfig(work_len=8, report_len=2), ad_len=4,
                  seed_len=2),
     )
-    assert report.verdict == "fail"
-    by_seed = {r.seed: r for r in report.seeds}
+    assert report["verdict"] == "fail"
+    by_seed = {r["seed"]: r for r in report["seeds"]}
     # balanced seeds can never reach unbalanced targets: degree-certified
-    assert set(by_seed["01"].missing_certified) == {"0", "1", "00", "11"}
-    assert by_seed["01"].status == "fail"
+    assert set(by_seed["01"]["missing_certified"]) == {"0", "1", "00", "11"}
+    assert by_seed["01"]["status"] == "fail"
     # unbalanced seeds reach everything of length <= 2
-    assert by_seed["0"].status == "pass"
+    assert by_seed["0"]["status"] == "pass"
 
 
 def test_check_simplicity_inconclusive_is_not_pass():
@@ -468,9 +484,9 @@ def test_check_simplicity_inconclusive_is_not_pass():
         AdConfig(closure=ClosureConfig(work_len=4, report_len=2), ad_len=2,
                  seed_len=2),
     )
-    assert report.verdict == "inconclusive"
-    assert all(r.status in ("pass", "inconclusive") for r in report.seeds)
-    assert any(r.missing_within_bound for r in report.seeds)
+    assert report["verdict"] == "inconclusive"
+    assert all(r["status"] in ("pass", "inconclusive") for r in report["seeds"])
+    assert any(r["missing_within_bound"] for r in report["seeds"])
 
 
 def test_check_circle_small():
@@ -478,8 +494,17 @@ def test_check_circle_small():
         AdConfig(closure=ClosureConfig(work_len=8, report_len=4), ad_len=4,
                  seed_len=2),
     )
-    assert report.passed
-    assert len(report.seeds) == 6  # 0,1,00,01,10,11
+    assert report["verdict"] == "pass"
+    assert len(report["seeds"]) == 6  # 0,1,00,01,10,11
+
+
+def test_each_seed_has_a_record_of_its_own():
+    # A dual pair shares its record's fields, never the record dict: each
+    # record names its own seed, first.
+    report = check_circle_corollary(small_cfg(work_len=8, report_len=4, ad_len=4,
+                                              seed_len=3))
+    assert [r["seed"] for r in report["seeds"]] == [w for w in words_up_to(3) if w]
+    assert all(next(iter(r)) == "seed" for r in report["seeds"])
 
 
 def test_empty_seed_sweep_is_rejected():
@@ -500,7 +525,7 @@ def test_cert_samples_must_be_nonnegative():
         check_simplicity(Ambient("pu"), small_cfg(seed_len=2),
                          cert_samples=-1)
     report = check_circle_corollary(cfg, cert_samples=0)
-    assert report.seeds and all(r.certificates == [] for r in report.seeds)
+    assert report["seeds"] and all(r["certificates"] == [] for r in report["seeds"])
 
 
 def test_an_odd_pu_seed_len_one_past_work_len_is_accepted():
@@ -508,7 +533,7 @@ def test_an_odd_pu_seed_len_one_past_work_len_is_accepted():
     # so the sweep at seed_len 7 is the sweep at seed_len 6.
     sweeps = [check_simplicity(Ambient("pu"), small_cfg(work_len=6, report_len=2, ad_len=2,
                                                         seed_len=n)) for n in (6, 7)]
-    assert sweeps[0].seeds == sweeps[1].seeds
+    assert sweeps[0]["seeds"] == sweeps[1]["seeds"]
 
 
 def test_circle_targets_are_the_pu_simples(monkeypatch):
@@ -536,26 +561,27 @@ def test_seed_len_beyond_work_len_is_rejected_before_saturating(monkeypatch):
 
 
 def _assert_matches_direct(report, direct):
-    assert report.verdict == direct.verdict
-    assert [r.seed for r in report.seeds] == [r.seed for r in direct.seeds]
-    for got, want in zip(report.seeds, direct.seeds):
-        assert got.status == want.status, got.seed
-        assert got.missing_certified == want.missing_certified, got.seed
-        assert got.missing_within_bound == want.missing_within_bound, got.seed
-        assert ([c["word"] for c in got.certificates]
-                == [c["word"] for c in want.certificates]), got.seed
-        assert all(c["verified"] for c in got.certificates), got.seed
+    assert report["verdict"] == direct["verdict"]
+    assert [r["seed"] for r in report["seeds"]] == [r["seed"] for r in direct["seeds"]]
+    for got, want in zip(report["seeds"], direct["seeds"]):
+        assert got["status"] == want["status"], got["seed"]
+        assert got["missing_certified"] == want["missing_certified"], got["seed"]
+        assert got["missing_within_bound"] == want["missing_within_bound"], got["seed"]
+        assert ([c["word"] for c in got["certificates"]]
+                == [c["word"] for c in want["certificates"]]), got["seed"]
+        assert all(c["verified"] for c in got["certificates"]), got["seed"]
 
 
 def _oracle_sweep(ambient, cfg, oracle):
-    """oracle(name, view, cfg, targets) for check_simplicity in ambient, or
-    for check_circle_corollary when ambient is None."""
+    """The JSON of oracle(name, view, cfg, targets), a SimplicityReport, for
+    check_simplicity in ambient, or for check_circle_corollary when ambient
+    is None: the dict the library's sweep returns."""
     if ambient is None:
         view = AmbientView(Ambient("au"), cfg.closure)
         targets = enumerate_words("balanced", cfg.closure.report_len)
-        return oracle("circle-corollary", view, cfg, targets)
+        return oracle("circle-corollary", view, cfg, targets).to_json()
     view = AmbientView(ambient, cfg.closure)
-    return oracle("simplicity", view, cfg, view.simples(cfg.closure.report_len))
+    return oracle("simplicity", view, cfg, view.simples(cfg.closure.report_len)).to_json()
 
 
 def _library_sweep(ambient, cfg):
@@ -634,10 +660,10 @@ def test_descent_record_ends():
     cfg = small_cfg(work_len=10, report_len=6, ad_len=8, seed_len=6)
     report = check_simplicity(Ambient("pu"), cfg)
     own = {"01", "000111", "111000"}
-    assert {r.seed: r.end for r in report.seeds} == {
-        r.seed: "fixpoint" if r.seed in own else "descent" for r in report.seeds
+    assert {r["seed"]: r["end"] for r in report["seeds"]} == {
+        r["seed"]: "fixpoint" if r["seed"] in own else "descent" for r in report["seeds"]
     }
-    assert len(report.seeds) == 28
+    assert len(report["seeds"]) == 28
 
 
 @pytest.mark.parametrize(
@@ -665,7 +691,7 @@ def test_descent_that_never_derives_root_is_exact(
     report, direct = _sweep_and_direct(Ambient("au"), cfg)
     _assert_matches_direct(report, direct)
     assert stops["10"] == stop_10
-    assert {r.seed: r.end for r in report.seeds}["10"] == "fixpoint"
+    assert {r["seed"]: r["end"] for r in report["seeds"]}["10"] == "fixpoint"
 
 
 # --------------------------------------------------------------------------
@@ -675,7 +701,7 @@ def test_descent_that_never_derives_root_is_exact(
 def _json_or_error(sweep):
     """The report's JSON, or the message of the ValueError that refused it."""
     try:
-        return sweep().to_json()
+        return sweep()
     except ValueError as exc:
         return str(exc)
 
@@ -888,7 +914,7 @@ def test_a_record_is_shared_only_with_its_closure(monkeypatch):
         return witness_entries(result, words, view)
 
     monkeypatch.setattr(normality, "witness_entries", counted)
-    shared = check_circle_corollary(cfg).to_json()
+    shared = check_circle_corollary(cfg)
     shared_witnessed = len(witnessed)
     ad_closure = normality.ad_closure
 
@@ -897,7 +923,7 @@ def test_a_record_is_shared_only_with_its_closure(monkeypatch):
 
     monkeypatch.setattr(normality, "ad_closure", unshared)
     witnessed.clear()
-    assert check_circle_corollary(cfg).to_json() == shared
+    assert check_circle_corollary(cfg) == shared
     assert len(witnessed) > shared_witnessed
 
 

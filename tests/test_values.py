@@ -1,5 +1,7 @@
 """The value types against the dataclasses they replaced (tests/helpers.py):
-construction, validation, ==, hash and repr must agree."""
+construction, validation, ==, hash and repr must agree.  SeedRecord and
+SimplicityReport are the oracle sweeps' copies in tests/helpers.py, as the
+library's sweep now returns its report as a JSON dict."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -7,9 +9,10 @@ from types import SimpleNamespace
 import pytest
 
 from freefusion.closure import ClosureConfig, ClosureResult, Membership
-from freefusion.normality import AdConfig, Ambient, SeedRecord, SimplicityReport
+from freefusion.normality import AdConfig, Ambient
 
 import helpers
+from helpers import SeedRecord, SimplicityReport
 
 NAMES = ["ClosureConfig", "Membership", "ClosureResult", "Ambient", "AdConfig",
          "SeedRecord", "SimplicityReport"]

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from freefusion.words import (
     all_words,
+    check_words,
     degree,
     format_word,
     heights,
@@ -12,7 +13,7 @@ from freefusion.words import (
     shortlex_key,
 )
 
-from helpers import flip, one_runs, per_node_parse_word, zero_runs
+from helpers import NOT_WORDS, flip, one_runs, per_node_parse_word, zero_runs
 
 words = st.text(alphabet="01", max_size=8)
 
@@ -58,6 +59,14 @@ def test_all_words_is_parse_word_on_every_entry(texts):
             return False
 
     assert all_words(texts) == all(parses(t) for t in texts)
+
+
+@pytest.mark.parametrize("bad", NOT_WORDS, ids=repr)
+def test_check_words_refuses_what_is_not_a_word(bad):
+    assert check_words(iter(["", "0", "0110"])) == ["", "0", "0110"]
+    with pytest.raises(ValueError) as exc:
+        check_words(["01", bad, "x"])
+    assert str(exc.value) == f"{bad!r} is not a word: a word is a str over 0 and 1, '' the unit"
 
 
 def test_format_word():

@@ -46,6 +46,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# The one encoder of every JSON text the CLI writes.  Compact separators keep
+# it on the C encoder.  The CLI renders only documents it built, which are
+# acyclic, so it skips the cycle check; a cycle still raises RecursionError.
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
@@ -179,7 +184,7 @@ def _run_mul(args):
     product = mul_many([{w: 1} for w in words])
     payload = {"factors": [format_word(w) for w in words],
                "element": element_to_json(product)}
-    return payload, [json.dumps(element_to_json(product), separators=(",", ":"))], EXIT_OK
+    return payload, [_encode(payload["element"])], EXIT_OK
 
 
 def _run_dual(args):
@@ -236,7 +241,7 @@ def _run_closure(args):
         payload["witness"] = wp
         lines.append(
             f"witness for {format_word(w)}: "
-            + ("none" if wp is None else json.dumps(wp["certificate"], separators=(",", ":")))
+            + ("none" if wp is None else _encode(wp["certificate"]))
         )
         if wp is not None and not wp["verified"]:
             return payload, lines, EXIT_FAIL
@@ -355,8 +360,7 @@ def run(argv: list[str]) -> int:
             "result": payload,
             "timing": {"seconds": round(elapsed, 6)} if args.timing else None,
         }
-        # Compact separators keep json.dumps on its C encoder; indent does not.
-        rendered = json.dumps(document, separators=(",", ":")) + "\n"
+        rendered = _encode(document) + "\n"
         if args.report is not None:
             try:
                 with open(args.report, "w", encoding="utf-8") as fh:

@@ -43,8 +43,6 @@ class Ambient(_Frozen):
     def __init__(self, kind: str, gens=frozenset()):
         if kind != "gen" and kind not in CLOSED_FORMS:
             raise ValueError(f"unknown ambient kind {kind!r}; expected au, pu or gen")
-        if isinstance(gens, str):
-            raise ValueError(f"ambient generators must be words, not the string {gens!r}")
         if (gens := frozenset(check_words(gens))) and kind != "gen":
             raise ValueError(f"ambient {kind} takes no generators")
         self._set(kind, gens)
@@ -226,8 +224,9 @@ def ad_closure(
         raise ValueError("a base closure must be saturated")
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
+    seeds = check_words(seeds)  # read once: seeds may be a one-shot iterator
     # Every ambient is dual-closed: a seed is an ambient simple iff its dual is.
-    for s in sorted(check_words(seeds), key=shortlex_key):
+    for s in sorted(seeds, key=shortlex_key):
         if not view.contains(s):
             raise ValueError(f"{format_word(s)} is not an ambient simple")
     gens = frozenset({*seeds, *map(involute, seeds)})  # the run's generators

@@ -38,8 +38,11 @@ def all_words(texts: list) -> bool:
 
 
 def check_words(ws) -> list:
-    """ws as a list, each entry a word as the library takes it: a str over '0'
-    and '1', "" the unit ("e" is only its text form); else a one-line ValueError."""
+    """ws, an iterable of words, as a list, each entry a word as the library
+    takes it: a str over '0' and '1', "" the unit ("e" is only its text form);
+    else, or if ws is one str (read letter by letter), a one-line ValueError."""
+    if isinstance(ws, str):
+        raise ValueError(f"words must come as a collection, not the bare str {ws!r}")
     ws = list(ws)
     for w in ws:
         if not isinstance(w, str) or w.strip("01"):

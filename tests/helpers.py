@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from itertools import product as iproduct
@@ -45,6 +46,26 @@ def bench_oracle():
 # letter other than 0 and 1, the unit's text form "e" ("" is the unit), a
 # newline, and values that are not strings.
 NOT_WORDS = ["0x", "abc", "e", "01 ", "0\n1", 1, None, ["0"]]
+
+# check_words's refusal of one str in place of a collection of words.
+BARE_STR = "words must come as a collection, not the bare str '0110'"
+
+
+def refusal(call) -> str | None:
+    """The message of the ValueError that call() raises, or None if it
+    returns; a check that must refuse asserts on this, so that a call that
+    quietly returns fails with AssertionError."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def render(document) -> str:
+    """The CLI's JSON rendering before it dropped the cycle check, verbatim:
+    the oracle for cli._encode.  It raises ValueError on a cyclic document."""
+    return json.dumps(document, separators=(",", ":"))
 
 
 def flip_reverse(w: str) -> str:

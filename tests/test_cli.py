@@ -20,7 +20,7 @@ from freefusion import cli, closure, normality
 from freefusion.cli import run
 from freefusion.words import format_word, involute, parse_word
 
-from helpers import bench_oracle, build_parser
+from helpers import bench_oracle, build_parser, render
 
 
 def invoke(capsys, *argv):
@@ -476,6 +476,68 @@ def test_closure_json_bytes_pinned(capsys, argv, prefix):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
 
 
+def _certificate_file(path, valid: bool) -> None:
+    """A closure witness document, written to path; invalid, it names
+    generators that its gen nodes are not."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        run(["closure", "--gens", "01,10", "--work-len", "8", "--witness", "100110", "--json"])
+    doc = json.loads(out.getvalue())["result"]["witness"]
+    if not valid:
+        doc["generators"] = ["0011"]
+    path.write_text(json.dumps(doc))
+
+
+_RENDERED = {  # name -> (argv, exit code)
+    **{name: ([*argv, "--json"], code) for (argv, code, *_), name in
+       zip(_SWEEP_PINS, ["pu-fixpoint", "pu-targets", "au-circle", "criterion-7"])},
+    "closure-witness": (["closure", "--gens", "01,10", "--work-len", "8",
+                         "--witness", "100110"], 0),
+    "ad-closure-witness": ([*CLOSURE_PINS[1][0], "--json"], 0),
+    "mul": (["mul", "0", "1", "01"], 0),
+    "mul-json": (["mul", "0", "1", "01", "--json"], 0),
+    "verify-cert-valid": (["verify-cert", "valid.json", "--json"], 0),
+    "verify-cert-invalid": (["verify-cert", "invalid.json", "--json"], 1),
+}
+
+
+@pytest.mark.parametrize("argv,code", _RENDERED.values(), ids=_RENDERED)
+def test_cli_renders_what_the_oracle_renders(tmp_path, capsys, monkeypatch, argv, code):
+    # Every JSON text the CLI renders, the document and the JSON of a text
+    # line, is the oracle's rendering of the same object, byte for byte.
+    # The oracle keeps the cycle check, so this also shows each acyclic.
+    if argv[0] == "verify-cert":
+        _certificate_file(tmp_path / argv[1], argv[1] == "valid.json")
+    monkeypatch.chdir(tmp_path)
+    rendered = []
+    encode = cli._encode
+
+    def recorded(document):
+        rendered.append((document, encode(document)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(cli, "_encode", recorded)
+    exit_code, out, err = invoke(capsys, *argv)
+    assert (exit_code, err) == (code, "")
+    assert rendered and all(text == render(doc) for doc, text in rendered)
+    last = rendered[-1][1] + "\n"  # the document, or the text line's JSON
+    assert out == last if "--json" in argv else out.endswith(last)
+
+
+def test_the_encoder_refuses_a_cyclic_document(tmp_path, capsys, monkeypatch):
+    # Without the cycle check a cycle still raises, and before any byte is
+    # written: the report file is never opened and nothing reaches stdout.
+    cyclic = {"words": ["01"]}
+    cyclic["words"].append(cyclic)
+    with pytest.raises(RecursionError):
+        cli._encode(cyclic)
+    monkeypatch.setitem(cli._COMMANDS, "dual", ("", lambda args: (cyclic, [], 0)))
+    report = tmp_path / "r.json"
+    with pytest.raises(RecursionError):
+        run(["dual", "01", "--json", "--report", str(report)])
+    assert capsys.readouterr() == ("", "") and not report.exists()
+
+
 @pytest.mark.parametrize(
     "argv,resolved",
     [
@@ -508,6 +570,7 @@ def test_text_mode_never_renders(capsys, monkeypatch):
         raise AssertionError("a text-mode run rendered its report")
 
     monkeypatch.setattr(cli.json, "dumps", refuse)
+    monkeypatch.setattr(cli, "_encode", refuse)
     monkeypatch.setattr(cli, "_invocation_echo", refuse)
     assert invoke(capsys, *argv) == expected
     assert expected[0] == 0 and "verdict: pass" in expected[1]

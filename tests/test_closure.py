@@ -30,6 +30,7 @@ from freefusion.words import (
 
 import helpers
 from helpers import (
+    BARE_STR,
     NOT_WORDS,
     PairwiseSaturator,
     TwoIndexSaturator,
@@ -45,6 +46,7 @@ from helpers import (
     per_node_parse_word,
     per_node_verify_certificate_detailed,
     recording,
+    refusal,
     saturate,
     words_up_to,
     zero_runs,
@@ -81,6 +83,18 @@ def test_saturation_refuses_generators_that_are_not_words():
                      lambda: base.fork([bad], None, {})):
             with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
                 call()
+
+
+@pytest.mark.parametrize("entry", ["generate", "Saturator", "fork"])
+def test_saturation_refuses_a_bare_str(entry):
+    # Read letter by letter, "0110" used to generate from {0, 1}.
+    cfg = ClosureConfig(4, 2)
+    base = Saturator(cfg, ["01"])
+    base.run()
+    call = {"generate": lambda: generate("0110", cfg),
+            "Saturator": lambda: Saturator(cfg, "0110"),
+            "fork": lambda: base.fork("0110", None, {})}[entry]
+    assert refusal(call) == BARE_STR
 
 
 def test_config_validation():

@@ -287,6 +287,16 @@ MUTANTS = [
         [('text and not text.strip("01")', 'not text.strip("01e")')],
         test_words.test_parse_word, id="parse-word-takes-e-and-empty-as-words"),
     pytest.param(
+        words.check_words,
+        [("    if isinstance(ws, str):\n        raise ValueError(", "    if False:\n        raise ValueError(")],
+        test_words.test_check_words_refuses_a_bare_str, id="check-words-reads-a-bare-str"),
+    pytest.param(
+        normality.ad_closure,
+        [("    seeds = check_words(seeds)  # read once: seeds may be a one-shot iterator\n", ""),
+         ("sorted(seeds, key=shortlex_key)", "sorted(check_words(seeds), key=shortlex_key)")],
+        partial(test_normality.test_ad_closure_reads_one_shot_seeds_once, "pu"),
+        id="ad-closure-rereads-consumed-seeds"),
+    pytest.param(
         closure._shown,
         [("    if not isinstance(w, str):\n        raise TypeError\n", "")],
         partial(test_closure.test_verify_calls_a_word_that_is_not_a_string_malformed,

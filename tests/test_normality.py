@@ -30,6 +30,7 @@ from freefusion.normality import (
 from freefusion.words import degree, format_word, involute
 
 from helpers import (
+    BARE_STR,
     IndexedSaturator,
     NOT_WORDS,
     ReplaySaturator,
@@ -44,6 +45,7 @@ from helpers import (
     memo_terms,
     pairwise_ad_closure,
     recording,
+    refusal,
     scan_conjugations,
     search_ad_closure,
     search_check,
@@ -99,9 +101,24 @@ def test_a_generated_ambient_freezes_its_words():
 
 def test_a_generated_ambient_refuses_a_bare_string():
     # Read letter by letter, "0110" would build gen:0,1.
-    with pytest.raises(
-            ValueError, match="^ambient generators must be words, not the string '0110'$"):
-        Ambient("gen", "0110")
+    assert refusal(lambda: Ambient("gen", "0110")) == BARE_STR
+
+
+@pytest.mark.parametrize("kind", ["au", "pu"])
+def test_ad_closure_refuses_a_bare_str(kind):
+    # Read letter by letter, "0110" used to take generators {0, 1}.
+    assert refusal(lambda: ad_closure("0110", Ambient(kind), small_cfg())) == BARE_STR
+
+
+@pytest.mark.parametrize("kind", ["au", "pu"])
+def test_ad_closure_reads_one_shot_seeds_once(kind):
+    # The word check used to use up an iterator, leaving the closure of nothing.
+    cfg = AdConfig(ClosureConfig(6, 4), 4, 4)
+    listed = ad_closure(["0011"], Ambient(kind), cfg)
+    assert listed.generators == {"0011"} and len(listed.members) > 1  # 0011 is self-dual
+    for seeds in (iter(["0011"]), (s for s in ["0011"])):
+        got = ad_closure(seeds, Ambient(kind), cfg)
+        assert (got.to_json(), got.provenance) == (listed.to_json(), listed.provenance)
 
 
 def test_a_generated_ambient_refuses_what_is_not_a_word():

@@ -13,7 +13,9 @@ from freefusion.words import (
     shortlex_key,
 )
 
-from helpers import NOT_WORDS, flip, one_runs, per_node_parse_word, zero_runs
+from helpers import (
+    BARE_STR, NOT_WORDS, flip, one_runs, per_node_parse_word, refusal, zero_runs,
+)
 
 words = st.text(alphabet="01", max_size=8)
 
@@ -67,6 +69,13 @@ def test_check_words_refuses_what_is_not_a_word(bad):
     with pytest.raises(ValueError) as exc:
         check_words(["01", bad, "x"])
     assert str(exc.value) == f"{bad!r} is not a word: a word is a str over 0 and 1, '' the unit"
+
+
+def test_check_words_refuses_a_bare_str():
+    # Read letter by letter, "0110" was the words 0, 1, 1 and 0; "" was none.
+    assert refusal(lambda: check_words("0110")) == BARE_STR
+    assert refusal(lambda: check_words("")) == BARE_STR.replace("'0110'", "''")
+    assert check_words(("0110",)) == check_words(w for w in ["0110"]) == ["0110"]
 
 
 def test_format_word():

@@ -589,6 +589,7 @@ def witness(result: ClosureResult, w: str, _memo: dict | None = None) -> dict | 
     """Derivation certificate tree for a member, or None for a non-member.
     _memo, word -> node, shared across calls on one result makes their
     certificates one DAG: a shared node is one dict wherever it occurs."""
+    check_words([w])
     if w not in result.members:
         return None
     memo: dict[str, dict] = {} if _memo is None else _memo

@@ -161,6 +161,7 @@ def ad_candidates(
     automatically: ambient simple sets are dual-closed, so it equals the
     left-oriented scan with conjugator involute(y).
     """
+    check_words([x])
     by_last = AmbientView(ambient, config).conjugators_by_last(ad_len)
     return set(_conjugations(x, by_last, len(x) + 2 * ad_len))
 

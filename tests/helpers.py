@@ -50,6 +50,9 @@ NOT_WORDS = ["0x", "abc", "e", "01 ", "0\n1", 1, None, ["0"]]
 # check_words's refusal of one str in place of a collection of words.
 BARE_STR = "words must come as a collection, not the bare str '0110'"
 
+# check_words's refusal of an entry w, as NOT_A_WORD.format(w).
+NOT_A_WORD = "{!r} is not a word: a word is a str over 0 and 1, '' the unit"
+
 
 def refusal(call) -> str | None:
     """The message of the ValueError that call() raises, or None if it

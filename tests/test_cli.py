@@ -20,6 +20,7 @@ from freefusion import cli, closure, normality
 from freefusion.cli import run
 from freefusion.words import format_word, involute, parse_word
 
+import cli_grid
 from helpers import bench_oracle, build_parser, render
 
 
@@ -796,16 +797,44 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # Both cost start-up time on every run; the value types need neither.
-    code = ("import sys; before = set(sys.modules); import freefusion.cli; "
+def _modules_added_by(module: str) -> set[str]:
+    """The modules that importing module adds to a fresh interpreter."""
+    code = ("import sys; before = set(sys.modules); import " + module + "; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Both cost start-up time on every run; the value types need neither.
+    added = _modules_added_by("freefusion.cli")
     assert "freefusion.normality" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_package_import_loads_no_submodule():
+    # Each library name is imported from its module; the package re-exports none.
+    assert {m for m in _modules_added_by("freefusion") if m.startswith("freefusion.")} == set()
+
+
+def test_cli_grid_slice_repeats_itself(tmp_path):
+    # tests/cli_grid.py compares two trees by their lines, so one tree must
+    # print the same lines twice.  The slice is cheap: the first small sweeps
+    # in both forms, one ad-closure with each query, the other JSON runs and
+    # every rendering run.
+    grid = cli_grid.families(tmp_path)
+    assert {k: len(v) for k, v in grid.items()} == {"json": 2979, "text": 2589,
+                                                    "rendering": 9}
+    cli_grid.write_documents(tmp_path)
+    argvs = (grid["json"][:6] + grid["json"][2589:2593] + grid["json"][-6:]
+             + grid["text"][:6] + grid["rendering"])
+    lines = [cli_grid.line(a) for a in argvs]
+    assert lines == [cli_grid.line(a) for a in argvs]
+    assert lines[-9] == " ".join([json.dumps(["mul", "0", "1"]), "0",
+                                  hashlib.sha256(b'{"e":1,"01":1}\n').hexdigest(),
+                                  hashlib.sha256(b"").hexdigest()])
 
 
 def test_console_entry_point(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from freefusion.closure import (
     CLOSED_FORMS,
     ABSENT_WITHIN_BOUND,
     ClosureConfig,
+    ClosureResult,
     Saturator,
     certificate_from_json,
     enumerate_words,
@@ -31,6 +32,7 @@ from freefusion.words import (
 import helpers
 from helpers import (
     BARE_STR,
+    NOT_A_WORD,
     NOT_WORDS,
     PairwiseSaturator,
     TwoIndexSaturator,
@@ -124,6 +126,21 @@ def test_member_refuses_what_is_not_a_word():
     for bad in NOT_WORDS:
         with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
             member(c, bad)
+
+
+def test_witness_refuses_what_is_not_a_word():
+    # "0x" and "e" used to get None, as non-members, and ["0"] a TypeError.
+    c = generate({"01", "10"}, ClosureConfig(work_len=4, report_len=2))
+    assert witness(c, "") == UNIT
+    for bad in NOT_WORDS:
+        assert refusal(lambda: witness(c, bad)) == NOT_A_WORD.format(bad)
+
+
+def test_witness_refuses_an_unknown_provenance_step():
+    # ClosureResult is public and takes any provenance.
+    result = ClosureResult(frozenset({"01"}), ClosureConfig(4, 2), True, {},
+                           {"": ("unit",), "01": ("bogus",)})
+    assert refusal(lambda: witness(result, "01")) == "unknown provenance step ('bogus',)"
 
 
 def test_member_within_bound():

@@ -297,6 +297,13 @@ MUTANTS = [
         partial(test_normality.test_ad_closure_reads_one_shot_seeds_once, "pu"),
         id="ad-closure-rereads-consumed-seeds"),
     pytest.param(
+        normality.ad_candidates, [("    check_words([x])\n", "")],
+        test_normality.test_ad_candidates_refuses_what_is_not_a_word,
+        id="ad-candidates-reads-non-words"),
+    pytest.param(
+        closure.witness, [("    check_words([w])\n", "")],
+        test_closure.test_witness_refuses_what_is_not_a_word, id="witness-reads-non-words"),
+    pytest.param(
         closure._shown,
         [("    if not isinstance(w, str):\n        raise TypeError\n", "")],
         partial(test_closure.test_verify_calls_a_word_that_is_not_a_string_malformed,

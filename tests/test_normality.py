@@ -32,6 +32,7 @@ from freefusion.words import degree, format_word, involute
 from helpers import (
     BARE_STR,
     IndexedSaturator,
+    NOT_A_WORD,
     NOT_WORDS,
     ReplaySaturator,
     TwoIndexSaturator,
@@ -134,6 +135,12 @@ def test_ad_closure_refuses_seeds_that_are_not_words(kind):
     for bad in NOT_WORDS:
         with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
             ad_closure([bad], Ambient(kind), small_cfg())
+
+
+def test_ad_candidates_refuses_what_is_not_a_word():
+    # ad_candidates("0x", Ambient("au"), 2) used to return pairs such as ("0", "00x1").
+    for bad in NOT_WORDS:
+        assert refusal(lambda: ad_candidates(bad, Ambient("au"), 2)) == NOT_A_WORD.format(bad)
 
 
 def test_ambient_views():

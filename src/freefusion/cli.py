@@ -46,10 +46,35 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-# The one encoder of every JSON text the CLI writes.  Compact separators keep
-# it on the C encoder.  The CLI renders only documents it built, which are
-# acyclic, so it skips the cycle check; a cycle still raises RecursionError.
-_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# The encoder under _encode.  Compact separators keep it on the C encoder.
+# The CLI renders only documents it built, which are acyclic, so it skips
+# the cycle check; a cycle still raises RecursionError.
+_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_MARK = "\0seeds"  # holds a sweep's place while the rest of its document is encoded
+
+
+def _encode(document) -> str:
+    """The one renderer of every JSON text the CLI writes, in json.dumps's
+    compact bytes.  A seed and its dual share one fields dict, so a sweep
+    record's text after its seed is encoded once per distinct set of non-seed
+    values, keyed by their ids within this call, and spliced after the seed."""
+    result = document.get("result") if isinstance(document, dict) else None
+    records = result.get("seeds") if isinstance(result, dict) else None
+    if not isinstance(records, list) or not all(
+            isinstance(r, dict) and len(r) > 1 and next(iter(r)) == "seed" for r in records):
+        return _json(document)
+    head, *tail = _json({**document, "result": {**result, "seeds": _MARK}}).split(_json(_MARK))
+    if len(tail) != 1:  # the mark's text is also somewhere else
+        return _json(document)
+    bodies = {}  # the non-seed (key, id(value)) pairs -> the record's text after its seed
+    texts = []
+    for r in records:
+        (_, seed), *fields = r.items()
+        key = tuple((k, id(v)) for k, v in fields)
+        if key not in bodies:
+            bodies[key] = _json(dict(fields))[1:]
+        texts.append(f'{{"seed":{_json(seed)},{bodies[key]}')
+    return f'{head}[{",".join(texts)}]{tail[0]}'
 
 
 class _ArgumentParser(argparse.ArgumentParser):

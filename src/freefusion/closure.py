@@ -164,8 +164,11 @@ def verify_certificate_detailed(cert, gens, replayed=None,
     (normality.AmbientView): every generator and every conjugator of a valid
     ad node must be one of its simples.  The first that is not fails as
     "generators: w is not a pu simple" or at its node's path.  Without one
-    every word is a simple (au), tested nowhere.
+    every word is a simple (au), tested nowhere.  gens as a bare str would
+    be a substring test, so it is refused.
     """
+    if isinstance(gens, str):
+        raise ValueError(f"generators must come as a collection, not the bare str {gens!r}")
     if ambient is not None:
         foreign = [g for g in gens if not ambient.contains(g)]
         if foreign:
@@ -226,8 +229,9 @@ def _replay(cert, gens, replayed, ambient) -> tuple[str | None, str | None]:
 
 
 def verify_certificate(cert, gens) -> bool:
-    """True iff the certificate replays correctly from the given generators."""
-    ok, _ = verify_certificate_detailed(cert, set(gens))
+    """True iff the certificate replays correctly from the given generators;
+    a bare str of them is refused, not read letter by letter."""
+    ok, _ = verify_certificate_detailed(cert, gens if isinstance(gens, str) else set(gens))
     return ok
 
 

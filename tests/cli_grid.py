@@ -57,11 +57,18 @@ def sweeps() -> list[list[str]]:
            if r <= w and a <= w]
     au, pu, gen, *_, circle = _SWEEP_HEADS
     for head, w, s, r in [(pu, 12, 6, 6), (pu, 14, 6, 6), (circle, 12, 5, 6),
-                          (gen, 12, 6, 6), (pu, 10, 6, 6), (pu, 12, 6, 4),
-                          (circle, 10, 5, 4)]:
+                          (gen, 12, 6, 6)]:
         out.append(head + _bounds(w, s, r, 8))
+    out += bench_sweeps()
     out += [head + _bounds(6, 7) for head in (au, pu)]
     return out
+
+
+def bench_sweeps() -> list[list[str]]:
+    """The bench's three sweep shapes: pu-fixpoint, pu-targets and au-circle."""
+    pu, circle = _SWEEP_HEADS[1], _SWEEP_HEADS[-1]
+    return [head + _bounds(w, s, r, 8)
+            for head, w, s, r in [(pu, 10, 6, 6), (pu, 12, 6, 4), (circle, 10, 5, 4)]]
 
 
 def others() -> list[list[str]]:
@@ -84,7 +91,9 @@ def others() -> list[list[str]]:
 
 def rendering(directory: Path) -> list[list[str]]:
     """Text-form runs of each call site that renders JSON into a text line,
-    of verify-cert on a valid and an invalid document, and a --report run."""
+    of verify-cert on a valid and an invalid document, a closure --report
+    run, and the bench's sweep shapes with --report, whose report files
+    hold the records a seed and its dual share."""
     return [
         ["mul", "0", "1"],
         ["mul", "01", "10", "0011"],
@@ -95,6 +104,7 @@ def rendering(directory: Path) -> list[list[str]]:
         *(["verify-cert", str(directory / name)] for name in _DOCUMENTS),
         ["closure", "--gens", "01,10", "--witness", "1001",
          "--report", str(directory / "report.json")],
+        *(argv + ["--report", str(directory / "sweep.json")] for argv in bench_sweeps()),
     ]
 
 

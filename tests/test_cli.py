@@ -370,20 +370,22 @@ def test_unverified_certificate_exits_one(capsys, monkeypatch, schema, argv):
 # to 01 that takes the closed-form route evaluates nothing, so its stats
 # count no product and no ad step.  The last figure counts has_term calls:
 # a seed's samples replay as one DAG, each product node once (a replay of
-# each sample's tree made 341, 282, 432 and 108).
+# each sample's tree made 341, 282, 432 and 108).  The last pair counts the
+# record bodies cli._encode encoded against the records: one per distinct
+# fields dict, since a seed and its dual share theirs.
 _CHECK_SIMPLE_PU = ["check-simple", "--ambient", "pu", "--seed-len", "6",
                     "--ad-len", "8"]
 _CHECK_CIRCLE = ["check-circle", "--seed-len", "5", "--ad-len", "8"]
 _AU_CIRCLE = _CHECK_CIRCLE + ["--report-len", "4", "--work-len", "10"]
 _SWEEP_PINS = [
     (_CHECK_SIMPLE_PU + ["--report-len", "6", "--work-len", "10"], 3,
-     "e77d74b67d30", (28, 278, 919, 24), (21, 63), 119),
+     "e77d74b67d30", (28, 278, 919, 24), (21, 63), 119, (21, 28)),
     (_CHECK_SIMPLE_PU + ["--report-len", "4", "--work-len", "12"], 0,
-     "090699dc010c", (28, 40, 191, 18), (21, 63), 100),
-    (_AU_CIRCLE, 0, "ce5e742f6a7d", (62, 3, 305, 15), (34, 102), 132),
+     "090699dc010c", (28, 40, 191, 18), (21, 63), 100, (21, 28)),
+    (_AU_CIRCLE, 0, "ce5e742f6a7d", (62, 3, 305, 15), (34, 102), 132, (34, 62)),
     (["check-simple", "--ambient", "gen:01,10", "--seed-len", "6",
       "--report-len", "6", "--ad-len", "8", "--work-len", "12"], 0,
-     "876f71b57053", (14, 35, 105, 10), (12, 33), 43),
+     "876f71b57053", (14, 35, 105, 10), (12, 33), 43, (11, 14)),
 ]
 
 
@@ -395,12 +397,12 @@ def _run_sweep(tmp_path, argv) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize(
-    "argv,code,prefix,counters,work,terms",
+    "argv,code,prefix,counters,work,terms,bodies",
     _SWEEP_PINS,
     ids=["pu-fixpoint", "pu-targets", "au-circle", "criterion-7"],
 )
 def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
-                                   counters, work, terms):
+                                   counters, work, terms, bodies):
     stats = []
     runs = []
     witnessed = []
@@ -409,6 +411,8 @@ def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
     saturator_run = closure.Saturator.run
     witness_entries = normality.witness_entries
     has_term = closure.has_term
+    encode = cli._json
+    encoded = []
 
     def counted(*args, **kwargs):
         result = ad_closure(*args, **kwargs)
@@ -427,15 +431,23 @@ def test_sweep_report_bytes_pinned(tmp_path, monkeypatch, argv, code, prefix,
         has_term_calls.append(args)
         return has_term(*args)
 
+    def counted_encode(obj):
+        if isinstance(obj, dict) and "status" in obj:  # a record's body
+            encoded.append(obj)
+        return encode(obj)
+
     monkeypatch.setattr(normality, "ad_closure", counted)
     monkeypatch.setattr(closure.Saturator, "run", counted_run)
     monkeypatch.setattr(normality, "witness_entries", counted_witnesses)
     monkeypatch.setattr(closure, "has_term", counted_has_term)
+    monkeypatch.setattr(cli, "_json", counted_encode)
     assert _run_sweep(tmp_path, argv) == (code, prefix)
     assert (len(stats), *(sum(s[k] for s in stats)
                           for k in ("products", "members", "ad_steps"))) == counters
     assert (len(runs), len(witnessed)) == work
     assert len(has_term_calls) == terms
+    records = json.loads((tmp_path / "r.json").read_bytes())["result"]["seeds"]
+    assert (len(encoded), len(records)) == bodies
 
 
 def test_sweeps_back_to_back_match_each_alone():
@@ -533,6 +545,71 @@ def test_the_encoder_refuses_a_cyclic_document(tmp_path, capsys, monkeypatch):
     with pytest.raises(RecursionError):
         cli._encode(cyclic)
     monkeypatch.setitem(cli._COMMANDS, "dual", ("", lambda args: (cyclic, [], 0)))
+    report = tmp_path / "r.json"
+    with pytest.raises(RecursionError):
+        run(["dual", "01", "--json", "--report", str(report)])
+    assert capsys.readouterr() == ("", "") and not report.exists()
+
+
+def _sweep_document(records, args=None) -> dict:
+    return {"version": "0", "invocation": {"subcommand": "check-circle", "args": args or {}},
+            "result": {"check": "circle", "ambient": "au", "verdict": "pass",
+                       "seeds": records}, "timing": None}
+
+
+def _fields() -> dict:
+    return {"status": "pass", "end": "targets", "missing_certified": [],
+            "missing_within_bound": ["0011"],
+            "certificates": [{"word": "01", "certificate": {"kind": "gen", "word": "01"},
+                              "verified": True}]}
+
+
+_SHARED = _fields()
+_HAND_BUILT = {  # name -> a document; the first four take the memo's path
+    "every-value-shared": _sweep_document([{"seed": "0", **_SHARED}, {"seed": "1", **_SHARED}]),
+    "only-certificates-shared": _sweep_document(
+        [{"seed": "0", **_SHARED}, {"seed": "1", **_SHARED, "status": "fail"},
+         {"seed": "01", **_SHARED, "missing_within_bound": []}]),
+    "equal-values-in-distinct-objects": _sweep_document(
+        [{"seed": "0", **_SHARED}, {"seed": "1", **_fields()}]),
+    "no-records": _sweep_document([]),
+    "seed-not-first": _sweep_document([{**_SHARED, "seed": "0"}]),
+    "seed-alone": _sweep_document([{"seed": "0"}, {"seed": "1"}]),
+    "mark-text-elsewhere": _sweep_document([{"seed": "0", **_SHARED}], {"ambient": cli._MARK}),
+}
+
+
+@pytest.mark.parametrize("name", _HAND_BUILT)
+def test_encode_matches_the_oracle_on_hand_built_documents(name):
+    # Records that share some, all or none of their non-seed values, and
+    # documents the memo must leave to the whole-document encoder.
+    document = _HAND_BUILT[name]
+    assert cli._encode(document) == render(document)
+
+
+def test_a_timed_sweep_renders_what_the_oracle_renders(capsys, monkeypatch):
+    rendered = []
+    encode = cli._encode
+
+    def recorded(document):
+        rendered.append((document, encode(document)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(cli, "_encode", recorded)
+    code, out, _ = invoke(capsys, "check-circle", "--seed-len", "3", "--report-len", "2",
+                          "--ad-len", "4", "--work-len", "6", "--json", "--timing")
+    [(document, text)] = rendered
+    assert document["timing"]["seconds"] >= 0 and len(document["result"]["seeds"]) == 14
+    assert (code, out) == (0, render(document) + "\n") and text == render(document)
+
+
+def test_a_cyclic_sweep_record_raises_before_any_byte(tmp_path, capsys, monkeypatch):
+    # The memo's path encodes a record's body on its own: a cycle through it
+    # still raises, and the report file is never opened.
+    record = {"seed": "0", "status": "pass"}
+    record["certificates"] = [record]
+    payload = {"seeds": [record, {"seed": "1", **_SHARED}]}
+    monkeypatch.setitem(cli._COMMANDS, "dual", ("", lambda args: (payload, [], 0)))
     report = tmp_path / "r.json"
     with pytest.raises(RecursionError):
         run(["dual", "01", "--json", "--report", str(report)])
@@ -826,15 +903,16 @@ def test_cli_grid_slice_repeats_itself(tmp_path):
     # every rendering run.
     grid = cli_grid.families(tmp_path)
     assert {k: len(v) for k, v in grid.items()} == {"json": 2979, "text": 2589,
-                                                    "rendering": 9}
+                                                    "rendering": 12}
     cli_grid.write_documents(tmp_path)
     argvs = (grid["json"][:6] + grid["json"][2589:2593] + grid["json"][-6:]
              + grid["text"][:6] + grid["rendering"])
     lines = [cli_grid.line(a) for a in argvs]
     assert lines == [cli_grid.line(a) for a in argvs]
-    assert lines[-9] == " ".join([json.dumps(["mul", "0", "1"]), "0",
-                                  hashlib.sha256(b'{"e":1,"01":1}\n').hexdigest(),
-                                  hashlib.sha256(b"").hexdigest()])
+    mul_line = lines[-len(grid["rendering"])]
+    assert mul_line == " ".join([json.dumps(["mul", "0", "1"]), "0",
+                                 hashlib.sha256(b'{"e":1,"01":1}\n').hexdigest(),
+                                 hashlib.sha256(b"").hexdigest()])
 
 
 def test_console_entry_point(capsys, monkeypatch):

@@ -200,6 +200,17 @@ def test_verify_rejects_tampering():
         False, "root.inner: malformed node {'kind': 'gen'}")
 
 
+def test_verify_refuses_a_bare_str_of_generators():
+    # As a bare str, "11" in "0110" was a substring test and the gen node 11
+    # replayed valid; verify_certificate read "0110" as the generators 0 and 1.
+    eleven = {"kind": "gen", "word": "11"}
+    message = BARE_STR.replace("words", "generators")
+    assert refusal(lambda: verify_certificate_detailed(eleven, "0110")) == message
+    assert refusal(lambda: verify_certificate(gen("0"), "0110")) == message
+    assert verify_certificate_detailed(eleven, ("0110",)) == (False, "root: 11 is not a generator")
+    assert verify_certificate(gen("0110"), ["0110"])
+
+
 @pytest.mark.parametrize("word", [None, 7])
 def test_verify_calls_a_word_that_is_not_a_string_malformed(word):
     # Read as a word, None would print as e and 7 as 7; the node is malformed.

@@ -323,6 +323,26 @@ MUTANTS = [
                 ["--json", "dual", "01"]),
         id="parser-fast-path-for-a-later-subcommand"),
     pytest.param(
+        closure.verify_certificate_detailed,
+        [("    if isinstance(gens, str):\n        raise ValueError(",
+          "    if False:\n        raise ValueError(")],
+        test_closure.test_verify_refuses_a_bare_str_of_generators,
+        id="verifier-reads-a-bare-str"),
+    pytest.param(
+        cli._encode,
+        [("tuple((k, id(v)) for k, v in fields)", 'id(r["certificates"])')],
+        partial(test_cli.test_encode_matches_the_oracle_on_hand_built_documents,
+                "only-certificates-shared"),
+        id="record-memo-keyed-on-certificates-alone"),
+    pytest.param(
+        cli._encode,
+        [("bodies[key] = _json(dict(fields))[1:]", "bodies[key] = _json(r)[1:]"),
+         ("""texts.append(f'{{"seed":{_json(seed)},{bodies[key]}')""",
+          'texts.append("{" + bodies[key])')],
+        partial(test_cli.test_encode_matches_the_oracle_on_hand_built_documents,
+                "every-value-shared"),
+        id="record-body-keeps-the-first-seed"),
+    pytest.param(
         fusion.has_term,
         [("x.endswith(y[k - 1::-1].translate(FLIP)) and ", "")],
         test_fusion.test_has_term_matches_brute_force_exhaustively,

@@ -228,13 +228,6 @@ def _replay(cert, gens, replayed, ambient) -> tuple[str | None, str | None]:
     return None, f"root: malformed node {cert!r}"
 
 
-def verify_certificate(cert, gens) -> bool:
-    """True iff the certificate replays correctly from the given generators;
-    a bare str of them is refused, not read letter by letter."""
-    ok, _ = verify_certificate_detailed(cert, gens if isinstance(gens, str) else set(gens))
-    return ok
-
-
 # --------------------------------------------------------------------------
 # membership answers
 
@@ -368,7 +361,7 @@ class Saturator:
         self.members: set[str] = set()
         self.order: list[str] = []
         self.provenance: dict[str, tuple] = {}
-        self.remaining = None if targets is None else set(targets)
+        self.remaining = None if targets is None else set(check_words(targets))
         self.stats = {"products": 0, "ad_steps": 0}
         self._tails: dict[str, dict[int, dict[str, int]]] = {}
         self._closed = 0
@@ -565,6 +558,7 @@ def certified_absence(generators, w: str, is_ad: bool) -> str | None:
     way up, than the highest generator.  Not for ad steps, which can be.
     """
     g = 0
+    generators = check_words(generators)
     for gen in generators:
         g = gcd(g, abs(degree(gen)))
     d = degree(w)
@@ -627,8 +621,9 @@ def witness(result: ClosureResult, w: str, _memo: dict | None = None) -> dict | 
 
 
 class ClosedForm(_Frozen):
-    """An ambient in closed form: `in` tests its simples, enumerate_words lists
-    them under filter, and longest(n) is the length of the longest of <= n letters."""
+    """An ambient in closed form: `in` tests its simples, the strs over 0 and 1
+    that _holds(w) keeps; enumerate_words lists them under filter, and
+    longest(n) is the length of the longest of <= n letters."""
 
     _fields = ("filter",)
 
@@ -636,6 +631,9 @@ class ClosedForm(_Frozen):
         self._set(filter)
 
     def __contains__(self, w: str) -> bool:
+        return not w.strip("01") and self._holds(w)
+
+    def _holds(self, w: str) -> bool:  # for a word w
         return self.filter == "all" or is_balanced(w)
 
     def longest(self, n: int) -> int:
@@ -655,4 +653,4 @@ def enumerate_words(which: str = "all", max_len: int = 0) -> list[str]:
         raise ValueError("max_len must be nonnegative")
     # longest(n) == n exactly when some simple has length n.
     return [w for n in range(max_len + 1) if form.longest(n) == n
-            for w in map("".join, itertools.product("01", repeat=n)) if w in form]
+            for w in map("".join, itertools.product("01", repeat=n)) if form._holds(w)]

@@ -138,7 +138,8 @@ def _conjugations(x: str, by_last: dict[str, list[str]], max_len: int):
     exactly when x is nonempty, x[0] != x[-1] and y ends in x[0]; that
     simple is y + x + involute(y): y * x has cut 1 unless y ends in x[0],
     and then (y + x) * involute(y) has cut 1 unless x ends in the other
-    symbol.
+    symbol.  The right-oriented involute(y) * x * y is the scan's conjugation
+    by involute(y), a conjugator too: ambients are dual-closed.
     The conjugators ending in x[0] come in shortlex order, so the walk
     stops at the first one that is too long.
     """
@@ -149,21 +150,6 @@ def _conjugations(x: str, by_last: dict[str, list[str]], max_len: int):
         if 2 * len(y) > room:
             return
         yield y, y + x + involute(y)
-
-
-def ad_candidates(
-    x: str, ambient: Ambient, ad_len: int, config: ClosureConfig = ClosureConfig()
-) -> set[tuple[str, str]]:
-    """All (conjugator, result) pairs forcing membership of result from x.
-
-    Conjugators range over the nontrivial ambient simples of length at
-    most ad_len.  The right-oriented form involute(y) * x * y is covered
-    automatically: ambient simple sets are dual-closed, so it equals the
-    left-oriented scan with conjugator involute(y).
-    """
-    check_words([x])
-    by_last = AmbientView(ambient, config).conjugators_by_last(ad_len)
-    return set(_conjugations(x, by_last, len(x) + 2 * ad_len))
 
 
 ROOT = "01"  # the seed every descent stops at; see _check
@@ -226,14 +212,14 @@ def ad_closure(
     view = _view if _view is not None else AmbientView(ambient, config.closure)
     work_len = config.closure.work_len
     seeds = check_words(seeds)  # read once: seeds may be a one-shot iterator
+    gens = frozenset({*seeds, *map(involute, seeds)})  # the run's generators
+    shared = _pairs.get(gens) if _pairs is not None else None
+    if shared is not None and shared[0] == stop_targets:
+        return shared[1]  # filed by a run whose generators passed the test below
     # Every ambient is dual-closed: a seed is an ambient simple iff its dual is.
     for s in sorted(seeds, key=shortlex_key):
         if not view.contains(s):
             raise ValueError(f"{format_word(s)} is not an ambient simple")
-    gens = frozenset({*seeds, *map(involute, seeds)})  # the run's generators
-    shared = _pairs.get(gens) if _pairs is not None else None
-    if shared is not None and shared[0] == stop_targets:
-        return shared[1]
     by_last = view.conjugators_by_last(config.ad_len)
     scan = lambda x: _conjugations(x, by_last, work_len)
     targets = _base.generators if _base else stop_targets
@@ -286,7 +272,7 @@ def witness_entries(result: ClosureResult, words,
     gens = set(result.generators)
     memo, replayed = {}, set()  # live together: ids stay unique
     entries = []
-    for w in words:
+    for w in check_words(words):  # a bare str is refused, not read letter by letter
         cert = witness(result, w, memo)
         if cert is None:
             entries.append(None)

@@ -6,8 +6,14 @@
 Certificate and report files go to fixed paths under DIR, so two trees run
 with the same DIR print the same bytes wherever their CLIs agree.  A line is
 the argv (JSON), the exit code, and the sha-256 of stdout and of stderr; a
-run with --report adds the sha-256 of its report file.  The last line is the
-count.  pytest does not collect this file: its name has no test_ prefix.
+run with --report adds the sha-256 of the report file it wrote.  The last
+line is the count.  pytest does not collect this file: its name has no test_
+prefix.
+
+argparse wraps --help to the terminal width, and at 80 columns Python 3.13
+wraps the top-level usage line where 3.10-3.12 do not, so main pins COLUMNS
+at a width where that line fits whole: the grid's bytes then depend on the
+CLI, not on the terminal or the Python version.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -37,6 +44,16 @@ _CERT = {"kind": "prod", "left": {"kind": "gen", "word": "01"},
 _DOCUMENTS = {
     "valid.json": {"generators": ["01", "10"], "ambient": "pu", "certificate": _CERT},
     "invalid.json": {"generators": ["01", "10"], "certificate": {**_CERT, "term": "0101"}},
+}
+
+# Malformed certificate documents, as text: json.dumps cannot write the last.
+_MALFORMED = {
+    "list.json": "[]",
+    "str-generators.json": json.dumps({"generators": "01", "certificate": _CERT}),
+    "bogus-ambient.json": json.dumps({"generators": ["01", "10"], "ambient": "xx",
+                                      "certificate": _CERT}),
+    "deep.json": '{"certificate": ' + '{"kind": "ad", "inner": ' * 5000 + '{"kind": "unit"}'
+                 + ', "conjugator": "0", "result": "0"}' * 5000 + "}",
 }
 
 
@@ -108,14 +125,49 @@ def rendering(directory: Path) -> list[list[str]]:
     ]
 
 
+def edges(directory: Path) -> list[list[str]]:
+    """What the other families never reach: dual and degree; the whole-tree
+    parser (no subcommand, an unknown one, --help, --version, a flag before
+    the subcommand); argparse usage errors, --threads 0 among them; each
+    ClosureConfig and AdConfig refusal; a negative --cert-samples and
+    --max-len; an unknown --ambient; malformed verify-cert documents; an
+    unwritable --report path; and e, 0x and an empty token as words."""
+    return [
+        ["dual", "0011"], ["degree", "0011"], ["dual", "0011", "--json"],
+        ["degree", "0011", "--json"],
+        [], ["bogus"], ["--help"], ["--version"], ["--json", "dual", "01"],
+        ["mul"], ["closure"], ["dual", "01", "10"], ["check-simple", "--work-len", "x"],
+        ["enumerate", "--all", "--balanced", "--max-len", "2"],
+        ["check-circle", "--threads", "0"],
+        ["closure", "--gens", "01", "--work-len", "-1"],
+        ["closure", "--gens", "01", "--work-len", "4", "--report-len", "6"],
+        ["closure", "--gens", "01", "--report-len", "-1"],
+        ["ad-closure", "--seeds", "01", "--work-len", "4", "--ad-len", "6"],
+        ["ad-closure", "--seeds", "01", "--ad-len", "-1"],
+        ["check-simple", "--seed-len", "-1"],
+        ["check-circle", "--cert-samples", "-1"],
+        ["check-simple", "--ambient", "bogus"],
+        ["ad-closure", "--seeds", "01", "--ambient", "bogus"],
+        ["enumerate", "--max-len", "-1"], ["invertibles", "--max-len", "-1"],
+        *(["verify-cert", str(directory / name)] for name in _MALFORMED),
+        ["closure", "--gens", "01,10", "--report", str(directory / "absent" / "report.json")],
+        ["dual", "e"], ["degree", "e", "--json"], ["mul", "0", "e"],
+        ["dual", "0x"], ["mul", "01", "0x"], ["ad-closure", "--seeds", "0x"],
+        ["dual", ""], ["closure", "--gens", "01,,10"],
+        ["closure", "--gens", "01", "--member", ""],
+    ]
+
+
 def families(directory: Path) -> dict[str, list[list[str]]]:
     return {"json": [a + ["--json"] for a in sweeps() + others()],
-            "text": sweeps(), "rendering": rendering(directory)}
+            "text": sweeps(), "edges": edges(directory), "rendering": rendering(directory)}
 
 
 def write_documents(directory: Path) -> None:
     for name, doc in _DOCUMENTS.items():
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+    for name, text in _MALFORMED.items():
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 def _sha(data: str | bytes) -> str:
@@ -126,10 +178,14 @@ def line(argv: list[str]) -> str:
     """argv run in process, as one line of the grid's output."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run(argv)
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's --help and --version
+            code = exc.code
     fields = [json.dumps(argv), str(code), _sha(out.getvalue()), _sha(err.getvalue())]
-    if "--report" in argv:
-        fields.append(_sha(Path(argv[argv.index("--report") + 1]).read_bytes()))
+    report = Path(argv[argv.index("--report") + 1]) if "--report" in argv else None
+    if report is not None and report.is_file():
+        fields.append(_sha(report.read_bytes()))
     return " ".join(fields)
 
 
@@ -137,6 +193,7 @@ def main(args: list[str]) -> None:
     if len(args) != 1:
         sys.exit("usage: cli_grid.py DIR")
     directory = Path(args[0])
+    os.environ["COLUMNS"] = "160"  # see the module docstring
     directory.mkdir(parents=True, exist_ok=True)
     write_documents(directory)
     argvs = [argv for family in families(directory).values() for argv in family]

@@ -11,8 +11,11 @@ import time
 
 from freefusion.closure import ClosureConfig, enumerate_words, generate, member
 from freefusion.fusion import dual, mul, mul_many, mul_simple, trivial_multiplicity
-from freefusion.normality import AdConfig, Ambient, ad_candidates, check_circle_corollary, check_simplicity, find_invertibles
-from freefusion.words import degree, involute
+from freefusion.normality import (
+    AdConfig, Ambient, AmbientView, ad_closure, check_circle_corollary, check_simplicity,
+    find_invertibles, witness_entries,
+)
+from freefusion.words import degree, involute, shortlex_key
 from freefusion.cli import run as cli_run
 
 from helpers import balanced_words_up_to, brute_force_product, search_valid_cuts, words_up_to
@@ -187,10 +190,18 @@ def test_criterion_10_invertibles():
 
 
 def test_criterion_11_property_f_counterexample():
-    plain = generate({"01"}, ClosureConfig(work_len=12, report_len=6))
-    cands = ad_candidates("01", Ambient("gen", {"01", "10"}), 6)
-    outside = sorted(z for _, z in cands if z not in plain.members)
-    _verdict(11, bool(outside), f"results outside the plain closure: {outside[:3]}")
+    # Property F fails: the ad-closure of 01 in gen:01,10 holds words its
+    # plain closure lacks, and their certificates replay in that ambient.
+    cfg = ClosureConfig(work_len=12, report_len=6)
+    ambient = Ambient("gen", {"01", "10"})
+    view = AmbientView(ambient, cfg)
+    plain = generate({"01"}, cfg)
+    stable = ad_closure({"01"}, ambient, AdConfig(cfg, 6), _view=view)
+    outside = sorted((w for w in stable.members if w not in plain.members), key=shortlex_key)
+    entries = witness_entries(stable, outside[:3], view)
+    ok = bool(outside) and all(e["verified"] for e in entries)
+    _verdict(11, ok, f"{len(outside)} ad-closure members outside the plain closure, "
+                     f"first {outside[:3]}, certificates replayed")
 
 
 def test_criterion_12_thread_determinism(tmp_path):

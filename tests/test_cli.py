@@ -900,13 +900,13 @@ def test_cli_grid_slice_repeats_itself(tmp_path):
     # tests/cli_grid.py compares two trees by their lines, so one tree must
     # print the same lines twice.  The slice is cheap: the first small sweeps
     # in both forms, one ad-closure with each query, the other JSON runs and
-    # every rendering run.
+    # every edge and rendering run.
     grid = cli_grid.families(tmp_path)
     assert {k: len(v) for k, v in grid.items()} == {"json": 2979, "text": 2589,
-                                                    "rendering": 12}
+                                                    "edges": 40, "rendering": 12}
     cli_grid.write_documents(tmp_path)
     argvs = (grid["json"][:6] + grid["json"][2589:2593] + grid["json"][-6:]
-             + grid["text"][:6] + grid["rendering"])
+             + grid["text"][:6] + grid["edges"] + grid["rendering"])
     lines = [cli_grid.line(a) for a in argvs]
     assert lines == [cli_grid.line(a) for a in argvs]
     mul_line = lines[-len(grid["rendering"])]

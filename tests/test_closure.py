@@ -13,10 +13,10 @@ from freefusion.closure import (
     ClosureResult,
     Saturator,
     certificate_from_json,
+    certified_absence,
     enumerate_words,
     generate,
     member,
-    verify_certificate,
     verify_certificate_detailed,
     witness,
 )
@@ -136,6 +136,25 @@ def test_witness_refuses_what_is_not_a_word():
         assert refusal(lambda: witness(c, bad)) == NOT_A_WORD.format(bad)
 
 
+def test_saturator_refuses_a_bare_str_of_targets():
+    # Read letter by letter, "0110" used to be the targets 0 and 1, which the
+    # closure of 01 never derives, so done() never held.
+    assert refusal(lambda: Saturator(ClosureConfig(6, 4), ["01"], targets="0110")) == BARE_STR
+    sat = Saturator(ClosureConfig(6, 4), ["01"], targets=["0101"])
+    sat.run()
+    assert sat.done()
+
+
+def test_certified_absence_refuses_a_bare_str_of_generators():
+    # Read letter by letter, "0110" used to be the generators 0 and 1, of degree
+    # gcd 1: no absence at all.  "0000" likewise lost the degree absence of 0.
+    for gens in ("0110", "0000"):
+        call = lambda: certified_absence(gens, "000111", False)
+        assert refusal(call) == BARE_STR.replace("0110", gens)
+    assert certified_absence({"0110"}, "000111", False) == "prefix-height"
+    assert certified_absence({"0000"}, "0", False) == "degree"
+
+
 def test_witness_refuses_an_unknown_provenance_step():
     # ClosureResult is public and takes any provenance.
     result = ClosureResult(frozenset({"01"}), ClosureConfig(4, 2), True, {},
@@ -170,9 +189,9 @@ def test_witness_examples():
     assert witness(c, "") == UNIT
     cert = witness(c, "1001")
     assert _node_word(cert) == "1001"
-    assert verify_certificate(cert, c.generators)
+    assert verify_certificate_detailed(cert, c.generators)[0]
     cert = witness(c, "100110")
-    assert verify_certificate(cert, c.generators)
+    assert verify_certificate_detailed(cert, c.generators)[0]
     assert witness(c, "0011") is None
 
 
@@ -180,7 +199,7 @@ def test_every_member_has_verifying_witness():
     c = generate({"01", "0011"}, ClosureConfig(work_len=8, report_len=8))
     for w in c.members:
         cert = witness(c, w)
-        assert verify_certificate(cert, c.generators), w
+        assert verify_certificate_detailed(cert, c.generators)[0], w
 
 
 def test_verify_rejects_tampering():
@@ -190,7 +209,7 @@ def test_verify_rejects_tampering():
     bad = {**cert, "term": "000000"}
     ok, why = verify_certificate_detailed(bad, set(c.generators))
     assert not ok and "000000" in why
-    assert not verify_certificate(gen("0011"), c.generators)
+    assert not verify_certificate_detailed(gen("0011"), c.generators)[0]
     ok, why = verify_certificate_detailed(object(), set())
     assert not ok and why.startswith("root: malformed node ")
     # A node that lacks a key of its kind is malformed at its path.
@@ -202,13 +221,12 @@ def test_verify_rejects_tampering():
 
 def test_verify_refuses_a_bare_str_of_generators():
     # As a bare str, "11" in "0110" was a substring test and the gen node 11
-    # replayed valid; verify_certificate read "0110" as the generators 0 and 1.
+    # replayed valid.
     eleven = {"kind": "gen", "word": "11"}
     message = BARE_STR.replace("words", "generators")
     assert refusal(lambda: verify_certificate_detailed(eleven, "0110")) == message
-    assert refusal(lambda: verify_certificate(gen("0"), "0110")) == message
     assert verify_certificate_detailed(eleven, ("0110",)) == (False, "root: 11 is not a generator")
-    assert verify_certificate(gen("0110"), ["0110"])
+    assert verify_certificate_detailed(gen("0110"), ["0110"])[0]
 
 
 @pytest.mark.parametrize("word", [None, 7])
@@ -238,12 +256,12 @@ def test_verify_calls_a_conjugator_or_term_of_the_wrong_type_malformed(word):
 
 def test_verify_ad_step():
     cert = ad("10", gen("01"), "100110")
-    assert verify_certificate(cert, {"01", "10"})
-    assert not verify_certificate(ad("10", gen("01"), "0110"), {"01", "10"})
+    assert verify_certificate_detailed(cert, {"01", "10"})[0]
+    assert not verify_certificate_detailed(ad("10", gen("01"), "0110"), {"01", "10"})[0]
     # y * e * involute(y) is never a single simple for nonempty y
-    assert not verify_certificate(ad("0", UNIT, "01"), {"01"})
+    assert not verify_certificate_detailed(ad("0", UNIT, "01"), {"01"})[0]
     # An ad node derives its result, also as the inner node of another.
-    assert verify_certificate(ad("1", cert, "11001100"), {"01"})
+    assert verify_certificate_detailed(ad("1", cert, "11001100"), {"01"})[0]
 
 
 # The proof that criterion 6's bounds rule out: 00 is an au simple, not a pu one.
@@ -273,9 +291,9 @@ def test_verify_checks_generators_and_conjugators_against_the_ambient():
 def test_verify_reads_e_as_the_unit():
     # The text e is the empty word wherever the replay reads a word: a term,
     # a generator, and the word of a unit factor.
-    assert verify_certificate(prod(gen("01"), gen("01"), "e"), {"01"})
-    assert verify_certificate(prod(UNIT, gen("01"), "01"), {"01"})
-    assert verify_certificate(prod(gen("e"), gen("01"), "01"), {"", "01"})
+    assert verify_certificate_detailed(prod(gen("01"), gen("01"), "e"), {"01"})[0]
+    assert verify_certificate_detailed(prod(UNIT, gen("01"), "01"), {"01"})[0]
+    assert verify_certificate_detailed(prod(gen("e"), gen("01"), "01"), {"", "01"})[0]
 
 
 def test_dual_step_witness_verifies():
@@ -294,7 +312,7 @@ def test_dual_step_witness_verifies():
         for w in sorted(c.members):
             cert = witness(c, involute(w))
             assert _node_word(cert) == involute(w)
-            assert verify_certificate(cert, c.generators), w
+            assert verify_certificate_detailed(cert, c.generators)[0], w
 
 
 def test_certificate_json_round_trip():
@@ -590,6 +608,17 @@ def test_closed_form_matches_brute_force(name):
         assert form.longest(n) == max(len(w) for w in simples if len(w) <= n), n
 
 
+def test_a_closed_form_holds_only_words():
+    # degree counts only 0s, so pu used to hold 0x, and the verifier took it
+    # as a pu generator; au held every string.
+    for name in ("au", "pu"):
+        view = AmbientView(Ambient(name), ClosureConfig())
+        assert "" in CLOSED_FORMS[name] and "01" in CLOSED_FORMS[name]
+        assert "0x" not in CLOSED_FORMS[name] and not view.contains("0x")
+        assert verify_certificate_detailed(gen("0x"), {"0x"}, ambient=view) == (
+            False, f"generators: 0x is not a {name} simple")
+
+
 def test_enumerate_words():
     assert enumerate_words("balanced", 2) == ["", "01", "10"]
     assert len(enumerate_words("balanced", 4)) == 9
@@ -767,4 +796,4 @@ def test_soundness_random_generator_sets(gens):
     assert "" in c.members
     assert {involute(w) for w in c.members} == c.members
     for w in c.members:
-        assert verify_certificate(witness(c, w), c.generators)
+        assert verify_certificate_detailed(witness(c, w), c.generators)[0]

@@ -297,9 +297,21 @@ MUTANTS = [
         partial(test_normality.test_ad_closure_reads_one_shot_seeds_once, "pu"),
         id="ad-closure-rereads-consumed-seeds"),
     pytest.param(
-        normality.ad_candidates, [("    check_words([x])\n", "")],
-        test_normality.test_ad_candidates_refuses_what_is_not_a_word,
-        id="ad-candidates-reads-non-words"),
+        closure.Saturator.__init__, [("set(check_words(targets))", "set(targets)")],
+        test_closure.test_saturator_refuses_a_bare_str_of_targets,
+        id="saturator-reads-a-bare-str-of-targets"),
+    pytest.param(
+        normality.witness_entries, [("for w in check_words(words):", "for w in words:")],
+        test_normality.test_witness_entries_refuses_a_bare_str,
+        id="witness-entries-reads-a-bare-str"),
+    pytest.param(
+        closure.certified_absence, [("    generators = check_words(generators)\n", "")],
+        test_closure.test_certified_absence_refuses_a_bare_str_of_generators,
+        id="certified-absence-reads-a-bare-str"),
+    pytest.param(
+        closure.ClosedForm.__contains__, [('not w.strip("01") and ', "")],
+        test_closure.test_a_closed_form_holds_only_words,
+        id="closed-form-holds-a-non-word"),
     pytest.param(
         closure.witness, [("    check_words([w])\n", "")],
         test_closure.test_witness_refuses_what_is_not_a_word, id="witness-reads-non-words"),

@@ -11,7 +11,7 @@ from freefusion.closure import (
     enumerate_words,
     generate,
     member,
-    verify_certificate,
+    verify_certificate_detailed,
     witness,
 )
 from freefusion.fusion import mul_many
@@ -21,18 +21,17 @@ from freefusion.normality import (
     AdConfig,
     Ambient,
     AmbientView,
-    ad_candidates,
+    _conjugations,
     ad_closure,
     check_circle_corollary,
     check_simplicity,
     find_invertibles,
 )
-from freefusion.words import degree, format_word, involute
+from freefusion.words import degree, format_word, involute, shortlex_key
 
 from helpers import (
     BARE_STR,
     IndexedSaturator,
-    NOT_A_WORD,
     NOT_WORDS,
     ReplaySaturator,
     TwoIndexSaturator,
@@ -54,6 +53,13 @@ from helpers import (
     witness_entry,
     words_up_to,
 )
+
+
+def conjugations(x, ambient, ad_len):
+    """The ad rule's (conjugator, result) pairs for x, as ad_closure scans
+    them, over the ambient's conjugators up to ad_len."""
+    by_last = AmbientView(ambient, ClosureConfig()).conjugators_by_last(ad_len)
+    return set(_conjugations(x, by_last, len(x) + 2 * ad_len))
 
 
 def small_cfg(work_len=8, report_len=4, ad_len=4, seed_len=4):
@@ -111,6 +117,24 @@ def test_ad_closure_refuses_a_bare_str(kind):
     assert refusal(lambda: ad_closure("0110", Ambient(kind), small_cfg())) == BARE_STR
 
 
+def test_ad_closure_refuses_a_bare_str_of_stop_targets():
+    # Read letter by letter, "0110" used to be the targets 0 and 1, which no
+    # closure of 0011 holds, so the run went on to its fixpoint.
+    cfg = AdConfig(ClosureConfig(10, 4), 6, 4)
+    call = lambda: ad_closure({"0011"}, Ambient("au"), cfg, stop_targets="0110")
+    assert refusal(call) == BARE_STR
+    stopped = ad_closure({"0011"}, Ambient("au"), cfg, stop_targets={"0110"})
+    assert not stopped.saturated and "0110" in stopped.members
+
+
+def test_witness_entries_refuses_a_bare_str():
+    # Read letter by letter, "0110" used to give an entry for each of 0, 1, 1, 0.
+    result = generate({"01", "10"}, ClosureConfig(work_len=6, report_len=4))
+    assert refusal(lambda: normality.witness_entries(result, "0110")) == BARE_STR
+    entry, = normality.witness_entries(result, ["0110"])
+    assert entry["word"] == "0110" and entry["verified"]
+
+
 @pytest.mark.parametrize("kind", ["au", "pu"])
 def test_ad_closure_reads_one_shot_seeds_once(kind):
     # The word check used to use up an iterator, leaving the closure of nothing.
@@ -135,12 +159,6 @@ def test_ad_closure_refuses_seeds_that_are_not_words(kind):
     for bad in NOT_WORDS:
         with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
             ad_closure([bad], Ambient(kind), small_cfg())
-
-
-def test_ad_candidates_refuses_what_is_not_a_word():
-    # ad_candidates("0x", Ambient("au"), 2) used to return pairs such as ("0", "00x1").
-    for bad in NOT_WORDS:
-        assert refusal(lambda: ad_candidates(bad, Ambient("au"), 2)) == NOT_A_WORD.format(bad)
 
 
 def test_ambient_views():
@@ -171,7 +189,7 @@ def test_ad_rule_matches_scan_exhaustively():
     # in x[0]: all words x up to length 7, conjugators up to length 5.
     conjugators = [y for y in words_up_to(5) if y]
     for x in words_up_to(7):
-        got = ad_candidates(x, Ambient("au"), 5)
+        got = conjugations(x, Ambient("au"), 5)
         assert got == set(scan_conjugations(x, conjugators)), x
         assert got == {
             (y, y + x + involute(y))
@@ -303,23 +321,23 @@ def test_new_term_engine_evaluates_fewer_products_than_indexed():
 
 
 def test_ad_candidates_examples():
-    got = ad_candidates("01", Ambient("au"), 2)
+    got = conjugations("01", Ambient("au"), 2)
     assert ("10", "100110") in got
-    got1 = ad_candidates("01", Ambient("au"), 1)
+    got1 = conjugations("01", Ambient("au"), 1)
     assert ("0", "0011") in got1
-    assert ad_candidates("", Ambient("au"), 2) == set()
+    assert conjugations("", Ambient("au"), 2) == set()
 
 
 def test_ad_candidates_sound():
     for x in ("01", "0011", "0"):
-        for y, z in ad_candidates(x, Ambient("au"), 3):
+        for y, z in conjugations(x, Ambient("au"), 3):
             assert mul_many([{y: 1}, {x: 1}, {involute(y): 1}]) == {z: 1}
 
 
 def test_ad_candidates_right_orientation_covered():
     # involute(y) * x * y results appear as left conjugations by involute(y)
     x = "01"
-    got = ad_candidates(x, Ambient("au"), 3)
+    got = conjugations(x, Ambient("au"), 3)
     for y, _ in got:
         prod = mul_many([{involute(y): 1}, {x: 1}, {y: 1}])
         if len(prod) == 1 and set(prod.values()) == {1}:
@@ -375,7 +393,7 @@ def test_ad_closure_monotone():
 def test_ad_closure_members_certified():
     cl = ad_closure({"01"}, Ambient("au"), small_cfg())
     for w in sorted(cl.members)[:20]:
-        assert verify_certificate(witness(cl, w), cl.generators)
+        assert verify_certificate_detailed(witness(cl, w), cl.generators)[0]
 
 
 # One bad step, 0101 claimed from 01 * 10 (cut 0 gives 0110 only), under
@@ -462,9 +480,17 @@ def test_not_finitely_generated():
 
 
 def test_property_f_counterexample():
-    plain = generate({"01"}, ClosureConfig(work_len=12, report_len=6))
-    cands = ad_candidates("01", Ambient("gen", {"01", "10"}), 6)
-    assert any(z not in plain.members for _, z in cands)
+    # The plain closure of 01 is not ad-stable in gen:01,10: its ad-closure holds
+    # more, each word with a certificate that replays in that ambient.
+    cfg = ClosureConfig(work_len=12, report_len=6)
+    ambient = Ambient("gen", {"01", "10"})
+    view = AmbientView(ambient, cfg)
+    plain = generate({"01"}, cfg)
+    stable = ad_closure({"01"}, ambient, AdConfig(cfg, 6), _view=view)
+    outside = sorted((w for w in stable.members if w not in plain.members), key=shortlex_key)
+    assert len(outside) == 120 and outside[:3] == ["10", "0110", "1001"]
+    entries = normality.witness_entries(stable, outside[:3], view)
+    assert all(e["verified"] for e in entries), entries
 
 
 def test_find_invertibles():
@@ -831,7 +857,7 @@ def test_flipped_closure_has_the_flipped_members(ambient_seeds, room, ad_len):
     assert derived.members == flipped.members and derived.saturated
     assert derived.generators == flipped.generators
     for w in sorted(derived.members, key=len)[-5:]:
-        assert verify_certificate(witness(derived, w), derived.generators), w
+        assert verify_certificate_detailed(witness(derived, w), derived.generators)[0], w
 
 
 def _count_saturators(monkeypatch) -> list:
@@ -1151,7 +1177,7 @@ def test_warm_closure_matches_cold(monkeypatch, ambient, seed, work_len, ad_len)
     # 01 is derived from the seed, not a generator, and so are the words
     # derived from it.
     for w in ["01", *sorted(warm.members, key=len)[-20:]]:
-        assert verify_certificate(witness(warm, w), warm.generators), w
+        assert verify_certificate_detailed(witness(warm, w), warm.generators)[0], w
 
 
 def test_two_forks_leave_their_root_untouched():
@@ -1251,7 +1277,7 @@ def _assert_route(seed, ambient, work_len, ad_len):
     """The closed-form route of a seed is absent exactly when 01 exceeds
     work_len, or the seed is 1...0 and 011001 exceeds work_len or 01 ad_len.
     Otherwise a run to 01 evaluates nothing, and its 01 replays from the seed
-    and its dual under verify_certificate and the benchmark's oracle."""
+    and its dual under verify_certificate_detailed and the benchmark's oracle."""
     cfg = small_cfg(work_len, report_len=0, ad_len=ad_len, seed_len=0)
     view = AmbientView(ambient, cfg.closure)
     gens = {seed, involute(seed)}
@@ -1269,7 +1295,7 @@ def _assert_route(seed, ambient, work_len, ad_len):
     assert (stats["products"], stats["ad_steps"], result.saturated) == (0, 0, False)
     _assert_route_run_matches_replay(seed, view, cfg, route, result._engine)
     cert = witness(result, ROOT)
-    assert verify_certificate(cert, gens), seed
+    assert verify_certificate_detailed(cert, gens)[0], seed
     assert bench_oracle().certificate_word(cert, gens) == ROOT
 
 

@@ -162,17 +162,17 @@ def verify_certificate_detailed(cert, gens, replayed=None,
 
     ambient, when given, is a view of the semiring the proof lives in
     (normality.AmbientView): every generator and every conjugator of a valid
-    ad node must be one of its simples.  The first that is not fails as
-    "generators: w is not a pu simple" or at its node's path.  Without one
-    every word is a simple (au), tested nowhere.  gens as a bare str would
-    be a substring test, so it is refused.
+    ad node must be one of its simples.  The first that is not (generators
+    first, shortlex by str) fails as "generators: w is not a pu simple" or at
+    its node's path.  Without one every word is a simple (au), tested nowhere.
+    gens as a bare str would be a substring test, so it is refused.
     """
     if isinstance(gens, str):
         raise ValueError(f"generators must come as a collection, not the bare str {gens!r}")
     if ambient is not None:
         foreign = [g for g in gens if not ambient.contains(g)]
         if foreign:
-            first = format_word(min(foreign, key=shortlex_key))
+            first = format_word(min(map(str, foreign), key=shortlex_key))
             return False, f"generators: {first} is not a {ambient.name} simple"
     why = _replay(cert, gens, replayed, ambient)[1]
     return why is None, why
@@ -250,10 +250,6 @@ class Membership(_Frozen):
 
     def __init__(self, status: str, reason: str | None = None):
         self._set(status, reason)
-
-    @property
-    def present(self) -> bool:
-        return self.status == "present"
 
     def to_json(self) -> dict:
         return {f: v for f, v in zip(self._fields, self._key()) if v is not None}
@@ -518,8 +514,6 @@ class Saturator:
                     self.stats["ad_steps"] += 1
                     if len(z) <= work_len:
                         self.add(z, ("ad", y, m))
-                if self.done():
-                    return
             i += 1
 
     def result(self, is_ad: bool) -> ClosureResult:
@@ -622,16 +616,16 @@ def witness(result: ClosureResult, w: str, _memo: dict | None = None) -> dict | 
 
 class ClosedForm(_Frozen):
     """An ambient in closed form: `in` tests its simples, the strs over 0 and 1
-    that _holds(w) keeps; enumerate_words lists them under filter, and
-    longest(n) is the length of the longest of <= n letters."""
+    that _holds(w) keeps (no other value is one); enumerate_words lists them
+    under filter, and longest(n) is the length of the longest of <= n letters."""
 
     _fields = ("filter",)
 
     def __init__(self, filter: str):
         self._set(filter)
 
-    def __contains__(self, w: str) -> bool:
-        return not w.strip("01") and self._holds(w)
+    def __contains__(self, w) -> bool:
+        return isinstance(w, str) and not w.strip("01") and self._holds(w)
 
     def _holds(self, w: str) -> bool:  # for a word w
         return self.filter == "all" or is_balanced(w)

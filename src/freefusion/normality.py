@@ -43,9 +43,10 @@ class Ambient(_Frozen):
     def __init__(self, kind: str, gens=frozenset()):
         if kind != "gen" and kind not in CLOSED_FORMS:
             raise ValueError(f"unknown ambient kind {kind!r}; expected au, pu or gen")
-        if (gens := frozenset(check_words(gens))) and kind != "gen":
+        ws = check_words(gens)  # a set goes in whole: rebuilt from ws it may iterate otherwise
+        self._set(kind, frozenset(gens if isinstance(gens, set | frozenset) else ws))
+        if self.gens and kind != "gen":
             raise ValueError(f"ambient {kind} takes no generators")
-        self._set(kind, gens)
 
     def describe(self) -> str:
         if self.kind == "gen":

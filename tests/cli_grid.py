@@ -56,6 +56,31 @@ _MALFORMED = {
                  + ', "conjugator": "0", "result": "0"}' * 5000 + "}",
 }
 
+# Documents whose replay ends at each verdict path, then malformed nodes.
+_G01, _G11 = {"kind": "gen", "word": "01"}, {"kind": "gen", "word": "11"}
+_AD = {"kind": "ad", "conjugator": "0", "inner": _G01, "result": "0011"}  # 0 * 01 * 1
+
+
+def _doc(certificate, generators=("01",), **extra) -> dict:
+    return {"generators": list(generators), **extra, "certificate": certificate}
+
+
+_REPLAYS = {
+    "ad.json": _doc(_AD),
+    "ad-pu.json": _doc(_AD, ambient="pu"),
+    "foreign-generator.json": _doc(_G01, ("0", "01"), ambient="pu"),
+    "left-not-a-generator.json": _doc({**_CERT, "left": _G11, "right": _G01, "term": "1101"}),
+    "right-not-a-generator.json": _doc({**_CERT, "left": _G01, "right": _G11, "term": "0111"}),
+    "inner-not-a-generator.json": _doc({**_AD, "inner": _G11, "result": "0111"}),
+    "not-single.json": _doc({**_AD, "conjugator": "1", "result": "1010"}),
+    "unit.json": _doc({"kind": "unit"}),
+    "kind-zz.json": _doc({"kind": "zz"}),
+    "prod-without-right.json": _doc({"kind": "prod", "left": _G01, "term": "0110"}),
+    "list-node.json": _doc({**_CERT, "left": []}),
+    "word-0x.json": _doc({"kind": "gen", "word": "0x"}),
+    "word-5.json": _doc({"kind": "gen", "word": 5}),
+}
+
 
 def _bounds(work_len, seed_len, report_len=None, ad_len=None) -> list[str]:
     named = {"--work-len": work_len, "--seed-len": seed_len,
@@ -131,7 +156,11 @@ def edges(directory: Path) -> list[list[str]]:
     the subcommand); argparse usage errors, --threads 0 among them; each
     ClosureConfig and AdConfig refusal; a negative --cert-samples and
     --max-len; an unknown --ambient; malformed verify-cert documents; an
-    unwritable --report path; and e, 0x and an empty token as words."""
+    unwritable --report path; e, 0x and an empty token as words; verify-cert
+    documents reaching each replay verdict (a valid ad node and unit, a
+    foreign generator or conjugator, a non-generator at each child path, an
+    ad product that is not one simple) and each malformed node; and --threads
+    2 and x."""
     return [
         ["dual", "0011"], ["degree", "0011"], ["dual", "0011", "--json"],
         ["degree", "0011", "--json"],
@@ -155,6 +184,8 @@ def edges(directory: Path) -> list[list[str]]:
         ["dual", "0x"], ["mul", "01", "0x"], ["ad-closure", "--seeds", "0x"],
         ["dual", ""], ["closure", "--gens", "01,,10"],
         ["closure", "--gens", "01", "--member", ""],
+        *(["verify-cert", str(directory / name)] for name in _REPLAYS),
+        ["check-circle", "--threads", "2"], ["check-circle", "--threads", "x"],
     ]
 
 
@@ -164,7 +195,7 @@ def families(directory: Path) -> dict[str, list[list[str]]]:
 
 
 def write_documents(directory: Path) -> None:
-    for name, doc in _DOCUMENTS.items():
+    for name, doc in {**_DOCUMENTS, **_REPLAYS}.items():
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
     for name, text in _MALFORMED.items():
         (directory / name).write_text(text, encoding="utf-8")

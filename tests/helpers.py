@@ -65,6 +65,15 @@ def refusal(call) -> str | None:
     return None
 
 
+def answer(call):
+    """What call() returns, or the exception it raises; a check that must get
+    an answer compares this, so that a call that raises fails with AssertionError."""
+    try:
+        return call()
+    except Exception as exc:  # any of them: the check reads it as a wrong answer
+        return exc
+
+
 def render(document) -> str:
     """The CLI's JSON rendering before it dropped the cycle check, verbatim:
     the oracle for cli._encode.  It raises ValueError on a cyclic document."""

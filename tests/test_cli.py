@@ -903,7 +903,7 @@ def test_cli_grid_slice_repeats_itself(tmp_path):
     # every edge and rendering run.
     grid = cli_grid.families(tmp_path)
     assert {k: len(v) for k, v in grid.items()} == {"json": 2979, "text": 2589,
-                                                    "edges": 40, "rendering": 12}
+                                                    "edges": 55, "rendering": 12}
     cli_grid.write_documents(tmp_path)
     argvs = (grid["json"][:6] + grid["json"][2589:2593] + grid["json"][-6:]
              + grid["text"][:6] + grid["edges"] + grid["rendering"])

@@ -36,6 +36,7 @@ from helpers import (
     NOT_WORDS,
     PairwiseSaturator,
     TwoIndexSaturator,
+    answer,
     balanced_words_up_to,
     bench_oracle as _bench_oracle,
     cut_depth,
@@ -112,7 +113,7 @@ def test_config_validation():
 
 def test_member_answers():
     c = generate({"01", "10"}, ClosureConfig(work_len=12, report_len=6))
-    assert member(c, "100110").present
+    assert member(c, "100110").status == "present"
     m = member(c, "0011")
     assert m.status == "absent-certified" and m.reason == "prefix-height"
     m = member(c, "0")
@@ -122,7 +123,7 @@ def test_member_answers():
 def test_member_refuses_what_is_not_a_word():
     # "abc" used to be answered absent-certified (degree).
     c = generate({"01", "10"}, ClosureConfig(work_len=4, report_len=2))
-    assert member(c, "").present
+    assert member(c, "").status == "present"
     for bad in NOT_WORDS:
         with pytest.raises(ValueError, match="^.* is not a word: .*unit$"):
             member(c, bad)
@@ -610,13 +611,20 @@ def test_closed_form_matches_brute_force(name):
 
 def test_a_closed_form_holds_only_words():
     # degree counts only 0s, so pu used to hold 0x, and the verifier took it
-    # as a pu generator; au held every string.
+    # as a pu generator; au held every string.  A value that is not a str
+    # made both raise where a gen: view's set answers False; the first foreign
+    # generator is the shortlex first by its str.
     for name in ("au", "pu"):
         view = AmbientView(Ambient(name), ClosureConfig())
         assert "" in CLOSED_FORMS[name] and "01" in CLOSED_FORMS[name]
         assert "0x" not in CLOSED_FORMS[name] and not view.contains("0x")
         assert verify_certificate_detailed(gen("0x"), {"0x"}, ambient=view) == (
             False, f"generators: 0x is not a {name} simple")
+        assert answer(lambda: 5 in CLOSED_FORMS[name]) is False
+        assert answer(lambda: view.contains(5)) is False
+        for gens in ({5, "01"}, {5, "0x", "01"}):
+            got = answer(lambda: verify_certificate_detailed(gen("01"), gens, ambient=view))
+            assert got == (False, f"generators: 5 is not a {name} simple")
 
 
 def test_enumerate_words():

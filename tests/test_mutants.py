@@ -30,6 +30,7 @@ import test_cli
 import test_closure
 import test_fusion
 import test_normality
+import test_values
 import test_words
 from helpers import bench_oracle
 from test_normality import small_cfg
@@ -312,6 +313,19 @@ MUTANTS = [
         closure.ClosedForm.__contains__, [('not w.strip("01") and ', "")],
         test_closure.test_a_closed_form_holds_only_words,
         id="closed-form-holds-a-non-word"),
+    pytest.param(
+        closure.ClosedForm.__contains__, [("isinstance(w, str) and ", "")],
+        test_closure.test_a_closed_form_holds_only_words, id="closed-form-reads-a-non-string"),
+    pytest.param(
+        closure.verify_certificate_detailed,
+        [("min(map(str, foreign), key=shortlex_key)", "min(foreign, key=shortlex_key)")],
+        test_closure.test_a_closed_form_holds_only_words,
+        id="verifier-orders-foreign-generators-as-words"),
+    pytest.param(
+        normality.Ambient.__init__,
+        [("frozenset(gens if isinstance(gens, set | frozenset) else ws)", "frozenset(ws)")],
+        test_values.test_ambient_keeps_the_order_of_a_set_of_gens,
+        id="ambient-rebuilds-a-set-from-its-words"),
     pytest.param(
         closure.witness, [("    check_words([w])\n", "")],
         test_closure.test_witness_refuses_what_is_not_a_word, id="witness-reads-non-words"),
